@@ -9,14 +9,14 @@ by these necessary criteria", never "proven separable".
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .criteria import (
     AB_TEST_GRID,
     CriterionVerdict,
     ReductionParams,
-    evaluate,
+    evaluate_grid,
+    in_request_order,
     ppt_check,
     realignment_check,
     reduction_check,
@@ -121,8 +121,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdicts: list[CriterionVerdict] = []
     for criterion in selected:
         if criterion == "grc":
-            for y in ysets:
-                verdicts.append(evaluate(labeled.state, params, y))
+            verdicts.extend(in_request_order(evaluate_grid(labeled.state, (params,), ysets)))
         elif criterion == "ppt":
             verdicts.append(ppt_check(labeled.state))
         elif criterion == "reduction":
@@ -151,8 +150,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         yset=GptOpSet.from_code(args.yset),
         path=args.file,
     )
-    workers = int(os.environ.get("SEPSCOPE_THREADS", "1"))
-    records = run_sweep(spec, workers=max(1, workers))
+    records = run_sweep(spec)
     emit(records, args.format, args.out)
     best = max(records, key=lambda rec: rec.violation)
     print(
@@ -193,6 +191,8 @@ def _compare_ensemble(args: argparse.Namespace) -> list[LabeledState]:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     ensemble = _compare_ensemble(args)
+    grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
+    subsets = all_subsets()
     names = ("ppt", "reduction", "realignment", "grc")
     flags: list[tuple[bool, bool, bool, bool]] = []
     print("{:<6} {:<24} {:>5} {:>10} {:>12} {:>5}".format("state", "params", *names))
@@ -202,10 +202,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             ppt_check(state).entangled,
             reduction_check(state).entangled,
             realignment_check(state).entangled,
-            any(
-                evaluate(state, ReductionParams(a, b), y).entangled
-                for a in AB_TEST_GRID for b in AB_TEST_GRID for y in all_subsets()
-            ),
+            # Stops at the first detection, before the remaining SVDs.
+            any(v.entangled for _, _, v in evaluate_grid(state, grid, subsets)),
         )
         flags.append(row)
         param_text = " ".join(f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"

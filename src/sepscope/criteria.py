@@ -6,10 +6,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gptops import GptOpSet, all_subsets, gpt_transform, partial_transpose, realign
+from .gptops import (
+    REALIGN_Y,
+    GptOpSet,
+    all_subsets,
+    gpt_transform,
+    partial_transpose,
+    realign,
+)
 from .matlin import (
     DensityState,
     hermitian_eigenvalues,
@@ -19,7 +27,9 @@ from .matlin import (
 )
 
 # Two orders above solver residual, far below the smallest violation any of
-# the named example families produces (2/3 for the Werner family).
+# the named example families produces (2/3 for the Werner family).  The
+# generalized reduction test scales it by max(1, bound): the map's entries,
+# and with them the rounding error of the trace norm, grow like |a|*|b|.
 TOL_VERDICT = 1e-8
 
 # (a, b) values exercised by soundness tests and the compare workflow.
@@ -60,9 +70,11 @@ class CriterionVerdict:
 
     For norm-type criteria the statistic is a trace norm, violation is
     max(statistic - bound, 0) and the state is flagged when the violation
-    exceeds TOL_VERDICT.  For eigenvalue-type criteria (ppt, reduction) the
-    statistic is a minimum eigenvalue, the bound is 0 and the state is
-    flagged when the statistic drops below -TOL_VERDICT.
+    exceeds TOL_VERDICT * max(1, bound); the realignment bound is 1, so
+    there the tolerance is TOL_VERDICT itself.  For eigenvalue-type
+    criteria (ppt, reduction) the statistic is a minimum eigenvalue, the
+    bound is 0 and the state is flagged when the statistic drops below
+    -TOL_VERDICT.
     """
 
     criterion: str
@@ -74,20 +86,25 @@ class CriterionVerdict:
     entangled: bool
 
 
+def reduction_maps(rho: DensityState, params: Sequence[ReductionParams]) -> np.ndarray:
+    """The maps of generalized_reduction_map for every entry of params, as
+    one (k, d, d) stack built from one pair of partial traces."""
+    m, n = rho.dims.m, rho.dims.n
+    k_b = kron(np.eye(m), partial_trace(rho, "A"))
+    k_a = kron(partial_trace(rho, "B"), np.eye(n))
+    a = np.array([p.a for p in params])[:, None, None]
+    b = np.array([p.b for p in params])[:, None, None]
+    ab = np.array([p.a * p.b for p in params])[:, None, None]
+    return ab * np.eye(m * n) - a * k_b - b * k_a + rho.mat
+
+
 def generalized_reduction_map(rho: DensityState, p: ReductionParams) -> np.ndarray:
     """Map rho to ab*I - a*(I kron rho_B) - b*(rho_A kron I) + rho.
 
     The output has the same shape as rho and is Hermitian whenever a and b
     are real.
     """
-    m, n = rho.dims.m, rho.dims.n
-    rho_a = partial_trace(rho, "B")
-    rho_b = partial_trace(rho, "A")
-    a, b = complex(p.a), complex(p.b)
-    return (a * b * np.eye(m * n)
-            - a * kron(np.eye(m), rho_b)
-            - b * kron(rho_a, np.eye(n))
-            + rho.mat)
+    return reduction_maps(rho, (p,))[0]
 
 
 def h_factor(x: complex, dim: int, row_in: bool, col_in: bool) -> float:
@@ -111,11 +128,50 @@ def bound_for(p: ReductionParams, dims, y: GptOpSet) -> BoundPair:
     )
 
 
-def evaluate(rho: DensityState, p: ReductionParams, y: GptOpSet) -> CriterionVerdict:
-    """Generalized reduction criterion for one (a, b) pair and one subset y."""
-    tilde = generalized_reduction_map(rho, p)
-    statistic = trace_norm(gpt_transform(tilde, rho.dims, y))
-    bound = bound_for(p, rho.dims, y).product
+def _complement(y: GptOpSet) -> GptOpSet:
+    return GptOpSet(rA=not y.rA, cA=not y.cA, rB=not y.rB, cB=not y.cB)
+
+
+def evaluate_grid(
+    rho: DensityState,
+    params: Sequence[ReductionParams],
+    ysets: Sequence[GptOpSet],
+) -> Iterator[tuple[int, int, CriterionVerdict]]:
+    """Generalized reduction criterion for every pair (params[i], ysets[j]),
+    yielded lazily as (i, j, verdict).
+
+    All maps come from one stack built once.  The requested subsets are
+    taken one complement class {y, complement of y} at a time, each with one
+    stacked SVD over all of params; a class is computed only when the
+    consumer asks for its first verdict, so a consumer may stop early.  A
+    subset and its complement have transposed transforms, hence the same
+    statistic and the same bound: when both are requested, the member
+    without rA is computed and its statistic serves both.  A subset
+    requested without its complement is computed from its own transform.
+    Within a class, verdicts come subset by subset in request order, each
+    over params in order.
+    """
+    stack = reduction_maps(rho, params)
+    requested = set(ysets)
+    done: set[GptOpSet] = set()
+    for y in ysets:
+        if y in done:
+            continue
+        complement = _complement(y)
+        members = {y, complement} & requested
+        done |= members
+        computed = y if len(members) == 1 or not y.rA else complement
+        norms = np.linalg.svd(gpt_transform(stack, rho.dims, computed),
+                              compute_uv=False).sum(-1)
+        bounds = [bound_for(p, rho.dims, computed).product for p in params]
+        for j, yj in enumerate(ysets):
+            if yj in members:
+                for i, p in enumerate(params):
+                    yield i, j, _verdict(p, yj, float(norms[i]), bounds[i])
+
+
+def _verdict(p: ReductionParams, y: GptOpSet, statistic: float, bound: float) -> CriterionVerdict:
+    """The one place a generalized reduction verdict is flagged."""
     violation = max(statistic - bound, 0.0)
     return CriterionVerdict(
         criterion="generalized-reduction",
@@ -124,14 +180,25 @@ def evaluate(rho: DensityState, p: ReductionParams, y: GptOpSet) -> CriterionVer
         statistic=statistic,
         bound=bound,
         violation=violation,
-        entangled=violation > TOL_VERDICT,
+        entangled=violation > TOL_VERDICT * max(1.0, bound),
     )
+
+
+def evaluate(rho: DensityState, p: ReductionParams, y: GptOpSet) -> CriterionVerdict:
+    """Generalized reduction criterion for one (a, b) pair and one subset y."""
+    return next(evaluate_grid(rho, (p,), (y,)))[2]
 
 
 def evaluate_all_Y(rho: DensityState, p: ReductionParams) -> tuple[CriterionVerdict, ...]:
     """One verdict per flag subset, in canonical counter order; the state is
-    flagged overall when any individual verdict flags it."""
-    return tuple(evaluate(rho, p, y) for y in all_subsets())
+    flagged overall when any individual verdict flags it.  Takes one SVD per
+    complement pair, so 8 for the 16 subsets."""
+    return in_request_order(evaluate_grid(rho, (p,), all_subsets()))
+
+
+def in_request_order(results) -> tuple[CriterionVerdict, ...]:
+    """The verdicts of evaluate_grid ordered by subset, then parameter."""
+    return tuple(v for _, _, v in sorted(results, key=lambda r: (r[1], r[0])))
 
 
 def ppt_check(rho: DensityState) -> CriterionVerdict:
@@ -179,7 +246,7 @@ def realignment_check(rho: DensityState) -> CriterionVerdict:
     return CriterionVerdict(
         criterion="realignment",
         params=None,
-        yset=GptOpSet(cA=True, rB=True),
+        yset=REALIGN_Y,
         statistic=statistic,
         bound=1.0,
         violation=violation,

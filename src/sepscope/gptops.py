@@ -82,10 +82,11 @@ def double_transposition(a) -> np.ndarray:
     return row_transposition(a).reshape(cols, rows)
 
 
-def _require_square(rho, dims: SubsystemDims) -> np.ndarray:
+def _require_square(rho, dims: SubsystemDims, batch: bool = False) -> np.ndarray:
+    """rho as a complex (d, d) array, or with batch=True also (k, d, d)."""
     rho = np.asarray(rho, dtype=complex)
     d = dims.total
-    if rho.shape != (d, d):
+    if rho.ndim not in ((2, 3) if batch else (2,)) or rho.shape[-2:] != (d, d):
         raise DimensionMismatch(
             f"matrix is {rho.shape}; dims ({dims.m}, {dims.n}) require ({d}, {d})"
         )
@@ -104,19 +105,29 @@ def gpt_transform(rho, dims: SubsystemDims, y: GptOpSet) -> np.ndarray:
     reproduces the standard partial transpose for {rA,cA} and the
     realignment layout for {cA,rB} entry for entry; the flags act on
     disjoint slots, so the result is independent of application order.
+
+    rho may carry a leading batch axis, (k, d, d); each slice is transformed
+    alone.  The transform of y's complement is the transpose of y's.
     """
     m, n = dims.m, dims.n
-    rho = _require_square(rho, dims)
-    t = rho.reshape(m, n, m, n)  # axes (i, mu, j, nu)
+    rho = _require_square(rho, dims, batch=True)
+    lead = rho.shape[:-2]
+    off = len(lead)
+    t = rho.reshape(*lead, m, n, m, n)  # axes (..., i, mu, j, nu)
     # Digits from highest to lowest order: j, i, nu, mu as (axis, size, in rows?).
     digits = ((2, m, y.cA), (0, m, not y.rA), (3, n, y.cB), (1, n, not y.rB))
-    row_axes = [axis for axis, _, in_rows in digits if in_rows]
-    col_axes = [axis for axis, _, in_rows in digits if not in_rows]
+    row_axes = [off + axis for axis, _, in_rows in digits if in_rows]
+    col_axes = [off + axis for axis, _, in_rows in digits if not in_rows]
     rows = 1
     for _, size, in_rows in digits:
         if in_rows:
             rows *= size
-    return t.transpose(row_axes + col_axes).reshape(rows, (m * m * n * n) // rows)
+    return t.transpose([*range(off), *row_axes, *col_axes]).reshape(
+        *lead, rows, (m * m * n * n) // rows)
+
+
+REALIGN_Y = GptOpSet(cA=True, rB=True)
+PARTIAL_TRANSPOSE_Y = {"A": GptOpSet(rA=True, cA=True), "B": GptOpSet(rB=True, cB=True)}
 
 
 def realign(rho, dims: SubsystemDims) -> np.ndarray:
@@ -125,26 +136,14 @@ def realign(rho, dims: SubsystemDims) -> np.ndarray:
     Row j*m+i holds vec(block at block position (i, j))^t, so
     realign(A kron B) = vec(A) vec(B)^t.
     """
-    m, n = dims.m, dims.n
-    rho = _require_square(rho, dims)
-    out = np.empty((m * m, n * n), dtype=complex)
-    for j in range(m):
-        for i in range(m):
-            block = rho[i * n:(i + 1) * n, j * n:(j + 1) * n]
-            out[j * m + i, :] = block.reshape(-1, order="F")
-    return out
+    return gpt_transform(rho, dims, REALIGN_Y)
 
 
 def partial_transpose(rho, dims: SubsystemDims, which: str = "A") -> np.ndarray:
     """Transpose the indices of one subsystem only; an involution."""
-    m, n = dims.m, dims.n
-    rho = _require_square(rho, dims)
-    t = rho.reshape(m, n, m, n)
-    if which == "A":
-        return t.transpose(2, 1, 0, 3).reshape(m * n, m * n)
-    if which == "B":
-        return t.transpose(0, 3, 2, 1).reshape(m * n, m * n)
-    raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+    if which not in PARTIAL_TRANSPOSE_Y:
+        raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+    return gpt_transform(rho, dims, PARTIAL_TRANSPOSE_Y[which])
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -14,6 +13,7 @@ from .criteria import (
     TOL_VERDICT,
     ReductionParams,
     evaluate,
+    evaluate_grid,
     ppt_check,
     realignment_check,
     reduction_check,
@@ -82,40 +82,29 @@ def _state_factory(family: str, path: str | None = None) -> Callable[[float], De
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate the criterion on every grid point, ordered family-parameter
-    major then b.  Each record matches a direct evaluate call bit for bit;
-    worker parallelism never changes the output order."""
+    major then b.  Each family parameter's whole b axis is one evaluate_grid
+    call, and each record matches a direct evaluate call bit for bit.
+
+    workers is accepted for compatibility and ignored.
+    """
     factory = _state_factory(spec.family, spec.path)
     params = axis_points(*spec.param_axis)
     bs = axis_points(*spec.b_axis)
-    states = {param: factory(param) for param in params}
+    grid = [ReductionParams(spec.a, b) for b in bs]
     code = spec.yset.code
-
-    def one(point: tuple[int, float, float]) -> tuple[int, SweepRecord]:
-        index, param, b = point
-        verdict = evaluate(states[param], ReductionParams(spec.a, b), spec.yset)
-        record = SweepRecord(
+    return [
+        SweepRecord(
             family_param=param,
             a=spec.a,
-            b=b,
+            b=bs[i],
             yset=code,
             statistic=verdict.statistic,
             bound=verdict.bound,
             violation=verdict.violation,
         )
-        return index, record
-
-    points = [
-        (ip * len(bs) + ib, param, b)
-        for ip, param in enumerate(params)
-        for ib, b in enumerate(bs)
+        for param in params
+        for i, _, verdict in evaluate_grid(factory(param), grid, (spec.yset,))
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            indexed = list(pool.map(one, points))
-    else:
-        indexed = [one(point) for point in points]
-    indexed.sort(key=lambda pair: pair[0])
-    return [record for _, record in indexed]
 
 
 def find_threshold(
@@ -152,7 +141,7 @@ def find_threshold(
     if flag_lo == detected(hi):
         raise NoSignChange(
             f"verdict is {flag_lo} at both endpoints [{lo}, {hi}];"
-            f" violation never crosses {TOL_VERDICT}"
+            f" violation never crosses {TOL_VERDICT} * max(1, bound)"
         )
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)

@@ -133,6 +133,31 @@ class TestGptTransform:
         with pytest.raises(DimensionMismatch):
             gpt_transform(np.eye(8), self.dims, GptOpSet())
 
+    def test_batch_axis_transforms_each_slice(self):
+        rng = np.random.default_rng(53)
+        dims = SubsystemDims(2, 3)
+        stack = np.stack([random_complex(rng, 6, 6) for _ in range(4)])
+        for y in all_subsets():
+            got = gpt_transform(stack, dims, y)
+            for k in range(len(stack)):
+                np.testing.assert_array_equal(got[k], gpt_transform(stack[k], dims, y))
+
+    def test_batch_axis_rejects_wrong_size(self):
+        with pytest.raises(DimensionMismatch):
+            gpt_transform(np.zeros((2, 8, 8)), self.dims, GptOpSet())
+        with pytest.raises(DimensionMismatch):
+            gpt_transform(np.zeros((1, 2, 9, 9)), self.dims, GptOpSet())
+
+    def test_complement_is_transpose(self):
+        rng = np.random.default_rng(59)
+        for m, n in ((2, 2), (2, 3), (3, 3), (3, 4)):
+            dims = SubsystemDims(m, n)
+            rho = random_complex(rng, m * n, m * n)
+            for y in all_subsets():
+                complement = GptOpSet(rA=not y.rA, cA=not y.cA, rB=not y.rB, cB=not y.cB)
+                np.testing.assert_array_equal(gpt_transform(rho, dims, complement),
+                                              gpt_transform(rho, dims, y).T)
+
     def test_ordering_convention_only_permutes(self):
         # An alternative digit ordering (B above A, row-origin above
         # column-origin) must give the same singular values for every subset.
