@@ -13,15 +13,14 @@ import sys
 
 from .criteria import (
     AB_TEST_GRID,
+    ORACLES,
     CriterionVerdict,
     ReductionParams,
     evaluate_grid,
     in_request_order,
-    ppt_check,
-    realignment_check,
-    reduction_check,
+    verdict_blocks,
 )
-from .errors import SepscopeError
+from .errors import ParamOutOfRange, SepscopeError
 from .gptops import GptOpSet, all_subsets
 from .matlin import DensityState, SubsystemDims
 from .states import (
@@ -35,7 +34,7 @@ from .states import (
 )
 from .sweep import GridSpec, emit, run_sweep
 
-CRITERIA = ("grc", "ppt", "reduction", "realignment")
+CRITERIA = ("grc", *ORACLES)
 
 DEFAULT_PARAM_AXES = {
     "werner-3": (-1.0, 1.0, 0.05),
@@ -122,12 +121,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     for criterion in selected:
         if criterion == "grc":
             verdicts.extend(in_request_order(evaluate_grid(labeled.state, (params,), ysets)))
-        elif criterion == "ppt":
-            verdicts.append(ppt_check(labeled.state))
-        elif criterion == "reduction":
-            verdicts.append(reduction_check(labeled.state))
-        elif criterion == "realignment":
-            verdicts.append(realignment_check(labeled.state))
+        else:
+            verdicts.append(ORACLES[criterion](labeled.state))
     param_text = " ".join(f"{key}={value}" for key, value in labeled.params.items())
     print(f"state: {labeled.name} {param_text}".rstrip())
     flagged = _print_verdicts(verdicts)
@@ -169,6 +164,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _compare_ensemble(args: argparse.Namespace) -> list[LabeledState]:
     count = args.count
+    if count < 1:
+        raise ParamOutOfRange(f"count must be >= 1, got {count}")
     if args.family == "werner-3":
         fs = [-1.0 + 2.0 * i / (count - 1) for i in range(count)] if count > 1 else [-1.0]
         return [werner(3, f) for f in fs]
@@ -193,17 +190,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ensemble = _compare_ensemble(args)
     grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
     subsets = all_subsets()
-    names = ("ppt", "reduction", "realignment", "grc")
+    names = (*ORACLES, "grc")
     flags: list[tuple[bool, bool, bool, bool]] = []
     print("{:<6} {:<24} {:>5} {:>10} {:>12} {:>5}".format("state", "params", *names))
     for idx, labeled in enumerate(ensemble):
         state = labeled.state
         row = (
-            ppt_check(state).entangled,
-            reduction_check(state).entangled,
-            realignment_check(state).entangled,
-            # Stops at the first detection, before the remaining SVDs.
-            any(v.entangled for _, _, v in evaluate_grid(state, grid, subsets)),
+            *(check(state).entangled for check in ORACLES.values()),
+            # Stops at the first detecting class, before the remaining SVDs.
+            any(any(block.entangled) for block in verdict_blocks(state, grid, subsets)),
         )
         flags.append(row)
         param_text = " ".join(f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"

@@ -6,18 +6,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .criteria import (
-    TOL_VERDICT,
-    ReductionParams,
-    evaluate,
-    evaluate_grid,
-    ppt_check,
-    realignment_check,
-    reduction_check,
-)
+from .criteria import ORACLES, TOL_VERDICT, ReductionParams, evaluate, verdict_blocks
 from .errors import NoSignChange, ParamOutOfRange
 from .gptops import GptOpSet
 from .matlin import DensityState
@@ -82,8 +74,9 @@ def _state_factory(family: str, path: str | None = None) -> Callable[[float], De
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate the criterion on every grid point, ordered family-parameter
-    major then b.  Each family parameter's whole b axis is one evaluate_grid
-    call, and each record matches a direct evaluate call bit for bit.
+    major then b.  Each family parameter's whole b axis is one verdict_blocks
+    call, whose block lists become the records directly, and each record
+    matches a direct evaluate call bit for bit.
 
     workers is accepted for compatibility and ignored.
     """
@@ -93,17 +86,11 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> list[SweepRecord]:
     grid = [ReductionParams(spec.a, b) for b in bs]
     code = spec.yset.code
     return [
-        SweepRecord(
-            family_param=param,
-            a=spec.a,
-            b=bs[i],
-            yset=code,
-            statistic=verdict.statistic,
-            bound=verdict.bound,
-            violation=verdict.violation,
-        )
+        SweepRecord(param, spec.a, b, code, statistic, bound, violation)
         for param in params
-        for i, _, verdict in evaluate_grid(factory(param), grid, (spec.yset,))
+        for block in verdict_blocks(factory(param), grid, (spec.yset,))
+        for b, statistic, bound, violation in zip(bs, block.statistic, block.bound,
+                                                  block.violation)
     ]
 
 
@@ -124,17 +111,17 @@ def find_threshold(
     "ppt"/"reduction"/"realignment" use the corresponding oracle check.
     """
     factory = _state_factory(family, path)
+    if criterion == "grc":
+        params = ReductionParams(a, b)
 
-    def detected(param: float) -> bool:
-        state = factory(param)
-        if criterion == "grc":
-            return evaluate(state, ReductionParams(a, b), yset).entangled
-        if criterion == "ppt":
-            return ppt_check(state).entangled
-        if criterion == "reduction":
-            return reduction_check(state).entangled
-        if criterion == "realignment":
-            return realignment_check(state).entangled
+        def detected(param: float) -> bool:
+            return evaluate(factory(param), params, yset).entangled
+    elif criterion in ORACLES:
+        oracle = ORACLES[criterion]
+
+        def detected(param: float) -> bool:
+            return oracle(factory(param)).entangled
+    else:
         raise ParamOutOfRange(f"unknown criterion {criterion!r}")
 
     flag_lo = detected(lo)
@@ -154,7 +141,13 @@ def find_threshold(
 
 def emit(records: Sequence[SweepRecord], format: str, path) -> None:
     """Write records as CSV (17-significant-digit floats) or JSON, in grid
-    order."""
+    order.
+
+    JSON is an indent-1 list of one object per record, in field order, with
+    floats as repr writes them.  Each object is the record's own attribute
+    dict, which json.dump reads in place and streams into the file, so no
+    copy of the records and no whole-document string is ever built.
+    """
     if not records:
         raise ValueError("refusing to emit an empty record sequence")
     if format == "csv":
@@ -173,7 +166,7 @@ def emit(records: Sequence[SweepRecord], format: str, path) -> None:
                 ])
     elif format == "json":
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump([asdict(rec) for rec in records], handle, indent=1)
+            json.dump([vars(rec) for rec in records], handle, indent=1)
             handle.write("\n")
     else:
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")

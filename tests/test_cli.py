@@ -197,6 +197,13 @@ class TestCompare:
         text = capsys.readouterr().out
         assert "flagged totals: ppt=4  reduction=0  realignment=3  grc=4" in text
 
+    @pytest.mark.parametrize("family,count", [("werner-3", "0"), ("horodecki", "-2")])
+    def test_count_below_one_exits_two(self, capsys, family, count):
+        assert main(["compare", "--family", family, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "count" in captured.err
+
     def test_horodecki_ensemble(self, capsys):
         code = main(["compare", "--family", "horodecki", "--count", "3"])
         assert code == 0

@@ -229,6 +229,24 @@ class TestRealignmentCheck:
         assert base.entangled == via_map.entangled
 
 
+class TestOracleTable:
+    def test_names_map_to_checks(self):
+        from sepscope.criteria import ORACLES
+
+        state = horodecki_3x3(0.4).state
+        checks = {"ppt": ppt_check, "reduction": reduction_check,
+                  "realignment": realignment_check}
+        assert list(ORACLES) == list(checks)
+        for name, check in checks.items():
+            assert ORACLES[name](state) == check(state)
+
+    def test_rebound_check_is_reached(self, monkeypatch):
+        import sepscope.criteria as criteria
+
+        monkeypatch.setattr(criteria, "ppt_check", lambda rho: "rebound")
+        assert criteria.ORACLES["ppt"](werner(3, 0.0).state) == "rebound"
+
+
 class TestSpecializationIdentities:
     def test_gpt_statistic_every_subset(self):
         from sepscope import gpt_transform, trace_norm

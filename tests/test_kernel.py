@@ -12,18 +12,23 @@ from hypothesis import strategies as st
 from sepscope import (
     AB_TEST_GRID,
     DensityState,
+    GptOpSet,
+    GridSpec,
     ReductionParams,
     SubsystemDims,
     all_subsets,
+    bound_for,
     evaluate,
     evaluate_all_Y,
     evaluate_grid,
     horodecki_3x3,
     random_density,
     random_separable,
+    run_sweep,
     werner,
 )
 from sepscope.cli import main
+from sepscope.criteria import verdict_blocks
 
 COMPLEX_PARAMS = (
     ReductionParams(0.3 - 0.7j, 1.2 + 0.4j),
@@ -85,6 +90,62 @@ class TestKernelLaziness:
         assert len(transforms) == 8
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
+    def test_bounds_equal_bound_for(self, m, n):
+        st_ = random_state(m, n, 50 * m + n)
+        subsets = all_subsets()
+        served = []
+        for block in verdict_blocks(st_, COMPLEX_PARAMS, subsets):
+            for j in block.ysets:
+                served.append(j)
+                for i, p in enumerate(COMPLEX_PARAMS):
+                    assert block.bound[i] == bound_for(p, st_.dims, subsets[j]).product
+        assert sorted(served) == list(range(16))
+
+    def test_four_factor_vectors_per_call(self, monkeypatch):
+        import sepscope.criteria as criteria
+
+        calls = []
+        original = criteria.h_factor
+        monkeypatch.setattr(criteria, "h_factor",
+                            lambda *args: calls.append(args) or original(*args))
+        grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
+        blocks = list(verdict_blocks(random_state(3, 3, 3), grid, all_subsets()))
+        assert len(blocks) == 8
+        # A factor and B factor, each with equal and with unequal flags.
+        assert len(calls) == 4 * len(grid)
+
+    def test_flag_rule(self):
+        st_ = werner(3, -1.0).state
+        for block in verdict_blocks(st_, COMPLEX_PARAMS, all_subsets()):
+            for s, b, v, flag in zip(block.statistic, block.bound, block.violation,
+                                     block.entangled):
+                assert v == max(s - b, 0.0)
+                assert flag == (v > 1e-8 * max(1.0, b))
+
+
+class TestSweepMatchesEvaluate:
+    @pytest.mark.parametrize("family,a,code", [
+        ("werner-3", 0.0, "cA,rB"),
+        ("horodecki", 0.0, "cA,rB"),
+        ("werner-3", 0.7, "rA,cB"),
+        ("horodecki", 0.7, "rA,cB"),
+    ])
+    def test_every_record_bit_for_bit(self, family, a, code):
+        yset = GptOpSet.from_code(code)
+        param_axis = (-1.0, 1.0, 0.25) if family == "werner-3" else (0.1, 0.9, 0.2)
+        records = run_sweep(GridSpec(family, a, (-1.0, 1.0, 0.25), param_axis, yset))
+        build = (lambda f: werner(3, f)) if family == "werner-3" else horodecki_3x3
+        assert len(records) == 9 * (9 if family == "werner-3" else 5)
+        for rec in records:
+            direct = evaluate(build(rec.family_param).state, ReductionParams(a, rec.b), yset)
+            assert (rec.a, rec.yset) == (a, code)
+            assert rec.statistic == direct.statistic
+            assert rec.bound == direct.bound
+            assert rec.violation == direct.violation
+
+
 def reference_grc(state):
     """The compare grc column as the per-triple loop it replaced."""
     return any(
@@ -97,6 +158,21 @@ def compare_grc_column(capsys, argv, count):
     assert main(["compare", *argv, "--count", str(count)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:count + 1]
     return [row.split()[-1] == "Y" for row in rows]
+
+
+class TestCompareEarlyExit:
+    def test_werner_stops_before_eighth_class(self, monkeypatch, capsys):
+        import sepscope.criteria as criteria
+
+        transforms = []
+        original = criteria.gpt_transform
+        monkeypatch.setattr(criteria, "gpt_transform",
+                            lambda rho, dims, y: transforms.append(y) or original(rho, dims, y))
+        # --count 1 is the single state f = -1.  The fourth class, {rB,cB} and
+        # {rA,cA}, holds the partial transpose at (a, b) = (0, 0), which
+        # detects it; the four classes after it are never computed.
+        assert compare_grc_column(capsys, ["--family", "werner-3"], 1) == [True]
+        assert [y.code for y in transforms] == ["none", "cB", "rB", "rB,cB"]
 
 
 class TestCompareMatchesReference:

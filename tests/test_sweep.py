@@ -1,6 +1,9 @@
 """Tests for the grid sweep engine, threshold bisection and emission."""
 
 import csv
+import io
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -123,6 +126,14 @@ class TestFindThreshold:
         thr = find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -1.0, 1.0, criterion="ppt")
         assert abs(thr) <= 1e-6
 
+    def test_realignment_oracle_boundary(self):
+        thr = find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -1.0, 0.0, criterion="realignment")
+        assert abs(thr - (-1.0 / 3.0)) <= 1e-6
+
+    def test_unknown_criterion(self):
+        with pytest.raises(ParamOutOfRange, match="'nope'"):
+            find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -1.0, 0.0, criterion="nope")
+
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
             find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, 0.1, 0.9)
@@ -152,6 +163,33 @@ class TestEmit:
         path = tmp_path / "out.json"
         emit(records, "json", path)
         assert load_records(path) == records
+
+    def test_bytes_match_reference_formulas(self, tmp_path):
+        records = self.sample_records() + [
+            SweepRecord(-0.0, 0.0, -0.0, "rA,cA,rB", 0.0, -0.0, 0.0),
+            SweepRecord(1e-300, 2.5e22, -1.0 / 3.0, "none", 1.2345678901234567e-7,
+                        6.02214076e23, 1e-5),
+        ]
+        expected_json = io.StringIO()
+        json.dump([asdict(rec) for rec in records], expected_json, indent=1)
+        expected_json.write("\n")
+        expected_csv = io.StringIO(newline="")
+        writer = csv.writer(expected_csv)
+        writer.writerow(("family_param", "a", "b", "yset", "statistic", "bound", "violation"))
+        fmt = lambda value: format(float(value), ".17g")  # noqa: E731
+        for rec in records:
+            writer.writerow([fmt(rec.family_param), fmt(rec.a), fmt(rec.b), rec.yset,
+                             fmt(rec.statistic), fmt(rec.bound), fmt(rec.violation)])
+        emit(records, "json", tmp_path / "out.json")
+        emit(records, "csv", tmp_path / "out.csv")
+        assert (tmp_path / "out.json").read_bytes() == expected_json.getvalue().encode()
+        csv_bytes = (tmp_path / "out.csv").read_bytes()
+        assert csv_bytes == expected_csv.getvalue().encode()
+        # The comma in a yset code is quoted, -0.0 keeps its sign and tiny or
+        # huge values keep their exponent.
+        assert b'"cA,rB"' in csv_bytes and b'\r\n-0,0,-0,"rA,cA,rB",0,-0,0\r\n' in csv_bytes
+        assert b"\r\n1e-300,2.4999999999999998e+22," in csv_bytes and b",1.0000000000000001e-05\r\n" in csv_bytes
+        assert b'"b": -0.0' in (tmp_path / "out.json").read_bytes()
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
