@@ -22,34 +22,19 @@ from .criteria import (
 )
 from .errors import ParamOutOfRange, SepscopeError
 from .gptops import GptOpSet, all_subsets
-from .matlin import DensityState, SubsystemDims
-from .states import (
-    LabeledState,
-    horodecki_3x3,
-    load_state,
-    random_density,
-    random_separable,
-    save_state,
-    werner,
-)
+from .states import FAMILIES, LabeledState, family_names, load_state, save_state
 from .sweep import GridSpec, emit, run_sweep
 
 CRITERIA = ("grc", *ORACLES)
 
-DEFAULT_PARAM_AXES = {
-    "werner-3": (-1.0, 1.0, 0.05),
-    "horodecki": (0.05, 0.95, 0.05),
-    "file": (0.0, 0.0, 1.0),
-}
-
 
 def _add_state_source(parser: argparse.ArgumentParser, positional_family: bool) -> None:
     if positional_family:
-        parser.add_argument("family", choices=("werner", "horodecki", "separable", "random"),
+        parser.add_argument("family", choices=family_names("option"),
                             help="state family to generate")
     else:
         source = parser.add_mutually_exclusive_group(required=True)
-        source.add_argument("--builtin", choices=("werner", "horodecki", "separable", "random"),
+        source.add_argument("--builtin", choices=family_names("option"),
                             help="named state family")
         source.add_argument("--file", help="path to a state file")
         parser.add_argument("--unchecked", action="store_true",
@@ -64,21 +49,8 @@ def _add_state_source(parser: argparse.ArgumentParser, positional_family: bool) 
 
 
 def _resolve_builtin(args: argparse.Namespace, family: str) -> LabeledState:
-    if family == "werner":
-        return werner(args.d, args.f)
-    if family == "horodecki":
-        return horodecki_3x3(args.c)
-    if family == "separable":
-        return random_separable(SubsystemDims(args.m, args.n), args.k, args.seed)
-    if family == "random":
-        dims = SubsystemDims(args.m, args.n)
-        mat = random_density(dims.total, args.seed)
-        return LabeledState(
-            name="random-density",
-            params={"m": args.m, "n": args.n, "seed": args.seed},
-            state=DensityState(dims, mat),
-        )
-    raise SepscopeError(f"unknown family {family!r}")
+    entry = FAMILIES[family]
+    return entry.build(args, getattr(args, entry.option))
 
 
 def _resolve_state(args: argparse.Namespace) -> LabeledState:
@@ -131,21 +103,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    d_start, d_stop, d_step = DEFAULT_PARAM_AXES[args.family]
-    param_axis = (
-        d_start if args.param_start is None else args.param_start,
-        d_stop if args.param_stop is None else args.param_stop,
-        d_step if args.param_step is None else args.param_step,
-    )
-    spec = GridSpec(
-        family=args.family,
-        a=args.a,
-        b_axis=(args.b_start, args.b_stop, args.b_step),
-        param_axis=param_axis,
-        yset=GptOpSet.from_code(args.yset),
-        path=args.file,
-    )
-    records = run_sweep(spec)
+    param_axis = tuple(default if value is None else value for default, value in zip(
+        FAMILIES[args.family].axis, (args.param_start, args.param_stop, args.param_step)))
+    records = run_sweep(GridSpec(args.family, args.a, (args.b_start, args.b_stop, args.b_step),
+                                 param_axis, GptOpSet.from_code(args.yset), args.file))
     emit(records, args.format, args.out)
     best = max(records, key=lambda rec: rec.violation)
     print(
@@ -162,32 +123,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_ensemble(args: argparse.Namespace) -> list[LabeledState]:
-    count = args.count
-    if count < 1:
-        raise ParamOutOfRange(f"count must be >= 1, got {count}")
-    if args.family == "werner-3":
-        fs = [-1.0 + 2.0 * i / (count - 1) for i in range(count)] if count > 1 else [-1.0]
-        return [werner(3, f) for f in fs]
-    if args.family == "horodecki":
-        cs = [(i + 1) / (count + 1) for i in range(count)]
-        return [horodecki_3x3(c) for c in cs]
-    if args.family == "separable":
-        dims = SubsystemDims(args.m, args.n)
-        return [random_separable(dims, args.k, args.seed + i) for i in range(count)]
-    if args.family == "random":
-        dims = SubsystemDims(args.m, args.n)
-        out = []
-        for i in range(count):
-            mat = random_density(dims.total, args.seed + i)
-            out.append(LabeledState("random-density", {"seed": args.seed + i},
-                                    DensityState(dims, mat)))
-        return out
-    raise SepscopeError(f"unknown ensemble family {args.family!r}")
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    ensemble = _compare_ensemble(args)
+    if args.count < 1:
+        raise ParamOutOfRange(f"count must be >= 1, got {args.count}")
+    family = FAMILIES[args.family]
+    ensemble = [family.build(args, value) for value in family.spacing(args, args.count)]
     grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
     subsets = all_subsets()
     names = (*ORACLES, "grc")
@@ -236,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     swp = sub.add_parser("sweep", help="grid sweep over (family parameter, b)")
-    swp.add_argument("--family", choices=tuple(DEFAULT_PARAM_AXES), required=True)
+    swp.add_argument("--family", choices=family_names("axis"), required=True)
     swp.add_argument("--file", help="state file for family 'file'")
     swp.add_argument("--a", type=float, default=0.0)
     swp.add_argument("--b-start", type=float, default=-1.0)
@@ -256,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     cmp_parser = sub.add_parser("compare", help="per-state criterion disagreement report")
-    cmp_parser.add_argument("--family", choices=("werner-3", "horodecki", "separable", "random"),
-                            required=True)
+    cmp_parser.add_argument("--family", choices=family_names("spacing"), required=True)
     cmp_parser.add_argument("--count", type=int, default=20)
     cmp_parser.add_argument("--seed", type=int, default=0)
     cmp_parser.add_argument("--m", type=int, default=3)

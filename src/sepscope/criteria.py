@@ -10,6 +10,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import ParamOutOfRange
 from .gptops import (
     REALIGN_Y,
     GptOpSet,
@@ -86,6 +87,11 @@ class CriterionVerdict:
     entangled: bool
 
 
+def _overflow(p: ReductionParams) -> ParamOutOfRange:
+    a, b = (f"{x.real:g}" if x.imag == 0 else f"{x:g}" for x in (p.a, p.b))
+    return ParamOutOfRange(f"the map, its trace norm or the bound is not finite at a={a}, b={b}")
+
+
 def reduction_maps(rho: DensityState, params: Sequence[ReductionParams]) -> np.ndarray:
     """The maps of generalized_reduction_map for every entry of params, as
     one (k, d, d) stack built from one pair of partial traces."""
@@ -95,7 +101,14 @@ def reduction_maps(rho: DensityState, params: Sequence[ReductionParams]) -> np.n
     a = np.array([p.a for p in params])[:, None, None]
     b = np.array([p.b for p in params])[:, None, None]
     ab = np.array([p.a * p.b for p in params])[:, None, None]
-    return ab * np.eye(m * n) - a * k_b - b * k_a + rho.mat
+    try:  # before any SVD: LAPACK reports a non-finite input on the terminal
+        with np.errstate(over="raise", invalid="raise"):
+            np.multiply(a, b)  # raises where a Python product in ab overflowed silently
+            return ab * np.eye(m * n) - a * k_b - b * k_a + rho.mat
+    except FloatingPointError:  # each map alone, until the first to overflow is named
+        for p in params[:-1]:
+            reduction_maps(rho, (p,))
+        raise _overflow(params[-1]) from None
 
 
 def generalized_reduction_map(rho: DensityState, p: ReductionParams) -> np.ndarray:
@@ -115,9 +128,12 @@ def h_factor(x: complex, dim: int, row_in: bool, col_in: bool) -> float:
     sqrt(|x-1|^2 + (dim-1)|x|^2).
     """
     x = complex(x)
-    if row_in == col_in:
-        return abs(x - 1.0) + (dim - 1) * abs(x)
-    return math.sqrt(abs(x - 1.0) ** 2 + (dim - 1) * abs(x) ** 2)
+    try:
+        if row_in == col_in:
+            return abs(x - 1.0) + (dim - 1) * abs(x)
+        return math.sqrt(abs(x - 1.0) ** 2 + (dim - 1) * abs(x) ** 2)
+    except OverflowError:  # an intermediate is not finite, so neither is the factor
+        return math.inf
 
 
 def bound_for(p: ReductionParams, dims, y: GptOpSet) -> BoundPair:
@@ -174,7 +190,8 @@ def verdict_blocks(
     transposed transforms, hence the same statistic and the same bound:
     when both are requested, the member without rA is computed and its
     statistic serves both.  A subset requested without its complement is
-    computed from its own transform.
+    computed from its own transform.  A map, statistic or bound that is not
+    finite raises ParamOutOfRange naming its (a, b).
     """
     stack = reduction_maps(rho, params)
     factor_a = _bound_factors([p.a for p in params], rho.dims.m)
@@ -187,11 +204,15 @@ def verdict_blocks(
     for name, served in classes.items():
         both = len({ysets[j].rA for j in served}) == 2
         computed = GptOpSet(False, *name) if both else ysets[served[0]]
-        statistic = np.linalg.svd(gpt_transform(stack, rho.dims, computed),
-                                  compute_uv=False).sum(-1).tolist()
+        with np.errstate(over="ignore"):  # an overflowing sum is named below
+            statistic = np.linalg.svd(gpt_transform(stack, rho.dims, computed),
+                                      compute_uv=False).sum(-1).tolist()
         bound = [h_a * h_b for h_a, h_b in zip(factor_a(computed.rA, computed.cA),
                                                factor_b(computed.rB, computed.cB))]
-        violation = [max(s - b, 0.0) for s, b in zip(statistic, bound)]
+        excess = [s - b for s, b in zip(statistic, bound)]  # finite iff both are: s, b >= 0
+        if not all(map(math.isfinite, excess)):
+            raise _overflow(params[[math.isfinite(e) for e in excess].index(False)])
+        violation = [max(e, 0.0) for e in excess]
         # The one place a generalized reduction verdict is flagged.
         entangled = [v > TOL_VERDICT * max(1.0, b) for v, b in zip(violation, bound)]
         yield VerdictBlock(served, statistic, bound, violation, entangled)

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvariantViolation,
     NotUnitary,
     ParamOutOfRange,
     ParseError,
@@ -125,6 +124,45 @@ def random_density(dim: int, seed: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     mat = g @ g.conj().T
     return mat / np.trace(mat).real
+
+
+def random_density_state(dims: SubsystemDims, seed: int) -> LabeledState:
+    """random_density on dims, labeled "random-density" with m, n and seed."""
+    return LabeledState("random-density", {"m": dims.m, "n": dims.n, "seed": seed},
+                        DensityState(dims, random_density(dims.total, seed)))
+
+
+class Family(NamedTuple):
+    """A state family: build(options, value) is its member at parameter value,
+    with d, m, n, k read from the parsed options (sweep passes None); option is
+    the check/gen option holding the value, axis the default sweep axis and
+    spacing(options, count) the values of compare's members, or None."""
+
+    build: Callable | None
+    option: str | None = None
+    axis: tuple[float, float, float] | None = None
+    spacing: Callable | None = None
+
+
+# In the order of the commands' choices.  Each builder looks its constructor up
+# when called, so a rebound name (a monkeypatch, bench/tracer.py) reaches it.
+FAMILIES = {
+    "werner": Family(lambda o, f: werner(o.d, f), "f"),
+    "werner-3": Family(lambda o, f: werner(3, f), None, (-1.0, 1.0, 0.05),
+                       lambda o, count: [-1.0 + 2.0 * i / max(count - 1, 1) for i in range(count)]),
+    "horodecki": Family(lambda o, c: horodecki_3x3(c), "c", (0.05, 0.95, 0.05),
+                        lambda o, count: [(i + 1) / (count + 1) for i in range(count)]),
+    "separable": Family(lambda o, seed: random_separable(SubsystemDims(o.m, o.n), o.k, seed),
+                        "seed", None, lambda o, count: [o.seed + i for i in range(count)]),
+    "random": Family(lambda o, seed: random_density_state(SubsystemDims(o.m, o.n), seed),
+                     "seed", None, lambda o, count: [o.seed + i for i in range(count)]),
+    "file": Family(None, None, (0.0, 0.0, 1.0)),  # sweep loads it once, for every value
+}
+
+
+def family_names(use: str) -> tuple[str, ...]:
+    """The families with a use ("option", "axis" or "spacing"), in table order."""
+    return tuple(name for name, family in FAMILIES.items() if getattr(family, use) is not None)
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

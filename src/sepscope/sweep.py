@@ -13,11 +13,9 @@ from .criteria import ORACLES, TOL_VERDICT, ReductionParams, evaluate, verdict_b
 from .errors import NoSignChange, ParamOutOfRange
 from .gptops import GptOpSet
 from .matlin import DensityState
-from .states import horodecki_3x3, load_state, werner
+from .states import FAMILIES, family_names, load_state
 
 CSV_HEADER = ("family_param", "a", "b", "yset", "statistic", "bound", "violation")
-
-FAMILIES = ("werner-3", "horodecki", "file")
 
 
 @dataclass(frozen=True)
@@ -30,6 +28,11 @@ class GridSpec:
     param_axis: tuple[float, float, float]
     yset: GptOpSet
     path: str | None = None  # state file for family "file"
+
+    def __post_init__(self) -> None:
+        for name, axis in (("family parameter", self.param_axis), ("b", self.b_axis)):
+            if not all(math.isfinite(x) for x in axis):
+                raise ParamOutOfRange(f"{name} axis must be finite, got (start, stop, step) = {axis}")
 
 
 @dataclass(frozen=True)
@@ -60,16 +63,14 @@ def axis_points(start: float, stop: float, step: float) -> list[float]:
 
 
 def _state_factory(family: str, path: str | None = None) -> Callable[[float], DensityState]:
-    if family == "werner-3":
-        return lambda f: werner(3, f).state
-    if family == "horodecki":
-        return lambda c: horodecki_3x3(c).state
+    if family not in family_names("axis"):
+        raise ParamOutOfRange(f"unknown family {family!r}; expected one of {family_names('axis')}")
     if family == "file":
         if path is None:
             raise ParamOutOfRange("family 'file' requires a state-file path")
         fixed = load_state(path).state
         return lambda _param: fixed
-    raise ParamOutOfRange(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return lambda param: FAMILIES[family].build(None, param).state
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> list[SweepRecord]:

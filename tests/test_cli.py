@@ -15,7 +15,7 @@ from sepscope import (
     ppt_check,
     werner,
 )
-from sepscope.cli import main
+from sepscope.cli import build_parser, main
 
 
 def verdict_rows(output):
@@ -88,6 +88,24 @@ class TestCheck:
 
     def test_out_of_range_param_exits_two(self):
         assert main(["check", "--builtin", "werner", "--f", "2.0"]) == 2
+
+    # Finite (a, b) whose map (ab overflows), bound (a squared factor
+    # overflows) or statistic and bound (both overflow) are not finite.
+    @pytest.mark.parametrize("a,b,yset", [
+        ("1e200", "1e200", "cA,rB"),
+        ("1e300", "1e7", "all"),
+        ("1e154", "1e154", "cA,rB"),
+    ])
+    def test_overflowing_params_exit_two(self, capsys, a, b, yset):
+        code = main(["check", "--builtin", "random", "--m", "2", "--n", "2",
+                     "--a", a, "--b", b, "--criterion", "grc", "--yset", yset])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == ("error: the map, its trace norm or the bound is not finite"
+                            f" at a={float(a):g}, b={float(b):g}")
 
 
 class TestGen:
@@ -164,6 +182,21 @@ class TestSweep:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value,axis", [
+        ("--b-stop", "inf", "b axis"),
+        ("--b-start", "nan", "b axis"),
+        ("--param-stop", "nan", "family parameter axis"),
+        ("--param-step", "inf", "family parameter axis"),
+    ], ids=["b-stop-inf", "b-start-nan", "param-stop-nan", "param-step-inf"])
+    def test_non_finite_axis_exits_two(self, tmp_path, capsys, option, value, axis):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--family", "werner-3", option, value, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {axis} must be finite")
+        assert not out.exists()
+
     def test_threads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEPSCOPE_THREADS", "4")
         out = tmp_path / "t.csv"
@@ -209,3 +242,56 @@ class TestCompare:
         assert code == 0
         text = capsys.readouterr().out
         assert "flagged totals: ppt=0  reduction=0  realignment=3  grc=3" in text
+
+
+def family_choices(command, option):
+    """The choices argparse accepts for one option of one subcommand."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    return next(a for a in sub._actions if option in a.option_strings or a.dest == option).choices
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("command,option,expected", [
+        ("check", "--builtin", ("werner", "horodecki", "separable", "random")),
+        ("gen", "family", ("werner", "horodecki", "separable", "random")),
+        ("sweep", "--family", ("werner-3", "horodecki", "file")),
+        ("compare", "--family", ("werner-3", "horodecki", "separable", "random")),
+    ])
+    def test_choices_per_command(self, command, option, expected):
+        assert tuple(family_choices(command, option)) == expected
+
+    @pytest.mark.parametrize("family,extra,params", [
+        ("werner-3", [], "d=3 f=-1"),
+        ("horodecki", [], "c=0.5"),
+        ("separable", ["--seed", "5"], "m=3 n=3 k=12 seed=5"),
+        ("random", ["--seed", "5"], "m=3 n=3 seed=5"),
+    ])
+    def test_compare_params_column(self, capsys, family, extra, params):
+        assert main(["compare", "--family", family, "--count", "1", *extra]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row[:32] == f"{0:<6} {params:<24} "
+
+    def test_rebound_constructor_is_reached(self, monkeypatch, capsys):
+        import sepscope.states as states
+        from sepscope import find_threshold, run_sweep
+        from sepscope.sweep import GridSpec
+
+        calls = []
+        original = states.werner
+        monkeypatch.setattr(states, "werner", lambda d, f: calls.append((d, f)) or original(d, f))
+
+        def reached(run):
+            calls.clear()
+            run()
+            return list(calls)
+
+        y = GptOpSet.from_code("cA,rB")
+        assert reached(lambda: main(["check", "--builtin", "werner", "--f", "-0.5",
+                                     "--criterion", "ppt"])) == [(3, -0.5)]
+        assert reached(lambda: main(["compare", "--family", "werner-3", "--count", "2"])) == [
+            (3, -1.0), (3, 1.0)]
+        assert reached(lambda: run_sweep(GridSpec("werner-3", 0.0, (0.0, 0.0, 1.0),
+                                                  (-1.0, 0.0, 1.0), y))) == [(3, -1.0), (3, 0.0)]
+        bisection = reached(lambda: find_threshold("werner-3", 0.0, 0.0, y, -1.0, 1.0))
+        assert len(bisection) > 2 and all(d == 3 for d, _ in bisection)
+        capsys.readouterr()

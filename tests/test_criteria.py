@@ -81,6 +81,10 @@ class TestHFactor:
         got = h_factor(1j, 3, False, False)
         assert got == pytest.approx(abs(1j - 1) + 2 * abs(1j), abs=1e-15)
 
+    def test_overflowing_square_is_infinite(self):
+        assert h_factor(1e300, 2, True, False) == np.inf
+        assert h_factor(1e300, 2, True, True) == 2e300
+
     def test_bound_pair_product(self):
         pair = bound_for(ReductionParams(1.0, 2 / 3), SubsystemDims(3, 3), REALIGN_Y)
         # single-flag branch on both sides
@@ -357,3 +361,15 @@ class TestReductionParams:
         st = random_state(2, 2, 811)
         tilde = generalized_reduction_map(st, p)
         assert tilde.shape == (4, 4)
+
+    def test_overflow_names_a_and_b(self):
+        from sepscope import ParamOutOfRange
+
+        st = random_state(2, 2, 811)
+        # ab overflows in the map; the statistic overflows; the squared factor overflows.
+        for a, b in ((1e200, 1e200), (1e154, 1e154), (1e300, 1e7)):
+            with pytest.raises(ParamOutOfRange, match=r"not finite at a=1e\+\d+, b=1e\+\d+$"):
+                evaluate(st, ReductionParams(a, b), REALIGN_Y)
+        # Large but finite everywhere: still evaluated.
+        v = evaluate(st, ReductionParams(1e300, 1e-300), GptOpSet())
+        assert np.isfinite([v.statistic, v.bound, v.violation]).all()
