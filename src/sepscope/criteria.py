@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParamOutOfRange
+from .errors import ParamOutOfRange, SepscopeError
 from .gptops import (
     REALIGN_Y,
     GptOpSet,
@@ -28,9 +28,9 @@ from .matlin import (
 )
 
 # Two orders above solver residual, far below the smallest violation any of
-# the named example families produces (2/3 for the Werner family).  The
-# generalized reduction test scales it by max(1, bound): the map's entries,
-# and with them the rounding error of the trace norm, grow like |a|*|b|.
+# the named example families produces (2/3 for the Werner family).  Verdicts
+# scale it by max(1, bound): the generalized reduction map's entries, and
+# with them the rounding error of the trace norm, grow like |a|*|b|.
 TOL_VERDICT = 1e-8
 
 # (a, b) values exercised by soundness tests and the compare workflow.
@@ -69,13 +69,9 @@ class BoundPair:
 class CriterionVerdict:
     """One criterion evaluation: statistic, bound, violation and the flag.
 
-    For norm-type criteria the statistic is a trace norm, violation is
-    max(statistic - bound, 0) and the state is flagged when the violation
-    exceeds TOL_VERDICT * max(1, bound); the realignment bound is 1, so
-    there the tolerance is TOL_VERDICT itself.  For eigenvalue-type
-    criteria (ppt, reduction) the statistic is a minimum eigenvalue, the
-    bound is 0 and the state is flagged when the statistic drops below
-    -TOL_VERDICT.
+    Every criterion follows the one rule of _judge.  Its excess is statistic
+    - bound for the trace-norm criteria (the realignment bound is 1); ppt and
+    reduction take a minimum eigenvalue as statistic, bound 0, excess -statistic.
     """
 
     criterion: str
@@ -90,6 +86,17 @@ class CriterionVerdict:
 def _overflow(p: ReductionParams) -> ParamOutOfRange:
     a, b = (f"{x.real:g}" if x.imag == 0 else f"{x:g}" for x in (p.a, p.b))
     return ParamOutOfRange(f"the map, its trace norm or the bound is not finite at a={a}, b={b}")
+
+
+def _judge(excess: list[float], bound: list[float],
+           culprit: Callable[[int], SepscopeError]) -> tuple[list[float], list[bool]]:
+    """The one verdict rule of every criterion, entry by entry: the violation
+    is max(excess, 0), flagged where it exceeds TOL_VERDICT * max(1, bound).
+    An excess that is not a finite float raises culprit(i) for the first."""
+    if not all(map(math.isfinite, excess)):
+        raise culprit([math.isfinite(e) for e in excess].index(False))
+    violation = [max(e, 0.0) for e in excess]
+    return violation, [v > TOL_VERDICT * max(1.0, b) for v, b in zip(violation, bound)]
 
 
 def reduction_maps(rho: DensityState, params: Sequence[ReductionParams]) -> np.ndarray:
@@ -204,17 +211,11 @@ def verdict_blocks(
     for name, served in classes.items():
         both = len({ysets[j].rA for j in served}) == 2
         computed = GptOpSet(False, *name) if both else ysets[served[0]]
-        with np.errstate(over="ignore"):  # an overflowing sum is named below
-            statistic = np.linalg.svd(gpt_transform(stack, rho.dims, computed),
-                                      compute_uv=False).sum(-1).tolist()
+        statistic = trace_norm(gpt_transform(stack, rho.dims, computed))
         bound = [h_a * h_b for h_a, h_b in zip(factor_a(computed.rA, computed.cA),
                                                factor_b(computed.rB, computed.cB))]
         excess = [s - b for s, b in zip(statistic, bound)]  # finite iff both are: s, b >= 0
-        if not all(map(math.isfinite, excess)):
-            raise _overflow(params[[math.isfinite(e) for e in excess].index(False)])
-        violation = [max(e, 0.0) for e in excess]
-        # The one place a generalized reduction verdict is flagged.
-        entangled = [v > TOL_VERDICT * max(1.0, b) for v, b in zip(violation, bound)]
+        violation, entangled = _judge(excess, bound, lambda i: _overflow(params[i]))
         yield VerdictBlock(served, statistic, bound, violation, entangled)
 
 
@@ -262,6 +263,13 @@ def in_request_order(results) -> tuple[CriterionVerdict, ...]:
     return tuple(v for _, _, v in sorted(results, key=lambda r: (r[1], r[0])))
 
 
+def _oracle(criterion: str, yset: GptOpSet | None, statistic: float, bound: float,
+            excess: float) -> CriterionVerdict:
+    (violation,), (entangled,) = _judge([excess], [bound], lambda _: SepscopeError(
+        f"the {criterion} statistic is not finite: {statistic}"))
+    return CriterionVerdict(criterion, None, yset, statistic, bound, violation, entangled)
+
+
 def ppt_check(rho: DensityState) -> CriterionVerdict:
     """Positivity of the partial transpose, taken on subsystem A.
 
@@ -270,15 +278,7 @@ def ppt_check(rho: DensityState) -> CriterionVerdict:
     """
     pt = partial_transpose(rho.mat, rho.dims, "A")
     statistic = float(hermitian_eigenvalues(pt)[0])
-    return CriterionVerdict(
-        criterion="ppt",
-        params=None,
-        yset=None,
-        statistic=statistic,
-        bound=0.0,
-        violation=max(-statistic, 0.0),
-        entangled=statistic < -TOL_VERDICT,
-    )
+    return _oracle("ppt", None, statistic, 0.0, -statistic)
 
 
 def reduction_check(rho: DensityState) -> CriterionVerdict:
@@ -289,30 +289,13 @@ def reduction_check(rho: DensityState) -> CriterionVerdict:
     lo_b = float(hermitian_eigenvalues(kron(np.eye(m), rho_b) - rho.mat)[0])
     lo_a = float(hermitian_eigenvalues(kron(rho_a, np.eye(n)) - rho.mat)[0])
     statistic = min(lo_a, lo_b)
-    return CriterionVerdict(
-        criterion="reduction",
-        params=None,
-        yset=None,
-        statistic=statistic,
-        bound=0.0,
-        violation=max(-statistic, 0.0),
-        entangled=statistic < -TOL_VERDICT,
-    )
+    return _oracle("reduction", None, statistic, 0.0, -statistic)
 
 
 def realignment_check(rho: DensityState) -> CriterionVerdict:
     """Trace norm of the realigned matrix against the separable bound 1."""
     statistic = trace_norm(realign(rho.mat, rho.dims))
-    violation = max(statistic - 1.0, 0.0)
-    return CriterionVerdict(
-        criterion="realignment",
-        params=None,
-        yset=REALIGN_Y,
-        statistic=statistic,
-        bound=1.0,
-        violation=violation,
-        entangled=violation > TOL_VERDICT,
-    )
+    return _oracle("realignment", REALIGN_Y, statistic, 1.0, statistic - 1.0)
 
 
 # The independent oracles by the name the CLI and find_threshold take.  Each

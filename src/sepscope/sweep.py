@@ -17,6 +17,9 @@ from .states import FAMILIES, family_names, load_state
 
 CSV_HEADER = ("family_param", "a", "b", "yset", "statistic", "bound", "violation")
 
+# The most points one sweep may ask for; their records take about 0.25 GB.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -33,6 +36,10 @@ class GridSpec:
         for name, axis in (("family parameter", self.param_axis), ("b", self.b_axis)):
             if not all(math.isfinite(x) for x in axis):
                 raise ParamOutOfRange(f"{name} axis must be finite, got (start, stop, step) = {axis}")
+        sizes = _axis_size(*self.param_axis), _axis_size(*self.b_axis)
+        if sizes[0] * sizes[1] > MAX_GRID_POINTS:
+            raise ParamOutOfRange("grid of {:.10g} family parameter x {:.10g} b points exceeds"
+                                  " {} points".format(*sizes, MAX_GRID_POINTS))
 
 
 @dataclass(frozen=True)
@@ -48,15 +55,20 @@ class SweepRecord:
     violation: float
 
 
-def axis_points(start: float, stop: float, step: float) -> list[float]:
-    """Points start + k*step up to stop, with the final point clamped to
-    stop to avoid accumulation drift."""
+def _axis_size(start: float, stop: float, step: float) -> float:
+    """How many points axis_points gives, as a float: inf past the float range."""
     if step <= 0:
         raise ParamOutOfRange(f"axis step must be > 0, got {step}")
     if stop < start:
         raise ParamOutOfRange(f"axis start {start} exceeds stop {stop}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    points = [start + k * step for k in range(count)]
+    steps = (stop - start) / step + 1e-9
+    return math.floor(steps) + 1.0 if math.isfinite(steps) else math.inf
+
+
+def axis_points(start: float, stop: float, step: float) -> list[float]:
+    """Points start + k*step up to stop, with the final point clamped to
+    stop to avoid accumulation drift."""
+    points = [start + k * step for k in range(int(_axis_size(start, stop, step)))]
     if abs(points[-1] - stop) <= step * 1e-6:
         points[-1] = stop
     return points
@@ -114,16 +126,14 @@ def find_threshold(
     factory = _state_factory(family, path)
     if criterion == "grc":
         params = ReductionParams(a, b)
-
-        def detected(param: float) -> bool:
-            return evaluate(factory(param), params, yset).entangled
+        check = lambda rho: evaluate(rho, params, yset)
     elif criterion in ORACLES:
-        oracle = ORACLES[criterion]
-
-        def detected(param: float) -> bool:
-            return oracle(factory(param)).entangled
+        check = ORACLES[criterion]
     else:
         raise ParamOutOfRange(f"unknown criterion {criterion!r}")
+
+    def detected(param: float) -> bool:
+        return check(factory(param)).entangled
 
     flag_lo = detected(lo)
     if flag_lo == detected(hi):

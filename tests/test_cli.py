@@ -107,6 +107,21 @@ class TestCheck:
         assert lines[0] == ("error: the map, its trace norm or the bound is not finite"
                             f" at a={float(a):g}, b={float(b):g}")
 
+    @pytest.mark.parametrize("criterion", ["grc", "ppt", "reduction", "realignment", "all"])
+    def test_overflowing_unchecked_file_exits_two(self, tmp_path, capsys, criterion):
+        # Finite entries whose magnitudes sum past the float range.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, "re": (np.eye(4) * 1e308).tolist(),
+                                    "im": np.zeros((4, 4)).tolist()}))
+        code = main(["check", "--file", str(path), "--unchecked", "--criterion", criterion])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: matrix ")
+        assert "a=" not in lines[0] and "b=" not in lines[0]
+
 
 class TestGen:
     def test_round_trip(self, tmp_path):
@@ -195,6 +210,21 @@ class TestSweep:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: {axis} must be finite")
+        assert not out.exists()
+
+    def test_oversized_grid_exits_two(self, tmp_path, capsys, monkeypatch):
+        import sepscope.sweep as sweep
+
+        # Building the 2e9 points would take tens of GB.
+        monkeypatch.setattr(sweep, "axis_points", lambda *axis: pytest.fail("axis built"))
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--family", "werner-3", "--b-step", "1e-9",
+                     "--param-start", "0", "--param-stop", "0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: grid of 1 family parameter x 2000000000 b points exceeds 1000000 points"]
         assert not out.exists()
 
     def test_threads_env(self, tmp_path, monkeypatch):

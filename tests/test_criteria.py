@@ -373,3 +373,64 @@ class TestReductionParams:
         # Large but finite everywhere: still evaluated.
         v = evaluate(st, ReductionParams(1e300, 1e-300), GptOpSet())
         assert np.isfinite([v.statistic, v.bound, v.violation]).all()
+
+
+class TestOneVerdictRule:
+    """Every oracle follows the kernel's rule, and gives the fields its own
+    formulas gave before the rule was shared."""
+
+    STATES = {
+        "werner-1": lambda: werner(3, -1.0).state,
+        "werner0": lambda: werner(3, 0.0).state,
+        "werner0.5": lambda: werner(3, 0.5).state,
+        "horodecki0.3": lambda: horodecki_3x3(0.3).state,
+        "random2x3": lambda: random_state(2, 3, 907),
+        "random3x3": lambda: random_state(3, 3, 911),
+    }
+
+    @staticmethod
+    def reference(name, st):
+        """The oracles' formulas before the rule was shared."""
+        from sepscope import realign, trace_norm
+
+        if name == "realignment":
+            statistic = trace_norm(realign(st.mat, st.dims))
+            violation = max(statistic - 1.0, 0.0)
+            return (REALIGN_Y, statistic, 1.0, violation, violation > 1e-8)
+        if name == "ppt":
+            statistic = float(hermitian_eigenvalues(partial_transpose(st.mat, st.dims, "A"))[0])
+        else:
+            m, n = st.dims.m, st.dims.n
+            lo_b = float(hermitian_eigenvalues(kron(np.eye(m), partial_trace(st, "A")) - st.mat)[0])
+            lo_a = float(hermitian_eigenvalues(kron(partial_trace(st, "B"), np.eye(n)) - st.mat)[0])
+            statistic = min(lo_a, lo_b)
+        return (None, statistic, 0.0, max(-statistic, 0.0), statistic < -1e-8)
+
+    @pytest.mark.parametrize("state", list(STATES))
+    @pytest.mark.parametrize("name", ["ppt", "reduction", "realignment"])
+    def test_oracle_follows_rule(self, name, state):
+        from sepscope.criteria import ORACLES
+
+        st = self.STATES[state]()
+        v = ORACLES[name](st)
+        excess = v.statistic - 1.0 if name == "realignment" else -v.statistic
+        assert v.bound == (1.0 if name == "realignment" else 0.0)
+        assert v.violation == max(excess, 0.0)
+        assert v.entangled == (v.violation > 1e-8 * max(1.0, v.bound))
+        assert (v.criterion, v.params) == (name, None)
+        assert (v.yset, v.statistic, v.bound, v.violation, v.entangled) == self.reference(name, st)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name,patched", [
+        ("ppt", "hermitian_eigenvalues"),
+        ("reduction", "hermitian_eigenvalues"),
+        ("realignment", "trace_norm"),
+    ])
+    def test_non_finite_statistic_raises(self, monkeypatch, name, patched, bad):
+        import sepscope.criteria as criteria
+        from sepscope import SepscopeError
+
+        value = np.array([bad]) if patched == "hermitian_eigenvalues" else bad
+        monkeypatch.setattr(criteria, patched, lambda mat: value)
+        with pytest.raises(SepscopeError, match=f"^the {name} statistic is not finite"):
+            criteria.ORACLES[name](werner(3, 0.5).state)

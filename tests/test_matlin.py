@@ -68,6 +68,20 @@ class TestTraceNorm:
         st = werner(3, -1.0).state
         assert trace_norm(realign(st.mat, st.dims)) == pytest.approx(5.0 / 3.0, abs=1e-12)
 
+    def test_stack_gives_each_norm_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for shape in ((7, 4, 4), (3, 9, 9), (2, 6, 4), (1, 64, 64)):
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = trace_norm(stack)
+            assert got == [trace_norm(mat) for mat in stack]
+            assert all(type(norm) is float for norm in got)
+
+    def test_matrix_gives_float(self):
+        assert type(trace_norm(np.eye(3))) is float
+
+    def test_overflowing_sum_reads_inf(self):
+        assert trace_norm(np.eye(4) * 1e308) == np.inf
+
 
 class TestSvd:
     def test_diagonal(self):
@@ -248,6 +262,20 @@ class TestDensityState:
     def test_as_cmatrix_rejects_nan(self):
         with pytest.raises(InvariantViolation):
             as_cmatrix([[np.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("entry", [np.inf, complex(0, -np.inf), complex(1.5e308, 1.5e308)])
+    def test_as_cmatrix_rejects_non_finite_entry(self, entry):
+        with pytest.raises(InvariantViolation, match="^matrix entry magnitudes"):
+            as_cmatrix([[entry, 0.0], [0.0, 1.0]])
+
+    def test_as_cmatrix_rejects_overflowing_magnitude_sum(self):
+        # Every entry is finite, but their magnitudes sum past the float range.
+        with pytest.raises(InvariantViolation, match="^matrix entry magnitudes .* got inf$"):
+            DensityState(SubsystemDims(2, 2), np.eye(4) * 1e308, check=False)
+
+    def test_unchecked_finite_unphysical_state_loads(self):
+        state = DensityState(SubsystemDims(2, 2), np.eye(4) * 4e307, check=False)
+        assert state.mat[3, 3] == 4e307
 
     def test_dims_must_be_positive(self):
         with pytest.raises(DimensionMismatch):

@@ -117,6 +117,33 @@ class TestRunSweep:
             run_sweep(spec)
 
 
+class TestGridLimit:
+    def test_limit_reached_exactly_is_accepted(self):
+        # 1000 x 1000 points; only counted, never built.
+        GridSpec("werner-3", 0.0, (0.0, 999.0, 1.0), (-1.0, 0.998, 0.002), REALIGN_Y)
+
+    @pytest.mark.parametrize("b_axis,param_axis,sizes", [
+        ((-1.0, 1.0, 1e-9), (0.0, 0.0, 1.0), "1 family parameter x 2000000000 b"),
+        ((0.0, 1000.0, 1.0), (-1.0, 0.998, 0.002), "1000 family parameter x 1001 b"),
+        ((-1e308, 1e308, 1.0), (-1.0, 1.0, 0.5), "5 family parameter x inf b"),
+    ], ids=["b-axis", "product", "past-float-range"])
+    def test_oversized_grid_rejected_without_building(self, monkeypatch, b_axis, param_axis,
+                                                      sizes):
+        import sepscope.sweep as sweep
+
+        monkeypatch.setattr(sweep, "axis_points", lambda *axis: pytest.fail("axis built"))
+        with pytest.raises(ParamOutOfRange,
+                           match=f"^grid of {sizes} points exceeds 1000000 points$"):
+            GridSpec("werner-3", 0.0, b_axis, param_axis, REALIGN_Y)
+
+    @pytest.mark.parametrize("axis", [(-1.0, 1.0, 0.05), (0.0, 1.0, 0.3), (0.3, 0.3, 0.1),
+                                      (0.05, 0.95, 0.05), (-1.0, 0.998, 0.002)])
+    def test_count_matches_axis_points(self, axis):
+        from sepscope.sweep import _axis_size
+
+        assert _axis_size(*axis) == len(axis_points(*axis))
+
+
 class TestFindThreshold:
     def test_realignment_boundary(self):
         thr = find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -1.0, 0.0)
@@ -133,6 +160,19 @@ class TestFindThreshold:
     def test_unknown_criterion(self):
         with pytest.raises(ParamOutOfRange, match="'nope'"):
             find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -1.0, 0.0, criterion="nope")
+
+    def test_unknown_criterion_before_bad_lo(self):
+        with pytest.raises(ParamOutOfRange, match="'nope'"):
+            find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -2.0, 0.0, criterion="nope")
+
+    def test_evaluate_looked_up_when_called(self, monkeypatch):
+        import sepscope.sweep as sweep
+
+        calls = []
+        monkeypatch.setattr(sweep, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -1.0, 0.0)
+        assert len(calls) == 22
+        assert all(args[1:] == (ReductionParams(0.0, 0.0), REALIGN_Y) for args in calls)
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
