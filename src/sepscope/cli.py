@@ -16,14 +16,14 @@ from .criteria import (
     ORACLES,
     CriterionVerdict,
     ReductionParams,
-    evaluate_grid,
-    in_request_order,
+    evaluate,
+    evaluate_all_Y,
     verdict_blocks,
 )
 from .errors import ParamOutOfRange, SepscopeError
 from .gptops import GptOpSet, all_subsets
 from .states import FAMILIES, LabeledState, family_names, load_state, save_state
-from .sweep import GridSpec, emit, run_sweep
+from .sweep import GridSpec, emit, format_float, run_sweep
 
 CRITERIA = ("grc", *ORACLES)
 
@@ -59,40 +59,37 @@ def _resolve_state(args: argparse.Namespace) -> LabeledState:
     return _resolve_builtin(args, args.builtin)
 
 
-def _parse_ysets(code: str) -> list[GptOpSet]:
-    if code.strip().lower() == "all":
-        return list(all_subsets())
-    return [GptOpSet.from_code(code)]
-
-
 ROW = "{:<22} {:<12} {:>24} {:>24} {:>24}  {}"
+COMPARE_ROW = "{:<6} {:<24} {:>5} {:>10} {:>12} {:>5}"
 
 
 def _print_verdicts(verdicts: list[CriterionVerdict]) -> bool:
-    # 17 significant digits so every printed number round-trips to the exact
-    # library value; the CLI performs no arithmetic of its own.
+    # Every printed number round-trips to the exact library value; the CLI
+    # performs no arithmetic of its own.
     print(ROW.format("criterion", "yset", "statistic", "bound", "violation", "entangled"))
     any_flag = False
     for v in verdicts:
         yset = v.yset.code if v.yset is not None else "-"
         print(ROW.format(
             v.criterion, yset,
-            format(v.statistic, ".17g"), format(v.bound, ".17g"),
-            format(v.violation, ".17g"), "yes" if v.entangled else "no",
+            format_float(v.statistic), format_float(v.bound),
+            format_float(v.violation), "yes" if v.entangled else "no",
         ))
         any_flag = any_flag or v.entangled
     return any_flag
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    ysets = _parse_ysets(args.yset)  # reject unknown codes before any computation
+    # Parse the code before any computation, so an unknown flag fails first.
+    yset = None if args.yset.strip().lower() == "all" else GptOpSet.from_code(args.yset)
     labeled = _resolve_state(args)
     params = ReductionParams(complex(args.a, args.a_im), complex(args.b, args.b_im))
     selected = CRITERIA if args.criterion == "all" else (args.criterion,)
     verdicts: list[CriterionVerdict] = []
     for criterion in selected:
         if criterion == "grc":
-            verdicts.extend(in_request_order(evaluate_grid(labeled.state, (params,), ysets)))
+            verdicts.extend(evaluate_all_Y(labeled.state, params) if yset is None
+                            else (evaluate(labeled.state, params, yset),))
         else:
             verdicts.append(ORACLES[criterion](labeled.state))
     param_text = " ".join(f"{key}={value}" for key, value in labeled.params.items())
@@ -132,7 +129,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     subsets = all_subsets()
     names = (*ORACLES, "grc")
     flags: list[tuple[bool, bool, bool, bool]] = []
-    print("{:<6} {:<24} {:>5} {:>10} {:>12} {:>5}".format("state", "params", *names))
+    print(COMPARE_ROW.format("state", "params", *names))
     for idx, labeled in enumerate(ensemble):
         state = labeled.state
         row = (
@@ -143,8 +140,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         flags.append(row)
         param_text = " ".join(f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"
                               for key, value in labeled.params.items())
-        print("{:<6} {:<24} {:>5} {:>10} {:>12} {:>5}".format(
-            idx, param_text, *("Y" if hit else "-" for hit in row)))
+        print(COMPARE_ROW.format(idx, param_text, *("Y" if hit else "-" for hit in row)))
     totals = [sum(row[col] for row in flags) for col in range(4)]
     print("flagged totals: " + "  ".join(f"{name}={total}" for name, total in zip(names, totals)))
     print("disagreements (row flags, column does not):")
@@ -212,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SepscopeError, ValueError, OSError) as exc:
+    except (SepscopeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -255,12 +255,8 @@ def evaluate_all_Y(rho: DensityState, p: ReductionParams) -> tuple[CriterionVerd
     """One verdict per flag subset, in canonical counter order; the state is
     flagged overall when any individual verdict flags it.  Takes one SVD per
     complement pair, so 8 for the 16 subsets."""
-    return in_request_order(evaluate_grid(rho, (p,), all_subsets()))
-
-
-def in_request_order(results) -> tuple[CriterionVerdict, ...]:
-    """The verdicts of evaluate_grid ordered by subset, then parameter."""
-    return tuple(v for _, _, v in sorted(results, key=lambda r: (r[1], r[0])))
+    return tuple(v for _, _, v in sorted(evaluate_grid(rho, (p,), all_subsets()),
+                                         key=lambda r: r[1]))
 
 
 def _oracle(criterion: str, yset: GptOpSet | None, statistic: float, bound: float,

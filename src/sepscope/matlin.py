@@ -14,7 +14,6 @@ from .errors import DimensionMismatch, InvariantViolation, NotHermitian
 # wide margin around these tolerances.
 TOL_HERM = 1e-12
 TOL_PSD = -1e-9
-TOL_SVD = 1e-10
 
 CMatrix = np.ndarray
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from .criteria import ORACLES, TOL_VERDICT, ReductionParams, evaluate, verdict_blocks
@@ -15,10 +15,12 @@ from .gptops import GptOpSet
 from .matlin import DensityState
 from .states import FAMILIES, family_names, load_state
 
-CSV_HEADER = ("family_param", "a", "b", "yset", "statistic", "bound", "violation")
-
 # The most points one sweep may ask for; their records take about 0.25 GB.
 MAX_GRID_POINTS = 10**6
+
+# The most maps one kernel call stacks, so a sweep's working arrays stay
+# bounded however long its b axis is.
+STACK_MAPS = 4096
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,9 @@ class SweepRecord:
     violation: float
 
 
+CSV_HEADER = tuple(field.name for field in fields(SweepRecord))
+
+
 def _axis_size(start: float, stop: float, step: float) -> float:
     """How many points axis_points gives, as a float: inf past the float range."""
     if step <= 0:
@@ -87,24 +92,28 @@ def _state_factory(family: str, path: str | None = None) -> Callable[[float], De
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate the criterion on every grid point, ordered family-parameter
-    major then b.  Each family parameter's whole b axis is one verdict_blocks
-    call, whose block lists become the records directly, and each record
-    matches a direct evaluate call bit for bit.
+    major then b.  Each family parameter's state is built once, and its b
+    axis goes to verdict_blocks in stacks of at most STACK_MAPS maps, whose
+    block lists become the records directly; each record matches a direct
+    evaluate call bit for bit.
 
     workers is accepted for compatibility and ignored.
     """
     factory = _state_factory(spec.family, spec.path)
-    params = axis_points(*spec.param_axis)
     bs = axis_points(*spec.b_axis)
-    grid = [ReductionParams(spec.a, b) for b in bs]
+    chunks = [(bs[i:i + STACK_MAPS], [ReductionParams(spec.a, b) for b in bs[i:i + STACK_MAPS]])
+              for i in range(0, len(bs), STACK_MAPS)]
     code = spec.yset.code
-    return [
-        SweepRecord(param, spec.a, b, code, statistic, bound, violation)
-        for param in params
-        for block in verdict_blocks(factory(param), grid, (spec.yset,))
-        for b, statistic, bound, violation in zip(bs, block.statistic, block.bound,
-                                                  block.violation)
-    ]
+    records = []
+    for param in axis_points(*spec.param_axis):
+        state = factory(param)
+        for chunk, grid in chunks:
+            for block in verdict_blocks(state, grid, (spec.yset,)):
+                records.extend(
+                    SweepRecord(param, spec.a, b, code, statistic, bound, violation)
+                    for b, statistic, bound, violation in zip(chunk, block.statistic,
+                                                              block.bound, block.violation))
+    return records
 
 
 def find_threshold(
@@ -115,15 +124,15 @@ def find_threshold(
     lo: float,
     hi: float,
     criterion: str = "grc",
-    path: str | None = None,
 ) -> float:
     """Bisect the family parameter to the boundary where the chosen
     criterion's verdict flips, to |hi - lo| <= 1e-6; returns the midpoint.
 
     criterion selects the detector: "grc" uses evaluate with (a, b, yset),
     "ppt"/"reduction"/"realignment" use the corresponding oracle check.
+    The bracket must have lo < hi.
     """
-    factory = _state_factory(family, path)
+    factory = _state_factory(family)
     if criterion == "grc":
         params = ReductionParams(a, b)
         check = lambda rho: evaluate(rho, params, yset)
@@ -131,6 +140,8 @@ def find_threshold(
         check = ORACLES[criterion]
     else:
         raise ParamOutOfRange(f"unknown criterion {criterion!r}")
+    if not lo < hi:  # also rejects NaN, on which the bisection would never run
+        raise ParamOutOfRange(f"bracket must have lo < hi, got lo={lo}, hi={hi}")
 
     def detected(param: float) -> bool:
         return check(factory(param)).entangled
@@ -166,15 +177,8 @@ def emit(records: Sequence[SweepRecord], format: str, path) -> None:
             writer = csv.writer(handle)
             writer.writerow(CSV_HEADER)
             for rec in records:
-                writer.writerow([
-                    format_float(rec.family_param),
-                    format_float(rec.a),
-                    format_float(rec.b),
-                    rec.yset,
-                    format_float(rec.statistic),
-                    format_float(rec.bound),
-                    format_float(rec.violation),
-                ])
+                writer.writerow([value if isinstance(value, str) else format_float(value)
+                                 for value in vars(rec).values()])
     elif format == "json":
         with open(path, "w", encoding="utf-8") as handle:
             json.dump([vars(rec) for rec in records], handle, indent=1)

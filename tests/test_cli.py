@@ -122,6 +122,28 @@ class TestCheck:
         assert lines[0].startswith("error: matrix ")
         assert "a=" not in lines[0] and "b=" not in lines[0]
 
+    # numpy's allocation failure is a MemoryError naming the array's shape;
+    # a test must not make a real huge allocation, so the constructor raises it.
+    @pytest.mark.parametrize("constructor,argv", [
+        ("werner", ["check", "--builtin", "werner", "--d", "1000"]),
+        ("random_separable", ["gen", "separable", "--m", "3000", "--n", "3000", "--out", "x.json"]),
+    ])
+    def test_allocation_failure_exits_two(self, monkeypatch, capsys, tmp_path, constructor, argv):
+        import sepscope.states as states
+
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(states, constructor, fail)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestGen:
     def test_round_trip(self, tmp_path):

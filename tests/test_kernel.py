@@ -17,6 +17,7 @@ from sepscope import (
     ReductionParams,
     SubsystemDims,
     all_subsets,
+    axis_points,
     bound_for,
     evaluate,
     evaluate_all_Y,
@@ -62,6 +63,15 @@ class TestKernelEquivalence:
                 assert verdicts[k].statistic == verdicts[15 - k].statistic
                 assert verdicts[k].bound == verdicts[15 - k].bound
                 assert verdicts[k].violation == verdicts[15 - k].violation
+
+    def test_rA_free_subsets_independent_of_request(self, m, n):
+        # A subset without rA is the member computed for its class, so its
+        # verdict does not depend on what else was requested.
+        st_ = random_state(m, n, 40 * m + n)
+        for p in COMPLEX_PARAMS:
+            for got, y in zip(evaluate_all_Y(st_, p), all_subsets()):
+                if not y.rA:
+                    assert got == evaluate(st_, p, y)
 
     def test_stack_slices_equal_batch_of_one(self, m, n):
         st_ = random_state(m, n, 30 * m + n)
@@ -144,6 +154,26 @@ class TestSweepMatchesEvaluate:
             assert rec.statistic == direct.statistic
             assert rec.bound == direct.bound
             assert rec.violation == direct.violation
+
+    def test_b_axis_split_into_bounded_stacks(self, monkeypatch):
+        import sepscope.sweep as sweep
+
+        stacks = []
+
+        def counted(rho, params, ysets):
+            stacks.append(len(params))
+            return verdict_blocks(rho, params, ysets)
+
+        monkeypatch.setattr(sweep, "STACK_MAPS", 3)
+        monkeypatch.setattr(sweep, "verdict_blocks", counted)
+        yset = GptOpSet.from_code("rA,cB")
+        records = run_sweep(GridSpec("werner-3", 0.7, (-1.0, 0.8, 0.2), (-1.0, 0.0, 1.0), yset))
+        assert stacks == [3, 3, 3, 1] * 2
+        assert [rec.b for rec in records[:10]] == axis_points(-1.0, 0.8, 0.2)
+        for rec in records:
+            direct = evaluate(werner(3, rec.family_param).state, ReductionParams(0.7, rec.b), yset)
+            assert (rec.statistic, rec.bound, rec.violation) == (
+                direct.statistic, direct.bound, direct.violation)
 
 
 def reference_grc(state):

@@ -178,6 +178,20 @@ class TestFindThreshold:
         with pytest.raises(NoSignChange):
             find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, 0.1, 0.9)
 
+    # A reversed bracket never entered the bisection loop and returned its
+    # midpoint, -0.5, for a boundary at -1/3; NaN compared the same way.
+    @pytest.mark.parametrize("criterion", ["grc", "ppt"])
+    @pytest.mark.parametrize("lo,hi", [(0.0, -1.0), (-0.5, -0.5), (float("nan"), 0.0),
+                                       (-1.0, float("nan"))])
+    def test_bracket_needs_lo_below_hi(self, monkeypatch, criterion, lo, hi):
+        import sepscope.states as states
+
+        built = []
+        monkeypatch.setattr(states, "werner", lambda *args: built.append(args))
+        with pytest.raises(ParamOutOfRange, match=f"lo={lo}, hi={hi}"):
+            find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, lo, hi, criterion=criterion)
+        assert built == []
+
 
 class TestEmit:
     @staticmethod
