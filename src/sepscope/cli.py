@@ -9,6 +9,7 @@ by these necessary criteria", never "proven separable".
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .criteria import (
@@ -23,7 +24,7 @@ from .criteria import (
 from .errors import ParamOutOfRange, SepscopeError
 from .gptops import GptOpSet, all_subsets
 from .states import FAMILIES, LabeledState, family_names, load_state, save_state
-from .sweep import GridSpec, emit, format_float, run_sweep
+from .sweep import GridSpec, _sweep_records, emit, format_float
 
 CRITERIA = ("grc", *ORACLES)
 
@@ -102,12 +103,23 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     param_axis = tuple(default if value is None else value for default, value in zip(
         FAMILIES[args.family].axis, (args.param_start, args.param_stop, args.param_step)))
-    records = run_sweep(GridSpec(args.family, args.a, (args.b_start, args.b_stop, args.b_step),
-                                 param_axis, GptOpSet.from_code(args.yset), args.file))
-    emit(records, args.format, args.out)
-    best = max(records, key=lambda rec: rec.violation)
+    spec = GridSpec(args.family, args.a, (args.b_start, args.b_stop, args.b_step),
+                    param_axis, GptOpSet.from_code(args.yset), args.file)
+    points, best = 0, None
+
+    def tally(records):
+        # Counts the records and keeps the first of maximal violation, as
+        # max() does, while they stream to the file.
+        nonlocal points, best
+        for rec in records:
+            points += 1
+            if best is None or rec.violation > best.violation:
+                best = rec
+            yield rec
+
+    emit(tally(_sweep_records(spec)), args.format, args.out)
     print(
-        f"grid: {len(records)} points; max N = {best.violation:.10g}"
+        f"grid: {points} points; max N = {best.violation:.10g}"
         f" at param={best.family_param:.6g} b={best.b:.6g}; wrote {args.out}"
     )
     return 0
@@ -203,9 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on first use and reused by every later call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SepscopeError, ValueError, OSError, MemoryError) as exc:

@@ -1,7 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,16 @@ from sepscope import (
     werner,
 )
 from sepscope.cli import build_parser, main
+from sepscope.errors import ParamOutOfRange
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports sepscope from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env,
+                          timeout=120)
 
 
 def verdict_rows(output):
@@ -262,6 +277,140 @@ class TestSweep:
         monkeypatch.setenv("SEPSCOPE_THREADS", "1")
         assert main(argv + ["--out", str(serial)]) == 0
         assert out.read_text() == serial.read_text()
+
+
+# Small grids whose sweep output was recorded before sweeps streamed: two
+# 9-point b axes, so three-map stacks split every family parameter in three.
+STREAM_CASES = {
+    "werner": (["--family", "werner-3", "--a", "0.5", "--b-step", "0.25", "--param-step", "0.5"],
+               "grid: 45 points; max N = 0.6666666667 at param=-1 b=0.5",
+               {"csv": "33a1b30eec5ba4608831eafc48d5002cc9c2d77bdd8053afbf594b3fdc8898ae",
+                "json": "ed11a829eec31400eb85868a469e7249a6421c5c644beec02b014c00a1bb24ac"}),
+    # One state at three family parameters: every maximum ties three times.
+    "file-ties": (["--family", "file", "--b-step", "0.25", "--param-start", "0",
+                   "--param-stop", "2", "--param-step", "1"],
+                  "grid: 27 points; max N = 0.6666666667 at param=0 b=0",
+                  {"csv": "8d1580a173a686941694878eda2b2fe7a3fc5ad3772fa893e4dc18cd2c397ecd",
+                   "json": "33166f7711a6f4ecd4528c972b225644a875a6b0541e82d99110903b6b77dff9"}),
+}
+
+
+class TestSweepStreaming:
+    @pytest.fixture(autouse=True)
+    def small_stacks(self, monkeypatch):
+        import sepscope.sweep as sweep
+
+        monkeypatch.setattr(sweep, "STACK_MAPS", 3)
+
+    @staticmethod
+    def argv(case, tmp_path):
+        argv = ["sweep", *STREAM_CASES[case][0]]
+        if case == "file-ties":
+            state = tmp_path / "w.json"
+            assert main(["gen", "werner", "--f", "-1", "--out", str(state)]) == 0
+            argv += ["--file", str(state)]
+        return argv
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_bytes_and_summary_unchanged(self, tmp_path, capsys, case, format):
+        argv = self.argv(case, tmp_path)
+        capsys.readouterr()
+        out = tmp_path / f"out.{format}"
+        assert main(argv + ["--format", format, "--out", str(out)]) == 0
+        _, summary, digests = STREAM_CASES[case]
+        assert capsys.readouterr().out == f"{summary}; wrote {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[format]
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_kernel_error_on_second_stack_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                         format):
+        import sepscope.sweep as sweep
+
+        calls = []
+        kernel = sweep.verdict_blocks
+
+        def failing_kernel(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ParamOutOfRange("the map is not finite at the second stack")
+            return kernel(*args)
+
+        monkeypatch.setattr(sweep, "verdict_blocks", failing_kernel)
+        argv = self.argv("werner", tmp_path) + ["--format", format, "--out"]
+        out = tmp_path / "out"
+        for before in (None, b"kept bytes"):
+            if before is not None:
+                out.write_bytes(before)
+            calls.clear()
+            assert main(argv + [str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: the map is not finite at the second stack\n"
+            assert len(calls) == 2
+            assert os.listdir(tmp_path) == ([] if before is None else ["out"])
+            assert out.exists() == (before is not None)
+            if before is not None:
+                assert out.read_bytes() == before
+
+    def test_dev_stdout(self, tmp_path):
+        # Writing to /dev/stdout worked before sweeps streamed through a
+        # temporary file, and still writes in place.
+        argv = ["sweep", *STREAM_CASES["werner"][0]]
+        assert main(argv + ["--out", str(tmp_path / "ref.csv")]) == 0
+        result = run_python("import sys; from sepscope.cli import main; sys.exit(main(sys.argv[1:]))",
+                            *argv, "--out", "/dev/stdout")
+        assert result.returncode == 0 and result.stderr == b""
+        summary = f"{STREAM_CASES['werner'][1]}; wrote /dev/stdout\n".encode()
+        assert result.stdout == (tmp_path / "ref.csv").read_bytes() + summary
+
+
+RUN_ALL = """
+import contextlib, io, json, sys
+from sepscope.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(results))
+"""
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self, tmp_path, capsys):
+        import sepscope.cli as cli
+
+        cli._parser.cache_clear()
+        assert main(["check", "--builtin", "werner", "--criterion", "ppt"]) == 1
+        assert main(["gen", "werner", "--out", str(tmp_path / "w.json")]) == 0
+        assert cli._parser.cache_info().misses == 1
+        capsys.readouterr()
+
+    def test_back_to_back_matches_first_run(self, tmp_path):
+        commands = [
+            ["check", "--builtin", "werner", "--f", "-1"],
+            ["sweep", "--family", "werner-3", "--b-step", "0.5", "--param-step", "0.5",
+             "--out", str(tmp_path / "s.csv")],
+            ["compare", "--family", "separable", "--count", "1"],
+            ["gen", "horodecki", "--c", "0.3", "--out", str(tmp_path / "h.json")],
+            ["check", "--builtin", "werner", "--yset", "qZ"],
+            ["sweep", "--family", "werner-3"],
+        ]
+
+        def run(argvs):
+            result = run_python(RUN_ALL, json.dumps(argvs))
+            assert result.returncode == 0, result.stderr
+            return json.loads(result.stdout)
+
+        first = [run([argv])[0] for argv in commands]
+        assert [code for _, _, code in first] == [1, 0, 0, 0, 2, 2]
+        assert first[5][1].endswith("error: the following arguments are required: --out\n")
+        assert run(commands) == first
 
 
 class TestCompare:

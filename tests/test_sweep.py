@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import math
+import os
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sepscope import (
     GptOpSet,
@@ -15,6 +19,7 @@ from sepscope import (
     ParamOutOfRange,
     ReductionParams,
     SweepRecord,
+    all_subsets,
     axis_points,
     emit,
     evaluate,
@@ -193,6 +198,22 @@ class TestFindThreshold:
         assert built == []
 
 
+def reference_bytes(records):
+    """emit's two formats by the formulas it must match byte for byte:
+    json.dump with indent 1, and csv.writer with floats to 17 digits."""
+    expected_json = io.StringIO()
+    json.dump([asdict(rec) for rec in records], expected_json, indent=1)
+    expected_json.write("\n")
+    expected_csv = io.StringIO(newline="")
+    writer = csv.writer(expected_csv)
+    writer.writerow(("family_param", "a", "b", "yset", "statistic", "bound", "violation"))
+    fmt = lambda value: format(float(value), ".17g")  # noqa: E731
+    for rec in records:
+        writer.writerow([fmt(rec.family_param), fmt(rec.a), fmt(rec.b), rec.yset,
+                         fmt(rec.statistic), fmt(rec.bound), fmt(rec.violation)])
+    return expected_json.getvalue().encode(), expected_csv.getvalue().encode()
+
+
 class TestEmit:
     @staticmethod
     def sample_records():
@@ -224,21 +245,12 @@ class TestEmit:
             SweepRecord(1e-300, 2.5e22, -1.0 / 3.0, "none", 1.2345678901234567e-7,
                         6.02214076e23, 1e-5),
         ]
-        expected_json = io.StringIO()
-        json.dump([asdict(rec) for rec in records], expected_json, indent=1)
-        expected_json.write("\n")
-        expected_csv = io.StringIO(newline="")
-        writer = csv.writer(expected_csv)
-        writer.writerow(("family_param", "a", "b", "yset", "statistic", "bound", "violation"))
-        fmt = lambda value: format(float(value), ".17g")  # noqa: E731
-        for rec in records:
-            writer.writerow([fmt(rec.family_param), fmt(rec.a), fmt(rec.b), rec.yset,
-                             fmt(rec.statistic), fmt(rec.bound), fmt(rec.violation)])
+        expected_json, expected_csv = reference_bytes(records)
         emit(records, "json", tmp_path / "out.json")
         emit(records, "csv", tmp_path / "out.csv")
-        assert (tmp_path / "out.json").read_bytes() == expected_json.getvalue().encode()
+        assert (tmp_path / "out.json").read_bytes() == expected_json
         csv_bytes = (tmp_path / "out.csv").read_bytes()
-        assert csv_bytes == expected_csv.getvalue().encode()
+        assert csv_bytes == expected_csv
         # The comma in a yset code is quoted, -0.0 keeps its sign and tiny or
         # huge values keep their exponent.
         assert b'"cA,rB"' in csv_bytes and b'\r\n-0,0,-0,"rA,cA,rB",0,-0,0\r\n' in csv_bytes
@@ -249,13 +261,110 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit([], "csv", tmp_path / "never.csv")
 
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_generator_matches_list(self, tmp_path, format):
+        records = self.sample_records()
+        emit(records, format, tmp_path / "list")
+        emit((rec for rec in records), format, tmp_path / "generator")
+        assert (tmp_path / "generator").read_bytes() == (tmp_path / "list").read_bytes()
+
+    @pytest.mark.parametrize("format", ["csv", "json", "xml"])
+    def test_empty_generator_rejected_before_any_file(self, tmp_path, format):
+        with pytest.raises(ValueError, match="empty"):
+            emit(iter(()), format, tmp_path / "never")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_failure_partway_leaves_path_as_it_was(self, tmp_path, format):
+        records = self.sample_records()
+
+        def failing():
+            yield from records * 2000  # past one write batch
+            raise ParamOutOfRange("stack 2 failed")
+
+        with pytest.raises(ParamOutOfRange, match="stack 2 failed"):
+            emit(failing(), format, tmp_path / "new")
+        assert os.listdir(tmp_path) == []
+        old = tmp_path / "old"
+        old.write_bytes(b"previous bytes")
+        old.chmod(0o640)
+        with pytest.raises(ParamOutOfRange, match="stack 2 failed"):
+            emit(failing(), format, old)
+        assert os.listdir(tmp_path) == ["old"]
+        assert old.read_bytes() == b"previous bytes"
+        emit(records, format, old)
+        assert os.listdir(tmp_path) == ["old"]
+        assert old.stat().st_mode & 0o777 == 0o640
+
+    def test_symlink_written_through(self, tmp_path):
+        records = self.sample_records()
+        target = tmp_path / "target.csv"
+        target.write_text("old")
+        (tmp_path / "link.csv").symlink_to(target)
+        emit(records, "csv", tmp_path / "link.csv")
+        assert (tmp_path / "link.csv").is_symlink()
+        emit(records, "csv", tmp_path / "plain.csv")
+        assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit(self.sample_records(), "xml", tmp_path / "never.xml")
 
     def test_io_error_propagates(self, tmp_path):
-        with pytest.raises(OSError):
-            emit(self.sample_records(), "csv", tmp_path / "missing" / "deep.csv")
+        path = tmp_path / "missing" / "deep.csv"
+        with pytest.raises(OSError) as info:
+            emit(self.sample_records(), "csv", path)
+        assert str(info.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7e308, -1.7e308]),
+    st.builds(np.float64, st.floats(allow_nan=False, allow_infinity=False)),
+)
+VALUE = st.one_of(
+    FINITE,
+    st.integers(-10**300, 10**300),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]),
+)
+
+
+def records_of(values):
+    return st.builds(SweepRecord, family_param=values, a=values, b=values,
+                     yset=st.sampled_from([y.code for y in all_subsets()]),
+                     statistic=values, bound=values, violation=values)
+
+
+# Lists of finite floats only, which the format templates write, and lists
+# that mix in values json's and csv's own encoders must write.
+RECORDS = st.one_of(st.lists(records_of(FINITE), min_size=1, max_size=6),
+                    st.lists(st.one_of(records_of(FINITE), records_of(VALUE)),
+                             min_size=1, max_size=6))
+
+
+class TestEmitProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=RECORDS)
+    def test_bytes_match_reference_formulas(self, tmp_path, records):
+        expected_json, expected_csv = reference_bytes(records)
+        emit(records, "json", tmp_path / "out.json")
+        emit(records, "csv", tmp_path / "out.csv")
+        assert (tmp_path / "out.json").read_bytes() == expected_json
+        assert (tmp_path / "out.csv").read_bytes() == expected_csv
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=RECORDS, repeats=st.integers(200, 1100))
+    def test_batches_match_reference_formulas(self, tmp_path, records, repeats):
+        # Long enough to span several write batches.
+        records = records * repeats
+        expected_json, expected_csv = reference_bytes(records)
+        emit(iter(records), "json", tmp_path / "out.json")
+        emit(iter(records), "csv", tmp_path / "out.csv")
+        assert (tmp_path / "out.json").read_bytes() == expected_json
+        assert (tmp_path / "out.csv").read_bytes() == expected_csv
 
 
 class TestRecordInvariant:
