@@ -13,7 +13,7 @@ import operator
 import os
 import stat
 from dataclasses import dataclass, fields
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -174,73 +174,58 @@ def find_threshold(
     return 0.5 * (lo + hi)
 
 
-# A record's values in field order, and which of them hold text: yset does,
-# the rest hold floats.
+# A record's values in field order; yset is the one that holds text.
 _row_values = operator.attrgetter(*CSV_HEADER)
-_TEXT_COLUMNS = tuple(name == "yset" for name in CSV_HEADER)
+_YSET = CSV_HEADER.index("yset")
 
 # How many records emit renders per write.
 _WRITE_BATCH = 1024
 
+# Numbers as text with 17 significant digits, enough to round-trip every
+# float; every CSV number takes this spec too.
+_FLOAT = "{:.17g}"
+format_float: Callable[[float], str] = _FLOAT.format
+
 
 @functools.lru_cache(maxsize=64)
-def _csv_text(value: str) -> str:
+def _csv_text(value) -> str:
     """value as csv.writer writes it inside a row: quoted where it holds a
     comma, a quote or a line break."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected str, got {type(value).__name__}")
     line = io.StringIO(newline="")
     csv.writer(line).writerow((value, ""))
     return line.getvalue()[:-3]  # drop the empty second cell's ",\r\n"
 
 
 _CSV_HEAD = ",".join(map(_csv_text, CSV_HEADER)) + "\r\n"
-_CSV_ROW = ",".join("{}" for _ in CSV_HEADER) + "\r\n"
+_CSV_ROW = ",".join("{}" if name == "yset" else _FLOAT for name in CSV_HEADER) + "\r\n"
 
 # One record as json.dump(indent=1) writes it as an item of the top-level list.
 _JSON_OBJECT = "{{\n" + ",\n".join(
     f"  {encode_basestring_ascii(name)}: {{}}" for name in CSV_HEADER) + "\n }}"
 
+# json's C encoder, writing a list as "[", one item a line, "]".  No scalar's
+# encoding holds a raw line break, so a line that starts with "[" or "{"
+# starts a list or an object.
+_json_lines = json.JSONEncoder(separators=("\n", ": ")).encode
+
 
 def _csv_rows(rows: list[tuple]) -> str:
-    """rows as csv.writer writes them: text as is, other values through
-    format_float.
-
-    Floats go through float.__format__ with format_float's spec and text
-    through _csv_text.  A batch holding anything else, such as an int, is
-    written by csv.writer itself.
-    """
-    try:
-        cells = [list(map(_csv_text, column)) if text
-                 else list(map(float.__format__, column, repeat(".17g")))
-                 for text, column in zip(_TEXT_COLUMNS, zip(*rows))]
-    except TypeError:
-        out = io.StringIO(newline="")
-        csv.writer(out).writerows([value if isinstance(value, str) else format_float(value)
-                                   for value in row] for row in rows)
-        return out.getvalue()
-    return "".join(map(_CSV_ROW.format, *cells))
+    """rows as csv.writer writes them: yset through _csv_text, every other
+    value through format_float's spec."""
+    columns = list(zip(*rows))
+    columns[_YSET] = map(_csv_text, columns[_YSET])
+    return "".join(map(_CSV_ROW.format, *columns))
 
 
 def _json_objects(rows: list[tuple]) -> str:
-    """rows as json.dump(indent=1) writes them inside the top-level list.
-
-    Floats go through float.__repr__ and text through
-    encode_basestring_ascii, the calls json itself makes.  A batch holding
-    anything those would render otherwise (a non-finite float, which json
-    writes as NaN or Infinity, an int, a bool or any other type) is written
-    by json's own encoder, so any input keeps json's bytes.
-    """
-    columns = list(zip(*rows))
-    try:
-        cells = [list(map(encode_basestring_ascii if text else float.__repr__, column))
-                 for text, column in zip(_TEXT_COLUMNS, columns)]
-    except TypeError:
-        cells = None
-    if cells is not None and all(all(map(math.isfinite, column))
-                                 for text, column in zip(_TEXT_COLUMNS, columns) if not text):
-        return ",\n ".join(map(_JSON_OBJECT.format, *cells))
-    return json.dumps([dict(zip(CSV_HEADER, row)) for row in rows], indent=1)[3:-2]
+    """rows as json.dump(indent=1) writes them inside the top-level list,
+    every value through json's own encoder; a list or an object raises
+    TypeError, as json.dump would indent it over several lines."""
+    text = _json_lines(list(chain.from_iterable(rows)))
+    if text.startswith(("[[", "[{")) or "\n[" in text or "\n{" in text:
+        raise TypeError("sweep record fields must be scalars, not lists or objects")
+    values = iter(text[1:-1].split("\n"))
+    return ",\n ".join(map(_JSON_OBJECT.format, *[values] * len(CSV_HEADER)))
 
 
 class _Layout(NamedTuple):
@@ -265,13 +250,17 @@ def _replaced_on_success(path, newline: str | None) -> Iterator[io.TextIOWrapper
     success and removed on any error, so a failure partway leaves path as
     it was: absent, or holding its old bytes.  A path that is a symlink or
     anything but a regular file (/dev/stdout, a FIFO) has nothing to
-    rename over, so it is opened and written in place, as open() does.
+    rename over, so it is opened and written in place, as open() does, or
+    through a duplicate of stdout where it is stdout, at stdout's offset.
     """
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
+        with contextlib.suppress(OSError):  # a dangling link, or no stdout
+            if os.path.samestat(os.stat(path), os.fstat(1)):
+                path = os.dup(1)
         with open(path, "w", encoding="utf-8", newline=newline) as handle:
             yield handle
         return
@@ -294,22 +283,26 @@ def _replaced_on_success(path, newline: str | None) -> Iterator[io.TextIOWrapper
 
 
 def emit(records: Iterable[SweepRecord], format: str, path) -> None:
-    """Write records as CSV (17-significant-digit floats) or JSON, in the
-    order given.
+    """Write records as CSV or JSON, in the order given.
 
     CSV is csv.writer's default dialect: a header of the field names, then
-    one row per record with floats through format_float.  JSON is what
-    json.dump(..., indent=1) writes for a list of one object per record, in
-    field order, plus a final newline.  Both come from one format template
-    per record, rendered a batch of records at a time and written as they
-    come, so records may be any iterable, such as run_sweep's generator,
-    and neither they nor the document are ever held whole.
+    one row per record, yset quoted as csv.writer quotes it and every other
+    value through format_float's spec.  JSON is what json.dump(...,
+    indent=1) writes for a list of one object per record, in field order,
+    plus a final newline, every value through json's own encoder.  The bytes
+    equal those two writers' for float, int, bool and numpy scalar fields
+    (in JSON, those json.dump takes) and any text yset.  A list or dict
+    field makes JSON raise TypeError before its batch is written.  Records
+    are rendered a batch at a time and written as they come, so records may
+    be any iterable, such as run_sweep's generator, and neither they nor
+    the document are ever held whole.
 
     path appears only once the last record is written; an error partway,
     from the records or from the disk, leaves it as it was.  A symlink or a
     path that is not a regular file, such as /dev/stdout, is written in
-    place instead.  An empty iterable or an unknown format raises
-    ValueError before any file is made.
+    place instead, through this process's stdout where it is the same file.
+    An empty iterable or an unknown format raises ValueError before any
+    file is made.
     """
     rows = map(_row_values, records)
     first = next(rows, None)
@@ -326,10 +319,6 @@ def emit(records: Iterable[SweepRecord], format: str, path) -> None:
             handle.write(join + layout.render(batch))
             join = layout.join
         handle.write(layout.tail)
-
-
-def format_float(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def load_records(path) -> list[SweepRecord]:

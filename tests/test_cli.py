@@ -26,11 +26,11 @@ from sepscope.errors import ParamOutOfRange
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(code: str, *args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports sepscope from this checkout."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
 
 
 def verdict_rows(output):
@@ -363,6 +363,24 @@ class TestSweepStreaming:
         assert result.returncode == 0 and result.stderr == b""
         summary = f"{STREAM_CASES['werner'][1]}; wrote /dev/stdout\n".encode()
         assert result.stdout == (tmp_path / "ref.csv").read_bytes() + summary
+
+    # With stdout redirected to a file, reopening /dev/stdout wrote from
+    # offset 0: under > the summary line then overwrote the head of the
+    # document, and under >> the document overwrote what the file held.
+    @pytest.mark.parametrize("mode", ["wb", "ab"], ids=["truncate", "append"])
+    def test_dev_stdout_redirected_to_file(self, tmp_path, mode):
+        argv = ["sweep", *STREAM_CASES["werner"][0]]
+        assert main(argv + ["--out", str(tmp_path / "ref.json"), "--format", "json"]) == 0
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"earlier line\n")
+        with open(out, mode) as stdout:
+            result = run_python("import sys; from sepscope.cli import main;"
+                                " sys.exit(main(sys.argv[1:]))",
+                                *argv, "--format", "json", "--out", "/dev/stdout", stdout=stdout)
+        assert result.returncode == 0 and result.stderr == b""
+        earlier = b"earlier line\n" if mode == "ab" else b""
+        summary = f"{STREAM_CASES['werner'][1]}; wrote /dev/stdout\n".encode()
+        assert out.read_bytes() == earlier + (tmp_path / "ref.json").read_bytes() + summary
 
 
 RUN_ALL = """

@@ -238,7 +238,7 @@ def complex_scalar():
 
 
 class TestSeparableSoundnessProperty:
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120)
     @given(
         dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
         terms=st.integers(1, 12),

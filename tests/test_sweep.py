@@ -5,7 +5,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -306,6 +306,22 @@ class TestEmit:
         emit(records, "csv", tmp_path / "plain.csv")
         assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
+    # json.dump(indent=1) would spread a list or an object over several lines.
+    @pytest.mark.parametrize("value", [[], [0.5], (0.5, 1.0), {}, {"re": 0.5}])
+    @pytest.mark.parametrize("index,field", [(0, "family_param"), (-1, "yset")])
+    def test_json_rejects_list_or_dict_field(self, tmp_path, value, index, field):
+        records = self.sample_records() * 2
+        records[index] = replace(records[index], **{field: value})
+        with pytest.raises(TypeError, match="not lists or objects"):
+            emit(records, "json", tmp_path / "new")
+        assert os.listdir(tmp_path) == []
+        old = tmp_path / "old"
+        old.write_bytes(b"previous bytes")
+        with pytest.raises(TypeError, match="not lists or objects"):
+            emit(records, "json", old)
+        assert os.listdir(tmp_path) == ["old"]
+        assert old.read_bytes() == b"previous bytes"
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit(self.sample_records(), "xml", tmp_path / "never.xml")
@@ -330,22 +346,26 @@ VALUE = st.one_of(
 )
 
 
+# The 16 codes, and any text a UTF-8 file can hold: quotes, commas, line
+# breaks and non-ASCII go through csv's quoting and json's string escapes.
+YSET = st.one_of(st.sampled_from([y.code for y in all_subsets()]),
+                 st.text(st.characters(exclude_categories=("Cs",))))
+
+
 def records_of(values):
-    return st.builds(SweepRecord, family_param=values, a=values, b=values,
-                     yset=st.sampled_from([y.code for y in all_subsets()]),
+    return st.builds(SweepRecord, family_param=values, a=values, b=values, yset=YSET,
                      statistic=values, bound=values, violation=values)
 
 
-# Lists of finite floats only, which the format templates write, and lists
-# that mix in values json's and csv's own encoders must write.
+# Lists of finite floats only, and lists that mix in ints, bools and
+# non-finite floats.
 RECORDS = st.one_of(st.lists(records_of(FINITE), min_size=1, max_size=6),
                     st.lists(st.one_of(records_of(FINITE), records_of(VALUE)),
                              min_size=1, max_size=6))
 
 
 class TestEmitProperty:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(records=RECORDS)
     def test_bytes_match_reference_formulas(self, tmp_path, records):
         expected_json, expected_csv = reference_bytes(records)
@@ -354,8 +374,7 @@ class TestEmitProperty:
         assert (tmp_path / "out.json").read_bytes() == expected_json
         assert (tmp_path / "out.csv").read_bytes() == expected_csv
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(records=RECORDS, repeats=st.integers(200, 1100))
     def test_batches_match_reference_formulas(self, tmp_path, records, repeats):
         # Long enough to span several write batches.
