@@ -4,6 +4,7 @@ checks used as independent oracles."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -91,11 +92,12 @@ def _overflow(p: ReductionParams) -> ParamOutOfRange:
 def _judge(excess: list[float], bound: list[float],
            culprit: Callable[[int], SepscopeError]) -> tuple[list[float], list[bool]]:
     """The one verdict rule of every criterion, entry by entry: the violation
-    is max(excess, 0), flagged where it exceeds TOL_VERDICT * max(1, bound).
-    An excess that is not a finite float raises culprit(i) for the first."""
+    is max(0, excess), so +0.0 where the excess is -0.0, flagged where it
+    exceeds TOL_VERDICT * max(1, bound).  An excess that is not a finite
+    float raises culprit(i) for the first."""
     if not all(map(math.isfinite, excess)):
         raise culprit([math.isfinite(e) for e in excess].index(False))
-    violation = [max(e, 0.0) for e in excess]
+    violation = [max(0.0, e) for e in excess]
     return violation, [v > TOL_VERDICT * max(1.0, b) for v, b in zip(violation, bound)]
 
 
@@ -127,6 +129,17 @@ def generalized_reduction_map(rho: DensityState, p: ReductionParams) -> np.ndarr
     return reduction_maps(rho, (p,))[0]
 
 
+@functools.lru_cache(maxsize=1 << 13)  # one full b stack's factors, across family parameters
+def _factor(x: complex, dim: int, same: bool) -> float:
+    """h_factor's value, keyed by whether the two flags are the same."""
+    try:
+        if same:
+            return abs(x - 1.0) + (dim - 1) * abs(x)
+        return math.sqrt(abs(x - 1.0) ** 2 + (dim - 1) * abs(x) ** 2)
+    except OverflowError:  # an intermediate is not finite, so neither is the factor
+        return math.inf
+
+
 def h_factor(x: complex, dim: int, row_in: bool, col_in: bool) -> float:
     """Per-subsystem bound factor for parameter x on a dim-dimensional factor.
 
@@ -134,13 +147,7 @@ def h_factor(x: complex, dim: int, row_in: bool, col_in: bool) -> float:
     |x-1| + (dim-1)|x|; with exactly one flag it is
     sqrt(|x-1|^2 + (dim-1)|x|^2).
     """
-    x = complex(x)
-    try:
-        if row_in == col_in:
-            return abs(x - 1.0) + (dim - 1) * abs(x)
-        return math.sqrt(abs(x - 1.0) ** 2 + (dim - 1) * abs(x) ** 2)
-    except OverflowError:  # an intermediate is not finite, so neither is the factor
-        return math.inf
+    return _factor(complex(x), dim, row_in == col_in)
 
 
 def bound_for(p: ReductionParams, dims, y: GptOpSet) -> BoundPair:
@@ -167,20 +174,6 @@ class VerdictBlock(NamedTuple):
     entangled: list[bool]
 
 
-def _bound_factors(xs: list[complex], dim: int):
-    """h_factor over xs for a flag pair, computed once per kind of pair: the
-    factor depends on the two flags only through whether they are equal."""
-    factors: dict[bool, list[float]] = {}
-
-    def get(row_in: bool, col_in: bool) -> list[float]:
-        same = row_in == col_in
-        if same not in factors:
-            factors[same] = [h_factor(x, dim, row_in, col_in) for x in xs]
-        return factors[same]
-
-    return get
-
-
 def verdict_blocks(
     rho: DensityState,
     params: Sequence[ReductionParams],
@@ -189,31 +182,24 @@ def verdict_blocks(
     """Generalized reduction criterion for every pair (params[i], ysets[j]),
     one VerdictBlock per complement class, lazily.
 
-    All maps come from one stack built once.  The requested subsets are
-    taken one complement class {y, complement of y} at a time, in order of
-    each class's first request, each with one stacked SVD over all of
-    params; a class is computed only when the consumer asks for its block,
-    so a consumer may stop early.  A subset and its complement have
-    transposed transforms, hence the same statistic and the same bound:
-    when both are requested, the member without rA is computed and its
-    statistic serves both.  A subset requested without its complement is
-    computed from its own transform.  A map, statistic or bound that is not
-    finite raises ParamOutOfRange naming its (a, b).
+    All maps come from one stack built once.  A subset and its complement
+    have transposed transforms, hence the same statistic and bound, so each
+    class {y, complement of y} is computed from its member without rA, with
+    one stacked SVD over all of params, whatever was requested.  Classes
+    come in order of their first request, each only when the consumer asks
+    for its block, so a consumer may stop early.  A map, statistic or bound
+    that is not finite raises ParamOutOfRange naming its (a, b).
     """
     stack = reduction_maps(rho, params)
-    factor_a = _bound_factors([p.a for p in params], rho.dims.m)
-    factor_b = _bound_factors([p.b for p in params], rho.dims.n)
+    m, n = rho.dims.m, rho.dims.n
     # A class is named by the flags (cA, rB, cB) of its member without rA.
     classes: dict[tuple[bool, bool, bool], list[int]] = {}
     for j, y in enumerate(ysets):
         name = (not y.cA, not y.rB, not y.cB) if y.rA else (y.cA, y.rB, y.cB)
         classes.setdefault(name, []).append(j)
-    for name, served in classes.items():
-        both = len({ysets[j].rA for j in served}) == 2
-        computed = GptOpSet(False, *name) if both else ysets[served[0]]
-        statistic = trace_norm(gpt_transform(stack, rho.dims, computed))
-        bound = [h_a * h_b for h_a, h_b in zip(factor_a(computed.rA, computed.cA),
-                                               factor_b(computed.rB, computed.cB))]
+    for (cA, rB, cB), served in classes.items():
+        statistic = trace_norm(gpt_transform(stack, rho.dims, GptOpSet(False, cA, rB, cB)))
+        bound = [_factor(p.a, m, not cA) * _factor(p.b, n, rB == cB) for p in params]
         excess = [s - b for s, b in zip(statistic, bound)]  # finite iff both are: s, b >= 0
         violation, entangled = _judge(excess, bound, lambda i: _overflow(params[i]))
         yield VerdictBlock(served, statistic, bound, violation, entangled)

@@ -114,15 +114,20 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> list[SweepRecord]:
 
 def _sweep_records(spec: GridSpec) -> Iterator[SweepRecord]:
     """run_sweep's records, computed one stack of b points at a time as they
-    are asked for; errors surface when the first record is."""
+    are asked for; errors surface when the first record is.  A stack's
+    params are built when it is reached and dropped when the next one is."""
     factory = _state_factory(spec.family, spec.path)
     bs = axis_points(*spec.b_axis)
-    chunks = [(bs[i:i + STACK_MAPS], [ReductionParams(spec.a, b) for b in bs[i:i + STACK_MAPS]])
-              for i in range(0, len(bs), STACK_MAPS)]
+
+    @functools.lru_cache(maxsize=1)  # a one-stack b axis builds its params once
+    def stack(start: int) -> tuple[list[float], list[ReductionParams]]:
+        chunk = bs[start:start + STACK_MAPS]
+        return chunk, [ReductionParams(spec.a, b) for b in chunk]
+
     code = spec.yset.code
     for param in axis_points(*spec.param_axis):
         state = factory(param)
-        for chunk, grid in chunks:
+        for chunk, grid in map(stack, range(0, len(bs), STACK_MAPS)):
             for block in verdict_blocks(state, grid, (spec.yset,)):
                 yield from (SweepRecord(param, spec.a, b, code, statistic, bound, violation)
                             for b, statistic, bound, violation in zip(chunk, block.statistic,

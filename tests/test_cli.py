@@ -14,6 +14,7 @@ import pytest
 from sepscope import (
     GptOpSet,
     ReductionParams,
+    all_subsets,
     evaluate,
     horodecki_3x3,
     load_state,
@@ -79,6 +80,26 @@ class TestCheck:
         assert code == 1
         rows = verdict_rows(capsys.readouterr().out)
         assert len(rows) == 16 + 3
+
+    def test_lone_subset_prints_its_all_row(self, capsys):
+        argv = ["check", "--builtin", "random", "--seed", "11", "--criterion", "grc",
+                "--a", "0.3", "--a-im", "0.2", "--b", "-0.7"]
+        main(argv + ["--yset", "all"])
+        rows = capsys.readouterr().out.splitlines()[2:18]
+        for y, row in zip(all_subsets(), rows, strict=True):
+            main(argv + ["--yset", y.code])
+            assert capsys.readouterr().out.splitlines()[2] == row
+
+    def test_product_state_violation_prints_zero(self, tmp_path, capsys):
+        # On |00><00| both oracles read a statistic of 0, so an excess of -0.0.
+        mat = np.zeros((4, 4))
+        mat[0, 0] = 1.0
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, "re": mat.tolist(),
+                                    "im": np.zeros((4, 4)).tolist()}))
+        assert main(["check", "--file", str(path)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[4] for row in rows if row[0] in ("ppt", "reduction")] == ["0", "0"]
 
     def test_bad_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -213,6 +234,18 @@ class TestSweep:
         payload = json.loads(out.read_text())
         assert len(payload) == 4
         assert all(entry["violation"] > 1e-8 for entry in payload)
+
+    def test_complement_differs_only_in_yset(self, tmp_path):
+        tables = []
+        for yset in ("rA,cB", "cA,rB"):
+            out = tmp_path / f"{yset}.csv"
+            assert main(["sweep", "--family", "horodecki", "--a", "0.7", "--yset", yset,
+                         "--out", str(out)]) == 0
+            tables.append(list(csv.DictReader(out.read_text().splitlines())))
+        assert len(tables[0]) == len(tables[1]) == 41 * 19
+        for row, other in zip(*tables):
+            assert (row.pop("yset"), other.pop("yset")) == ("rA,cB", "cA,rB")
+            assert row == other
 
     def test_file_family(self, tmp_path):
         state_path = tmp_path / "w.json"

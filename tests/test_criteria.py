@@ -257,8 +257,13 @@ class TestSpecializationIdentities:
 
         st = random_state(2, 3, 103)
         for y in all_subsets():
+            # Y's class is computed from its member without rA, whose
+            # transform is the transpose of Y's where Y holds rA.
+            member = GptOpSet(False, *(flag != y.rA for flag in (y.cA, y.rB, y.cB)))
             v = evaluate(st, ReductionParams(0, 0), y)
-            assert v.statistic == trace_norm(gpt_transform(st.mat, st.dims, y))
+            assert v.statistic == trace_norm(gpt_transform(st.mat, st.dims, member))
+            assert v.statistic == pytest.approx(
+                trace_norm(gpt_transform(st.mat, st.dims, y)), rel=1e-12)
             assert v.bound == pytest.approx(1.0, abs=1e-15)
 
     def test_reduction_a_side(self):

@@ -65,13 +65,12 @@ class TestKernelEquivalence:
                 assert verdicts[k].violation == verdicts[15 - k].violation
 
     def test_rA_free_subsets_independent_of_request(self, m, n):
-        # A subset without rA is the member computed for its class, so its
-        # verdict does not depend on what else was requested.
+        # Every class is computed from its member without rA, so no subset's
+        # verdict depends on what else was requested, down to the last bit.
         st_ = random_state(m, n, 40 * m + n)
         for p in COMPLEX_PARAMS:
             for got, y in zip(evaluate_all_Y(st_, p), all_subsets()):
-                if not y.rA:
-                    assert got == evaluate(st_, p, y)
+                assert got == evaluate(st_, p, y)
 
     def test_stack_slices_equal_batch_of_one(self, m, n):
         st_ = random_state(m, n, 30 * m + n)
@@ -113,18 +112,17 @@ class TestBlocks:
                     assert block.bound[i] == bound_for(p, st_.dims, subsets[j]).product
         assert sorted(served) == list(range(16))
 
-    def test_four_factor_vectors_per_call(self, monkeypatch):
-        import sepscope.criteria as criteria
+    def test_factor_cache_misses_per_call(self):
+        from sepscope.criteria import _factor
 
-        calls = []
-        original = criteria.h_factor
-        monkeypatch.setattr(criteria, "h_factor",
-                            lambda *args: calls.append(args) or original(*args))
         grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
-        blocks = list(verdict_blocks(random_state(3, 3, 3), grid, all_subsets()))
-        assert len(blocks) == 8
-        # A factor and B factor, each with equal and with unequal flags.
-        assert len(calls) == 4 * len(grid)
+        st_ = random_state(3, 3, 3)
+        _factor.cache_clear()
+        assert len(list(verdict_blocks(st_, grid, all_subsets()))) == 8
+        # Each value with equal and with unequal flags; a and b share keys, as m = n.
+        assert _factor.cache_info().misses == 2 * len(AB_TEST_GRID)
+        list(verdict_blocks(st_, grid, all_subsets()))
+        assert _factor.cache_info().misses == 2 * len(AB_TEST_GRID)
 
     def test_flag_rule(self):
         st_ = werner(3, -1.0).state
