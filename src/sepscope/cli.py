@@ -17,9 +17,9 @@ from .criteria import (
     ORACLES,
     CriterionVerdict,
     ReductionParams,
+    detected,
     evaluate,
     evaluate_all_Y,
-    verdict_blocks,
 )
 from .errors import ParamOutOfRange, SepscopeError
 from .gptops import GptOpSet, all_subsets
@@ -146,8 +146,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         state = labeled.state
         row = (
             *(check(state).entangled for check in ORACLES.values()),
-            # Stops at the first detecting class, before the remaining SVDs.
-            any(any(block.entangled) for block in verdict_blocks(state, grid, subsets)),
+            # Stops at the first detecting class, and takes the SVD only of the
+            # maps whose column or row norms do not already sum within the bound.
+            detected(state, grid, subsets),
         )
         flags.append(row)
         param_text = " ".join(f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"

@@ -19,6 +19,7 @@ from .gptops import (
     gpt_transform,
     partial_transpose,
     realign,
+    transform_digits,
 )
 from .matlin import (
     DensityState,
@@ -174,6 +175,41 @@ class VerdictBlock(NamedTuple):
     entangled: list[bool]
 
 
+def _classes(
+    params: Sequence[ReductionParams],
+    dims,
+    ysets: Sequence[GptOpSet],
+) -> Iterator[tuple[GptOpSet, list[int], list[float]]]:
+    """The complement classes {y, complement of y} of ysets, lazily, in order
+    of their first request: each as its member without rA, the indices of
+    the requested subsets it serves, and its bound over params.
+
+    A subset and its complement have transposed transforms, hence the same
+    statistic and bound.  The bound depends on the member's flags only
+    through (not cA, rB == cB), so each of the at most four lists is built
+    once per call, on first use, and shared by the classes with its key.
+    """
+    served: dict[tuple[bool, bool, bool], list[int]] = {}
+    for j, y in enumerate(ysets):
+        name = (not y.cA, not y.rB, not y.cB) if y.rA else (y.cA, y.rB, y.cB)
+        served.setdefault(name, []).append(j)
+    bounds: dict[tuple[bool, bool], list[float]] = {}
+    for (cA, rB, cB), indices in served.items():
+        key = (not cA, rB == cB)
+        if key not in bounds:
+            bounds[key] = [_factor(p.a, dims.m, key[0]) * _factor(p.b, dims.n, key[1])
+                           for p in params]
+        yield GptOpSet(False, cA, rB, cB), indices, bounds[key]
+
+
+def _judged(statistic: list[float], bound: list[float], params: Sequence[ReductionParams]
+            ) -> tuple[list[float], list[bool]]:
+    """_judge on trace norms against their bounds; a pair whose excess is not
+    finite raises ParamOutOfRange naming its (a, b)."""
+    excess = [s - b for s, b in zip(statistic, bound)]  # finite iff both are: s, b >= 0
+    return _judge(excess, bound, lambda i: _overflow(params[i]))
+
+
 def verdict_blocks(
     rho: DensityState,
     params: Sequence[ReductionParams],
@@ -182,27 +218,71 @@ def verdict_blocks(
     """Generalized reduction criterion for every pair (params[i], ysets[j]),
     one VerdictBlock per complement class, lazily.
 
-    All maps come from one stack built once.  A subset and its complement
-    have transposed transforms, hence the same statistic and bound, so each
-    class {y, complement of y} is computed from its member without rA, with
-    one stacked SVD over all of params, whatever was requested.  Classes
-    come in order of their first request, each only when the consumer asks
-    for its block, so a consumer may stop early.  A map, statistic or bound
-    that is not finite raises ParamOutOfRange naming its (a, b).
+    All maps come from one stack built once.  Each class of _classes is
+    computed from its member without rA, with one stacked SVD over all of
+    params, whatever was requested.  Classes come in order of their first
+    request, each only when the consumer asks for its block, so a consumer
+    may stop early.  A map, statistic or bound that is not finite raises
+    ParamOutOfRange naming its (a, b).
     """
     stack = reduction_maps(rho, params)
-    m, n = rho.dims.m, rho.dims.n
-    # A class is named by the flags (cA, rB, cB) of its member without rA.
-    classes: dict[tuple[bool, bool, bool], list[int]] = {}
-    for j, y in enumerate(ysets):
-        name = (not y.cA, not y.rB, not y.cB) if y.rA else (y.cA, y.rB, y.cB)
-        classes.setdefault(name, []).append(j)
-    for (cA, rB, cB), served in classes.items():
-        statistic = trace_norm(gpt_transform(stack, rho.dims, GptOpSet(False, cA, rB, cB)))
-        bound = [_factor(p.a, m, not cA) * _factor(p.b, n, rB == cB) for p in params]
-        excess = [s - b for s, b in zip(statistic, bound)]  # finite iff both are: s, b >= 0
-        violation, entangled = _judge(excess, bound, lambda i: _overflow(params[i]))
+    for member, served, bound in _classes(params, rho.dims, ysets):
+        statistic = trace_norm(gpt_transform(stack, rho.dims, member))
+        violation, entangled = _judged(statistic, bound, params)
         yield VerdictBlock(served, statistic, bound, violation, entangled)
+
+
+def detected(
+    rho: DensityState,
+    params: Sequence[ReductionParams],
+    ysets: Sequence[GptOpSet],
+) -> bool:
+    """Whether any pair (params[i], ysets[j]) is flagged: what
+    ``any(any(b.entangled) for b in verdict_blocks(rho, params, ysets))``
+    returns, raising what it raises, with an SVD only of the maps that a
+    cheap upper bound on the trace norm leaves unsettled.
+
+    Write a class member's transform X by its columns, X = sum_j x_j e_j^†.
+    Each term has rank one and trace norm ||x_j||_2, so the triangle
+    inequality gives ||X||_1 <= sum_j ||x_j||_2, and likewise for the rows.
+    Every transform only permutes the entries of its map, so both sums come
+    from axis sums of one array of squared magnitudes, without a transposed
+    copy.  A parameter is settled, not flagged, where the smaller sum is at
+    most its finite bound.  The SVD sum and that bound each round by
+    O(d * eps * bound) (the statistic's worst measured excess is 0.67 eps d
+    ||rho~||_F), and squares that underflow lose under 1e-154 per entry:
+    about seven orders below the flag threshold TOL_VERDICT * max(1, bound),
+    so the full path would flag no settled pair.  Nor would it raise on one:
+    a settled pair's sums and bound are finite, so each of its squared
+    column norms is, and its statistic, below d**2 * sqrt(float max), is too.
+
+    Every other parameter takes the full path's arithmetic: the SVD of its
+    own map and _judge.  numpy's stacked SVD takes each matrix alone, so an
+    unsettled map's statistic has the bits verdict_blocks gives it, and a flag or
+    a ParamOutOfRange comes from the same first class and names the same
+    (a, b).
+    """
+    stack = reduction_maps(rho, params)
+    k, m, n = len(params), rho.dims.m, rho.dims.n
+    with np.errstate(over="ignore"):  # an infinite square or sum leaves its parameter open
+        sq = (stack.real ** 2 + stack.imag ** 2).reshape(k, m, n, m, n)  # axes (k, i, mu, j, nu)
+        for member, _, bound in _classes(params, rho.dims, ysets):
+            digits = transform_digits(member)
+            row_axes = tuple(1 + axis for axis, in_rows in digits if in_rows)
+            col_axes = tuple(1 + axis for axis, in_rows in digits if not in_rows)
+            # A column's squared norm sums sq over the row digits, a row's over the others.
+            upper = np.minimum(np.sqrt(sq.sum(axis=row_axes)).reshape(k, -1).sum(-1),
+                               np.sqrt(sq.sum(axis=col_axes)).reshape(k, -1).sum(-1))
+            limit = np.array(bound)
+            unsettled = np.flatnonzero(~((upper <= limit) & np.isfinite(limit)))
+            if unsettled.size == 0:
+                continue
+            statistic = trace_norm(gpt_transform(stack[unsettled], rho.dims, member))
+            _, entangled = _judged(statistic, limit[unsettled].tolist(),
+                                   [params[i] for i in unsettled])
+            if any(entangled):
+                return True
+    return False
 
 
 def _verdict(block: VerdictBlock, i: int, p: ReductionParams, y: GptOpSet) -> CriterionVerdict:

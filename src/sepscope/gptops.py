@@ -114,16 +114,21 @@ def gpt_transform(rho, dims: SubsystemDims, y: GptOpSet) -> np.ndarray:
     lead = rho.shape[:-2]
     off = len(lead)
     t = rho.reshape(*lead, m, n, m, n)  # axes (..., i, mu, j, nu)
-    # Digits from highest to lowest order: j, i, nu, mu as (axis, size, in rows?).
-    digits = ((2, m, y.cA), (0, m, not y.rA), (3, n, y.cB), (1, n, not y.rB))
-    row_axes = [off + axis for axis, _, in_rows in digits if in_rows]
-    col_axes = [off + axis for axis, _, in_rows in digits if not in_rows]
+    digits = transform_digits(y)
+    row_axes = [off + axis for axis, in_rows in digits if in_rows]
+    col_axes = [off + axis for axis, in_rows in digits if not in_rows]
     rows = 1
-    for _, size, in_rows in digits:
-        if in_rows:
-            rows *= size
+    for axis in row_axes:
+        rows *= t.shape[axis]
     return t.transpose([*range(off), *row_axes, *col_axes]).reshape(
         *lead, rows, (m * m * n * n) // rows)
+
+
+def transform_digits(y: GptOpSet) -> tuple[tuple[int, bool], ...]:
+    """gpt_transform's index digits from highest to lowest order, j, i, nu,
+    mu, each as (its axis in the (i, mu, j, nu) view of the matrix, whether
+    it indexes the rows of y's transform)."""
+    return ((2, y.cA), (0, not y.rA), (3, y.cB), (1, not y.rB))
 
 
 REALIGN_Y = GptOpSet(cA=True, rB=True)

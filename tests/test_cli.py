@@ -464,7 +464,30 @@ class TestParserReuse:
         assert run(commands) == first
 
 
+# sha256 of compare's stdout for each family it takes, fixed before compare
+# settled verdicts by a norm bound: any byte change in compare fails here.
+COMPARE_CASES = {
+    "werner-3": (["--family", "werner-3", "--count", "9"],
+                 "77b6cfba7c023182c6542567050416de72f5055820c6143181e1c63354a3d7c8"),
+    "horodecki": (["--family", "horodecki", "--count", "9"],
+                  "89c24f46407c392b3b0020532e48f2bc84096aa10d7b548a7729035df0640288"),
+    "separable-2x3": (["--family", "separable", "--m", "2", "--n", "3", "--k", "6", "--seed", "5",
+                       "--count", "6"],
+                      "4a7f7808aac0d263c8dcb906b6d2366d6743c94ccbc2ee9e06a72a44ec43b4ba"),
+    "separable-3x3": (["--family", "separable", "--seed", "0", "--count", "6"],
+                      "6dd23b601077e3bf560d7acb56f2ce0c7361eab9a80bfb5c10eea475ab310aea"),
+    "random": (["--family", "random", "--seed", "9", "--count", "6"],
+               "032f7dead3e46d642f34cf8e6903f238a9c67ac2511096bc425a01dc3e276b6c"),
+}
+
+
 class TestCompare:
+    @pytest.mark.parametrize("case", sorted(COMPARE_CASES))
+    def test_bytes_unchanged(self, capsys, case):
+        argv, digest = COMPARE_CASES[case]
+        assert main(["compare", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_separable_ensemble_all_clean(self, capsys):
         code = main([
             "compare", "--family", "separable", "--count", "4",

@@ -29,7 +29,9 @@ from sepscope import (
     werner,
 )
 from sepscope.cli import main
-from sepscope.criteria import verdict_blocks
+from sepscope.criteria import detected, verdict_blocks
+from sepscope.errors import ParamOutOfRange
+from sepscope.states import random_density_state
 
 COMPLEX_PARAMS = (
     ReductionParams(0.3 - 0.7j, 1.2 + 0.4j),
@@ -124,6 +126,13 @@ class TestBlocks:
         list(verdict_blocks(st_, grid, all_subsets()))
         assert _factor.cache_info().misses == 2 * len(AB_TEST_GRID)
 
+    def test_one_bound_list_per_key(self):
+        # A class's bound depends on its member's flags only through
+        # (not cA, rB == cB), so the 8 classes share 4 lists.
+        blocks = list(verdict_blocks(random_state(2, 3, 7), COMPLEX_PARAMS, all_subsets()))
+        assert len(blocks) == 8
+        assert len({id(block.bound) for block in blocks}) == 4
+
     def test_flag_rule(self):
         st_ = werner(3, -1.0).state
         for block in verdict_blocks(st_, COMPLEX_PARAMS, all_subsets()):
@@ -196,11 +205,27 @@ class TestCompareEarlyExit:
         original = criteria.gpt_transform
         monkeypatch.setattr(criteria, "gpt_transform",
                             lambda rho, dims, y: transforms.append(y) or original(rho, dims, y))
-        # --count 1 is the single state f = -1.  The fourth class, {rB,cB} and
-        # {rA,cA}, holds the partial transpose at (a, b) = (0, 0), which
-        # detects it; the four classes after it are never computed.
+        # --count 1 is the single state f = -1.  The second and third classes,
+        # {cB} and {rB}, are settled by the norm bound without a transform.
+        # The fourth, {rB,cB} and {rA,cA}, holds the partial transpose at
+        # (a, b) = (0, 0), which detects it; the four classes after it are
+        # never computed.
         assert compare_grc_column(capsys, ["--family", "werner-3"], 1) == [True]
-        assert [y.code for y in transforms] == ["none", "cB", "rB", "rB,cB"]
+        assert [y.code for y in transforms] == ["none", "rB,cB"]
+
+    def test_separable_takes_fewer_svds(self, monkeypatch, capsys):
+        import sepscope.criteria as criteria
+
+        maps = []
+        original = criteria.trace_norm
+        monkeypatch.setattr(criteria, "trace_norm",
+                            lambda mat: maps.append(np.shape(mat)[:-2]) or original(mat))
+        # The state of seed 0 (3x3, k = 12).  The realignment oracle takes one
+        # matrix; the full path would take stacks of 36 maps in each of the 8
+        # classes, 288 maps in all.
+        assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
+        assert maps[0] == ()
+        assert sum(stack for stack, in maps[1:]) == 80 < 288
 
 
 class TestCompareMatchesReference:
@@ -249,3 +274,66 @@ class TestSeparableSoundnessProperty:
         p = ReductionParams(a, b)
         assert not any(evaluate(state, p, y).entangled for y in all_subsets())
         assert not any(v.entangled for v in evaluate_all_Y(state, p))
+
+
+def real_or_complex_scalar():
+    """Real numbers of either sign, or complex numbers, with magnitude 1e-3..1e5."""
+    real = st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+                     st.floats(-3.0, 5.0), st.sampled_from([-1.0, 1.0]))
+    return st.one_of(real, complex_scalar())
+
+
+@st.composite
+def kernel_states(draw):
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**31 - 1))
+    kind = draw(st.sampled_from(["separable", "product", "random", "werner"]))
+    if kind == "separable":
+        return random_separable(SubsystemDims(m, n), draw(st.integers(2, 12)), seed).state
+    if kind == "product":  # every pair is tight: the statistic equals the bound
+        return random_separable(SubsystemDims(m, n), 1, seed).state
+    if kind == "random":
+        return random_state(m, n, seed)
+    return werner(m, draw(st.floats(-1.0, 1.0))).state
+
+
+def outcome(decide):
+    try:
+        return decide()
+    except ParamOutOfRange as exc:
+        return type(exc), str(exc)
+
+
+def full_path(state, params, ysets):
+    return any(any(block.entangled) for block in verdict_blocks(state, params, ysets))
+
+
+class TestDetected:
+    @settings(max_examples=150)
+    @given(
+        state=kernel_states(),
+        params=st.lists(st.builds(ReductionParams, real_or_complex_scalar(),
+                                  real_or_complex_scalar()), min_size=1, max_size=6),
+        ysets=st.lists(st.sampled_from(all_subsets()), max_size=20),
+    )
+    def test_equals_full_path(self, state, params, ysets):
+        assert detected(state, params, ysets) == full_path(state, params, ysets)
+
+    @pytest.mark.parametrize("a,b", [(1e308, 1e-300), (1e200, 1e-100), (1e160, 1e-10)])
+    def test_overflow_raises_as_full_path(self, a, b):
+        # The map's squares overflow here; the suite turns a RuntimeWarning
+        # into a failure.
+        state = random_density_state(SubsystemDims(3, 3), 1).state
+        params = (ReductionParams(0.5, 0.5), ReductionParams(a, b))
+        want = outcome(lambda: full_path(state, params, all_subsets()))
+        assert want[0] is ParamOutOfRange and "not finite at a=" in want[1]
+        assert outcome(lambda: detected(state, params, all_subsets())) == want
+
+    def test_mixed_stack_flags_as_full_path(self):
+        # Random states are flagged, separable ones are not, whatever the
+        # share of settled parameters in each class.
+        grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
+        for seed in range(6):
+            for state in (random_state(3, 3, seed),
+                          random_separable(SubsystemDims(3, 3), 12, seed).state):
+                assert detected(state, grid, all_subsets()) == full_path(state, grid, all_subsets())

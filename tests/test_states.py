@@ -131,6 +131,31 @@ class TestRandomSeparable:
         with pytest.raises(ParamOutOfRange):
             random_separable(SubsystemDims(2, 2), 0, seed=1)
 
+    @staticmethod
+    def term_by_term(dims, k, seed):
+        """The constructor as the per-term loop it replaced: each term draws
+        its kets, normalizes them with np.linalg.norm, and adds its product."""
+        rng = np.random.default_rng(seed)
+        weights = rng.exponential(size=k)
+        weights /= weights.sum()
+        mat = np.zeros((dims.total, dims.total), dtype=complex)
+        for p in weights:
+            kets = []
+            for dim in (dims.m, dims.n):
+                g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                kets.append(g / np.linalg.norm(g))
+            product = np.kron(*kets)
+            mat += p * np.outer(product, product.conj())
+        return mat
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 5), (8, 8)])
+    @pytest.mark.parametrize("k", [1, 2, 12, 40])
+    def test_bytes_equal_term_by_term(self, m, n, k):
+        dims = SubsystemDims(m, n)
+        for seed in range(60):
+            got = random_separable(dims, k, seed).state.mat
+            assert got.tobytes() == self.term_by_term(dims, k, seed).tobytes(), seed
+
 
 class TestRandomDensity:
     def test_density_invariants(self):
