@@ -91,7 +91,7 @@ def horodecki_3x3(c: float) -> LabeledState:
 def _normalized(g: np.ndarray) -> np.ndarray:
     """Each row of g over its 2-norm.  The norm is np.linalg.norm's
     arithmetic, real and imaginary parts each as a dot with itself, batched
-    through @, so every row has the bits it has alone."""
+    through @, so it equals np.linalg.norm of the row bit for bit."""
     re, im = g.real[:, None, :], g.imag[:, None, :]
     norm = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
     return g / norm[:, None]
@@ -103,8 +103,8 @@ def random_separable(dims: SubsystemDims, k: int, seed: int) -> LabeledState:
     Weights come from a flat simplex distribution (normalized exponentials)
     and the local vectors are Haar-uniform.  Each term draws its kets' real
     and imaginary parts, A's then B's, in one row of a single draw, and the
-    terms are summed in order, so the matrix has the bits of the term-by-term
-    loop it replaced.
+    terms are summed in order: the matrix equals, bit for bit, a loop that
+    draws, normalizes and adds one term at a time.
     """
     if k < 1:
         raise ParamOutOfRange(f"term count must be >= 1, got {k}")

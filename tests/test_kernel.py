@@ -319,21 +319,13 @@ class TestDetected:
     def test_equals_full_path(self, state, params, ysets):
         assert detected(state, params, ysets) == full_path(state, params, ysets)
 
+    @pytest.mark.parametrize("lead", [(), (ReductionParams(0.5, 0.5),)], ids=["alone", "second"])
     @pytest.mark.parametrize("a,b", [(1e308, 1e-300), (1e200, 1e-100), (1e160, 1e-10)])
-    def test_overflow_raises_as_full_path(self, a, b):
+    def test_overflow_raises_as_full_path(self, a, b, lead):
         # The map's squares overflow here; the suite turns a RuntimeWarning
         # into a failure.
         state = random_density_state(SubsystemDims(3, 3), 1).state
-        params = (ReductionParams(0.5, 0.5), ReductionParams(a, b))
+        params = (*lead, ReductionParams(a, b))
         want = outcome(lambda: full_path(state, params, all_subsets()))
         assert want[0] is ParamOutOfRange and "not finite at a=" in want[1]
         assert outcome(lambda: detected(state, params, all_subsets())) == want
-
-    def test_mixed_stack_flags_as_full_path(self):
-        # Random states are flagged, separable ones are not, whatever the
-        # share of settled parameters in each class.
-        grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
-        for seed in range(6):
-            for state in (random_state(3, 3, seed),
-                          random_separable(SubsystemDims(3, 3), 12, seed).state):
-                assert detected(state, grid, all_subsets()) == full_path(state, grid, all_subsets())
