@@ -147,7 +147,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         row = (
             *(check(state).entangled for check in ORACLES.values()),
             # Stops at the first detecting class, and takes the SVD only of the
-            # maps whose column or row norms do not already sum within the bound.
+            # maps that none of its three trace-norm bounds settles.
             detected(state, grid, subsets),
         )
         flags.append(row)

@@ -232,6 +232,81 @@ def verdict_blocks(
         yield VerdictBlock(served, statistic, bound, violation, entangled)
 
 
+class _Split:
+    """The per-state parts of rho~ = (aI - rho_A) kron (bI - rho_B) + Delta,
+    Delta = rho - rho_A kron rho_B, that detected's product-residual screen
+    reads over a call's params, each built on first use.
+
+    ``product`` bounds, for every parameter, the trace norm of the product
+    term under a class's transform: the Kronecker product of one factor per
+    side, xI - mat for x = a or b.  With the side's two flags equal the
+    factor stays a square matrix, xI - mat or its transpose, whose trace
+    norm is at most sum_i |x - lambda_i| + sqrt(dim) ||K||_F over the
+    eigenvalues lambda_i of mat's Hermitian part and its skew part K (exact
+    for Hermitian mat, and at most the side's bound factor h for a density
+    matrix); with one flag it is vec(xI - mat), whose trace norm is its
+    Frobenius norm, sum_i |x - mat_ii|^2 plus the off-diagonal squares
+    under the root.  The residual's trace norm does not depend on (a, b);
+    the realignment class's is the statistic of Zhang, Zhang, Zhang & Guo
+    (PRA 77, 060301(R), 2008).
+    """
+
+    def __init__(self, rho: DensityState, params: Sequence[ReductionParams]) -> None:
+        self.rho, self.params = rho, params
+        self.sides = {"A": partial_trace(rho, "B"), "B": partial_trace(rho, "A")}
+        self.delta = rho.mat - kron(self.sides["A"], self.sides["B"])
+        self.delta_fro = float(np.linalg.norm(self.delta))
+        self._factors: dict[tuple[str, bool], np.ndarray] = {}
+
+    def _factor(self, side: str, same: bool) -> np.ndarray:
+        if (side, same) not in self._factors:
+            mat = self.sides[side]
+            x = np.array([p.a if side == "A" else p.b for p in self.params])[:, None]
+            if same:
+                herm = mat / 2 + mat.conj().T / 2  # no overflow from huge unchecked entries
+                skew = math.sqrt(len(mat)) * np.linalg.norm(mat - herm)
+                factor = np.abs(x - np.linalg.eigvalsh(herm)).sum(-1) + skew
+            else:
+                diagonal = np.diagonal(mat)
+                off = np.linalg.norm(mat - np.diag(diagonal)) ** 2
+                factor = np.sqrt((np.abs(x - diagonal) ** 2).sum(-1) + off)
+            self._factors[side, same] = factor
+        return self._factors[side, same]
+
+    def product(self, member: GptOpSet, idx: np.ndarray) -> np.ndarray:
+        """Upper bounds on the product term's trace norm under member's transform."""
+        return (self._factor("A", not member.cA)[idx]
+                * self._factor("B", member.rB == member.cB)[idx])
+
+    def residual(self, member: GptOpSet) -> float:
+        """The trace norm of member's transform of Delta."""
+        return trace_norm(gpt_transform(self.delta, self.rho.dims, member))
+
+
+def _certified(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Which of the Hermitian-class transforms x (g, d, d) detected's
+    semidefinite certificate settles against their finite bounds."""
+    d = x.shape[-1]
+    herm = (x + x.conj().swapaxes(-1, -2)) / 2
+    skew = (x - herm).view(float)  # K = X - H, exactly, as real and imaginary parts
+    skew = math.sqrt(d) * np.sqrt((skew * skew).sum((-2, -1)))
+    trace = np.trace(herm, axis1=-2, axis2=-1).real
+    sign = np.copysign(1.0, trace)
+    slack = TOL_VERDICT * np.maximum(1.0, bound)
+    group = sign * trace + skew <= bound + slack / 8
+    if not group.any():
+        return group
+    shifted = sign[group, None, None] * herm[group]
+    shifted.reshape(len(shifted), -1)[:, ::d + 1] += (slack[group] / (8 * d))[:, None]  # + tau I
+    try:
+        np.linalg.cholesky(shifted)
+        return group
+    except np.linalg.LinAlgError:  # some s*H is not near-semidefinite: take its spectrum
+        spectral = np.abs(np.linalg.eigvalsh(herm[group])).sum(-1)
+        group[group] = spectral + skew[group] <= bound[group] + slack[group] / 4
+        return group
+
+
 def detected(
     rho: DensityState,
     params: Sequence[ReductionParams],
@@ -239,22 +314,54 @@ def detected(
 ) -> bool:
     """Whether any pair (params[i], ysets[j]) is flagged: what
     ``any(any(b.entangled) for b in verdict_blocks(rho, params, ysets))``
-    returns, raising what it raises, with an SVD only of the maps that a
-    cheap upper bound on the trace norm leaves unsettled.
+    returns, raising what it raises, with an SVD only of the maps that three
+    upper bounds on the trace norm leave unsettled.  Let slack =
+    TOL_VERDICT * max(1, bound), the flag threshold, for a pair's bound.
 
-    Write a class member's transform X by its columns, X = sum_j x_j e_j^†.
-    Each term has rank one and trace norm ||x_j||_2, so the triangle
-    inequality gives ||X||_1 <= sum_j ||x_j||_2, and likewise for the rows.
-    Every transform only permutes the entries of its map, so both sums come
-    from axis sums of one array of squared magnitudes, without a transposed
-    copy.  A parameter is settled, not flagged, where the smaller sum is at
-    most its finite bound.  The SVD sum and that bound each round by
-    O(d * eps * bound) (the statistic's worst measured excess is 0.67 eps d
-    ||rho~||_F), and squares that underflow lose under 1e-154 per entry:
-    about seven orders below the flag threshold TOL_VERDICT * max(1, bound),
-    so the full path would flag no settled pair.  Nor would it raise on one:
-    a settled pair's sums and bound are finite, so each of its squared
-    column norms is, and its statistic, below d**2 * sqrt(float max), is too.
+    1. Column/row sums, every class.  Write a class member's transform X by
+       its columns, X = sum_j x_j e_j^†.  Each term has rank one and trace
+       norm ||x_j||_2, so ||X||_1 <= sum_j ||x_j||_2, and likewise for the
+       rows.  Every transform only permutes the entries of its map, so both
+       sums come from axis sums of one array of squared magnitudes, without
+       a transposed copy; every rA-free member keeps i among its row digits,
+       so all column sums start from one sum over i.  A pair is settled
+       where the smaller sum is at most its finite bound.
+
+    2. Semidefinite certificate, classes none and rB,cB, whose transforms
+       are d x d and Hermitian for real (a, b).  Split X = H + K into its
+       Hermitian and skew parts: ||X||_1 <= ||H||_1 + sqrt(d) ||K||_F, so a
+       complex (a, b) or an unchecked non-Hermitian state only leaves more
+       pairs open.  With s = sign(tr H) (+1 at 0), ||H||_1 = s tr H + 2 sum
+       |lambda| over the negative eigenvalues lambda of sH.  The pairs with
+       s tr H + sqrt(d) ||K||_F <= bound + slack/8 go to one batched
+       Cholesky factorization of sH + tau I, tau = slack/(8d).  If it
+       succeeds, lambda_min(sH) >= -tau - delta, where delta is its backward
+       error, O(d^2 eps ||H||_2), so ||H||_1 <= s tr H + 2d(tau + delta) and
+       ||X||_1 <= bound + 3/8 slack + 2d delta for every pair of the batch.
+       If it fails, each pair is settled where sum_i |eigvalsh(H)_i| +
+       sqrt(d) ||K||_F <= bound + slack/4.  Separable states are tight here
+       wherever X or -X is semidefinite: at (a, b) in {-1, -1/3, 0}^2 and
+       (1, 1) X >= 0, and where one of a, b is 1 and the other <= 0, X <= 0
+       (the reduction criterion).
+
+    3. Product-residual split, the classes with cA or with rB != cB.  The
+       map is rho~ = (aI - rho_A) kron (bI - rho_B) + Delta, and up to row
+       and column permutations a transform of the product term is the
+       Kronecker product of one factor per side, so its trace norm is
+       P(a, b) = p_A p_B (see _Split).  A pair is settled where
+       P(a, b) + ||Y(Delta)||_1 <= bound.  The residual's trace norm, one
+       SVD of one matrix per class, is taken only when an open pair has
+       P(a, b) + ||Delta||_F < bound, as ||Y(Delta)||_1 >= ||Delta||_F.
+
+    Rounding: the full path's statistic and each computed bound above round
+    by O(d * eps * bound) (the statistic's worst measured excess is 0.67 eps
+    d ||rho~||_F), squares that underflow lose under 1e-154 per entry, and
+    the certificate spends at most 3/8 slack; for d = 9 the rest is about
+    1e-13 bound, so the full path would flag no settled pair.  Nor would it
+    raise on one: screens 2 and 3 see only pairs whose column/row sums and
+    bound are finite, so each squared entry of the map is finite, its
+    statistic, below d**2 * sqrt(float max), is too, and no Cholesky or
+    eigenvalue product overflows.
 
     Every other parameter takes the full path's arithmetic: the SVD of its
     own map and _judge.  numpy's stacked SVD takes each matrix alone, so an
@@ -264,20 +371,43 @@ def detected(
     """
     stack = reduction_maps(rho, params)
     k, m, n = len(params), rho.dims.m, rho.dims.n
-    with np.errstate(over="ignore"):  # an infinite square or sum leaves its parameter open
+    split = None
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum or bound leaves a pair open
         sq = (stack.real ** 2 + stack.imag ** 2).reshape(k, m, n, m, n)  # axes (k, i, mu, j, nu)
+        sq_rows = sq.sum(axis=1)  # axes (k, mu, j, nu): i is a row digit of every member
         for member, _, bound in _classes(params, rho.dims, ysets):
             digits = transform_digits(member)
-            row_axes = tuple(1 + axis for axis, in_rows in digits if in_rows)
+            # A column's squared norm sums sq over the row digits, a row's over the
+            # others; sq_rows has summed i and keeps the other digits' axis numbers.
+            row_axes = tuple(axis for axis, in_rows in digits if in_rows and axis)
             col_axes = tuple(1 + axis for axis, in_rows in digits if not in_rows)
-            # A column's squared norm sums sq over the row digits, a row's over the others.
-            upper = np.minimum(np.sqrt(sq.sum(axis=row_axes)).reshape(k, -1).sum(-1),
+            upper = np.minimum(np.sqrt(sq_rows.sum(axis=row_axes)).reshape(k, -1).sum(-1),
                                np.sqrt(sq.sum(axis=col_axes)).reshape(k, -1).sum(-1))
             limit = np.array(bound)
-            unsettled = np.flatnonzero(~((upper <= limit) & np.isfinite(limit)))
+            finite = np.isfinite(upper) & np.isfinite(limit)
+            unsettled = np.flatnonzero(~(finite & (upper <= limit)))
             if unsettled.size == 0:
                 continue
-            statistic = trace_norm(gpt_transform(stack[unsettled], rho.dims, member))
+            screened = finite[unsettled]  # screens 2 and 3 see finite sums and bounds only
+            if member.cA or member.rB != member.cB:
+                if screened.any():
+                    if split is None:
+                        split = _Split(rho, params)
+                    product, cap = split.product(member, unsettled), limit[unsettled]
+                    if np.any(screened & (product + split.delta_fro < cap)):
+                        residual = split.residual(member)
+                        unsettled = unsettled[~(screened & (product + residual <= cap))]
+                if unsettled.size == 0:
+                    continue
+                transform = gpt_transform(stack[unsettled], rho.dims, member)
+            else:
+                transform = gpt_transform(stack[unsettled], rho.dims, member)
+                settled = np.zeros(unsettled.size, dtype=bool)
+                settled[screened] = _certified(transform[screened], limit[unsettled[screened]])
+                unsettled, transform = unsettled[~settled], transform[~settled]
+                if unsettled.size == 0:
+                    continue
+            statistic = trace_norm(transform)
             _, entangled = _judged(statistic, limit[unsettled].tolist(),
                                    [params[i] for i in unsettled])
             if any(entangled):

@@ -25,11 +25,12 @@ from sepscope import (
     horodecki_3x3,
     random_density,
     random_separable,
+    random_unitary,
     run_sweep,
     werner,
 )
 from sepscope.cli import main
-from sepscope.criteria import detected, verdict_blocks
+from sepscope.criteria import TOL_VERDICT, _certified, detected, verdict_blocks
 from sepscope.errors import ParamOutOfRange
 from sepscope.states import random_density_state
 
@@ -205,11 +206,13 @@ class TestCompareEarlyExit:
         original = criteria.gpt_transform
         monkeypatch.setattr(criteria, "gpt_transform",
                             lambda rho, dims, y: transforms.append(y) or original(rho, dims, y))
-        # --count 1 is the single state f = -1.  The second and third classes,
-        # {cB} and {rB}, are settled by the norm bound without a transform.
-        # The fourth, {rB,cB} and {rA,cA}, holds the partial transpose at
-        # (a, b) = (0, 0), which detects it; the four classes after it are
-        # never computed.
+        # --count 1 is the single state f = -1.  The first class takes one
+        # transform, shared by its semidefinite certificate and the SVD of
+        # what the certificate leaves open.  The second and third classes,
+        # {cB} and {rB}, are settled by the norm bound without a transform
+        # (the product-residual split needs none).  The fourth, {rB,cB} and
+        # {rA,cA}, holds the partial transpose at (a, b) = (0, 0), which
+        # detects it; the four classes after it are never computed.
         assert compare_grc_column(capsys, ["--family", "werner-3"], 1) == [True]
         assert [y.code for y in transforms] == ["none", "rB,cB"]
 
@@ -220,12 +223,14 @@ class TestCompareEarlyExit:
         original = criteria.trace_norm
         monkeypatch.setattr(criteria, "trace_norm",
                             lambda mat: maps.append(np.shape(mat)[:-2]) or original(mat))
-        # The state of seed 0 (3x3, k = 12).  The realignment oracle takes one
-        # matrix; the full path would take stacks of 36 maps in each of the 8
-        # classes, 288 maps in all.
+        # The state of seed 0 (3x3, k = 12).  The realignment oracle and the
+        # product-residual split take single matrices; the full path would
+        # take stacks of 36 maps in each of the 8 classes, 288 maps in all.
+        # The column/row screen alone left 80 maps open.
         assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
         assert maps[0] == ()
-        assert sum(stack for stack, in maps[1:]) == 80 < 288
+        assert sum(shape[0] for shape in maps if shape) == 12 < 80
+        assert maps.count(()) == 1 + 1
 
 
 class TestCompareMatchesReference:
@@ -283,11 +288,25 @@ def real_or_complex_scalar():
     return st.one_of(real, complex_scalar())
 
 
+def near_psd_state(m, n, seed, eigenvalue=-0.9e-9):
+    """A state that passes validation with all but one eigenvalue at
+    eigenvalue, inside TOL_PSD; from d = 7 on its trace norm exceeds 1 by
+    more than TOL_VERDICT, so the full path flags it at (0, 0)."""
+    d = m * n
+    spectrum = np.full(d, eigenvalue)
+    spectrum[0] = 1.0 - (d - 1) * eigenvalue
+    u = random_unitary(d, seed)
+    mat = (u * spectrum) @ u.conj().T
+    return DensityState(SubsystemDims(m, n), (mat + mat.conj().T) / 2)
+
+
 @st.composite
 def kernel_states(draw):
     m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     seed = draw(st.integers(0, 2**31 - 1))
-    kind = draw(st.sampled_from(["separable", "product", "random", "werner"]))
+    kind = draw(st.sampled_from(["separable", "product", "random", "werner", "near-psd"]))
+    if kind == "near-psd":
+        return near_psd_state(m, n, seed)
     if kind == "separable":
         return random_separable(SubsystemDims(m, n), draw(st.integers(2, 12)), seed).state
     if kind == "product":  # every pair is tight: the statistic equals the bound
@@ -329,3 +348,90 @@ class TestDetected:
         want = outcome(lambda: full_path(state, params, all_subsets()))
         assert want[0] is ParamOutOfRange and "not finite at a=" in want[1]
         assert outcome(lambda: detected(state, params, all_subsets())) == want
+
+    def test_mixed_stack_flags_as_full_path(self):
+        # Random states are flagged, separable ones are not, whatever the
+        # share of pairs each screen settles in each class.
+        grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
+        states = [werner(3, -0.5).state, horodecki_3x3(0.5).state]
+        for seed in range(6):
+            states += [random_state(3, 3, seed),
+                       random_separable(SubsystemDims(3, 3), 12, seed).state]
+        for state in states:
+            assert detected(state, grid, all_subsets()) == full_path(state, grid, all_subsets())
+
+    def test_near_psd_state_reaches_the_svd(self, monkeypatch):
+        # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
+        # class none.  The certificate's Cholesky must fail on rho + tau I and
+        # its spectral test must leave the pair open.
+        import sepscope.criteria as criteria
+
+        state = near_psd_state(3, 3, 5)
+        pair, none = (ReductionParams(0.0, 0.0),), (GptOpSet(),)
+        assert full_path(state, pair, none)
+        maps = []
+        original = criteria.trace_norm
+        monkeypatch.setattr(criteria, "trace_norm",
+                            lambda mat: maps.append(np.shape(mat)) or original(mat))
+        assert detected(state, pair, none)
+        assert maps == [(1, 9, 9)]
+        grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
+        assert detected(state, grid, all_subsets())
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-5, 1e-3])
+    def test_unchecked_non_hermitian_as_full_path(self, scale):
+        # A separable state plus a skew-Hermitian part, unchecked.  The
+        # Hermitian part of every map keeps its trace and stays semidefinite
+        # at the tight pairs, so only the certificate's skew term keeps it
+        # from settling the pairs the full path flags from 1e-5 on.
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        mat = random_separable(SubsystemDims(3, 3), 12, 3).state.mat + scale * (g - g.conj().T) / 2
+        state = DensityState(SubsystemDims(3, 3), mat, check=False)
+        grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
+        for params in (grid, COMPLEX_PARAMS):
+            assert detected(state, params, all_subsets()) == full_path(state, params, all_subsets())
+
+    def test_unchecked_non_normal_product_as_full_path(self):
+        # rho_A kron rho_B with a non-normal rho_A, unchecked: Delta is zero,
+        # and ||aI - rho_A||_1 exceeds sum_i |a - lambda_i|, which only the
+        # skew term of the product factor makes up.  Class by class, as the
+        # full path flags the first four.
+        rho_a = np.array([[0.5, 0.3, 0.0], [0.0, 0.3, 0.2], [0.0, 0.0, 0.2]])
+        mat = np.kron(rho_a, np.diag([0.5, 0.3, 0.2]))
+        state = DensityState(SubsystemDims(3, 3), mat, check=False)
+        grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
+        flags = [full_path(state, grid, (y,)) for y in all_subsets()]
+        assert flags[:4] == [True] * 4
+        assert [detected(state, grid, (y,)) for y in all_subsets()] == flags
+
+
+class TestCertificate:
+    def test_skew_part_counts_when_cholesky_fails(self):
+        # H = diag(1/2, -1/2) has ||H||_1 = 1 = bound and trace 0, so the
+        # batch's Cholesky fails; X = H + 0.1i I has ||X||_1 = 2 sqrt(0.26),
+        # which only the skew term of the spectral test accounts for.
+        x = np.array([np.diag([0.5, -0.5]) + 0.1j * np.eye(2), np.eye(2)])
+        assert _certified(x, np.array([1.0, 2.0])).tolist() == [False, True]
+
+    @settings(max_examples=150)
+    @given(
+        d=st.integers(2, 6),
+        seed=st.integers(0, 2**31 - 1),
+        sign=st.sampled_from([1.0, -1.0]),
+        scale=st.sampled_from([1.0, 1e3, 1e-3]),
+        gap=st.sampled_from([0.0, 1e-9, 0.5]),
+    )
+    def test_settles_only_within_bound(self, d, seed, sign, scale, gap):
+        # Semidefinite, nearly semidefinite and indefinite Hermitian parts,
+        # each with skew parts from none to large, in one batch.
+        p, q = random_density(d, seed), random_density(d, seed + 1)
+        g = np.random.default_rng(seed).standard_normal((d, d))
+        x = np.array([sign * scale * (p - c * q) + 1j * scale * s * (g + g.T)
+                      for c in (0.0, 1e-10, 0.3) for s in (0.0, 1e-12, 1e-6, 0.1)])
+        bound = np.abs(np.trace(x, axis1=1, axis2=2).real) + scale * gap
+        statistic = np.linalg.svd(x, compute_uv=False).sum(-1)
+        settled = _certified(x, bound)
+        slack = TOL_VERDICT * np.maximum(1.0, bound)
+        assert np.all(statistic[settled] <= (bound + slack)[settled])
+        assert settled[0]  # X = sign * scale * rho is settled at its trace
