@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from .criteria import (
@@ -136,13 +137,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ParamOutOfRange(f"count must be >= 1, got {args.count}")
     family = FAMILIES[args.family]
-    ensemble = [family.build(args, value) for value in family.spacing(args, args.count)]
+    # Each member is built when its row is due; the first before the header,
+    # so a bad option fails before any output.
+    members = (family.build(args, value) for value in family.spacing(args, args.count))
+    first = next(members)
     grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
     subsets = all_subsets()
     names = (*ORACLES, "grc")
     flags: list[tuple[bool, bool, bool, bool]] = []
     print(COMPARE_ROW.format("state", "params", *names))
-    for idx, labeled in enumerate(ensemble):
+    for idx, labeled in enumerate(itertools.chain((first,), members)):
         state = labeled.state
         row = (
             *(check(state).entangled for check in ORACLES.values()),

@@ -512,6 +512,31 @@ class TestCompare:
         assert captured.out == ""
         assert "count" in captured.err
 
+    def test_members_built_when_their_row_is_due(self, monkeypatch):
+        import io
+
+        import sepscope.cli as cli
+
+        out, lines_at_build = io.StringIO(), []
+        family = cli.FAMILIES["werner-3"]
+        monkeypatch.setitem(cli.FAMILIES, "werner-3", family._replace(
+            build=lambda o, f: lines_at_build.append(out.getvalue().count("\n"))
+            or family.build(o, f)))
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["compare", "--family", "werner-3", "--count", "4"]) == 0
+        # Member 0 before the header; member i once the header and rows 0..i-1 are out.
+        assert lines_at_build == [0, 2, 3, 4]
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--seed", "-2"], "non-negative"),
+        (["--k", "0"], "term count"),
+    ])
+    def test_bad_first_member_leaves_stdout_empty(self, capsys, extra, message):
+        assert main(["compare", "--family", "separable", "--count", "3", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_horodecki_ensemble(self, capsys):
         code = main(["compare", "--family", "horodecki", "--count", "3"])
         assert code == 0

@@ -30,8 +30,17 @@ from sepscope import (
     werner,
 )
 from sepscope.cli import main
-from sepscope.criteria import TOL_VERDICT, _certified, detected, verdict_blocks
+from sepscope.criteria import (
+    TOL_VERDICT,
+    _certified,
+    _Split,
+    detected,
+    reduction_maps,
+    verdict_blocks,
+)
 from sepscope.errors import ParamOutOfRange
+from sepscope.gptops import realign
+from sepscope.matlin import kron, partial_trace, trace_norm
 from sepscope.states import random_density_state
 
 COMPLEX_PARAMS = (
@@ -209,10 +218,10 @@ class TestCompareEarlyExit:
         # --count 1 is the single state f = -1.  The first class takes one
         # transform, shared by its semidefinite certificate and the SVD of
         # what the certificate leaves open.  The second and third classes,
-        # {cB} and {rB}, are settled by the norm bound without a transform
-        # (the product-residual split needs none).  The fourth, {rB,cB} and
-        # {rA,cA}, holds the partial transpose at (a, b) = (0, 0), which
-        # detects it; the four classes after it are never computed.
+        # {cB} and {rB}, are settled by the norm bound without a transform.
+        # The fourth, {rB,cB} and {rA,cA}, holds the partial transpose at
+        # (a, b) = (0, 0), which detects it; the four classes after it are
+        # never computed.
         assert compare_grc_column(capsys, ["--family", "werner-3"], 1) == [True]
         assert [y.code for y in transforms] == ["none", "rB,cB"]
 
@@ -393,10 +402,12 @@ class TestDetected:
             assert detected(state, params, all_subsets()) == full_path(state, params, all_subsets())
 
     def test_unchecked_non_normal_product_as_full_path(self):
-        # rho_A kron rho_B with a non-normal rho_A, unchecked: Delta is zero,
-        # and ||aI - rho_A||_1 exceeds sum_i |a - lambda_i|, which only the
-        # skew term of the product factor makes up.  Class by class, as the
-        # full path flags the first four.
+        # rho_A kron rho_B with a non-normal rho_A, unchecked: Delta is zero.
+        # The full path flags the first four classes, none, cB, rB and rB,cB,
+        # each with a square factor aI - rho_A, whose trace norm exceeds
+        # sum_i |a - lambda_i|.  In the realignment class the map is the
+        # rank-one u v^T, and the split's product is its exact trace norm.
+        # Class by class.
         rho_a = np.array([[0.5, 0.3, 0.0], [0.0, 0.3, 0.2], [0.0, 0.0, 0.2]])
         mat = np.kron(rho_a, np.diag([0.5, 0.3, 0.2]))
         state = DensityState(SubsystemDims(3, 3), mat, check=False)
@@ -435,3 +446,78 @@ class TestCertificate:
         slack = TOL_VERDICT * np.maximum(1.0, bound)
         assert np.all(statistic[settled] <= (bound + slack)[settled])
         assert settled[0]  # X = sign * scale * rho is settled at its trace
+
+
+@st.composite
+def split_states(draw):
+    """kernel_states, and unchecked states with a skew-Hermitian part or a
+    trace other than 1."""
+    kind = draw(st.sampled_from(["kernel", "skew", "trace"]))
+    if kind == "kernel":
+        return draw(kernel_states())
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**31 - 1))
+    mat = random_state(m, n, seed).mat
+    if kind == "skew":
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
+        mat = mat + draw(st.sampled_from([1e-12, 1e-6, 1e-3, 0.1, 1.0])) * (g - g.conj().T) / 2
+    else:
+        mat = draw(st.sampled_from([1e-3, 0.5, 3.0, -2.0, 1e3])) * mat
+    return DensityState(SubsystemDims(m, n), mat, check=False)
+
+
+class TestSplit:
+    @settings(max_examples=150)
+    @given(
+        state=split_states(),
+        params=st.lists(st.builds(ReductionParams, real_or_complex_scalar(),
+                                  real_or_complex_scalar()), min_size=1, max_size=6),
+    )
+    def test_product_and_residual_bound_the_realigned_map(self, state, params):
+        # ||R(rho~)||_1 <= ||u|| ||v|| + ||R(Delta)||_1 for any matrix, checked
+        # or not: the product is the exact trace norm of the rank-one term.
+        split = _Split(state, params)
+        statistic = np.array(trace_norm(realign(reduction_maps(state, params), state.dims)))
+        bound = split.product + split.residual
+        assert np.all(statistic <= bound + 1e-12 * np.maximum(1.0, bound))
+
+    def test_residual_is_zzzg_statistic(self):
+        # ||R(rho - rho_A kron rho_B)||_1, which on this bound entangled state
+        # exceeds ZZZG's separable bound sqrt((1 - tr rho_A^2)(1 - tr rho_B^2)).
+        state = horodecki_3x3(0.5).state
+        rho_a, rho_b = partial_trace(state, "B"), partial_trace(state, "A")
+        split = _Split(state, COMPLEX_PARAMS)
+        assert split.residual == trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))
+        purity_a, purity_b = (np.vdot(x, x).real for x in (rho_a, rho_b))
+        assert split.residual > np.sqrt((1 - purity_a) * (1 - purity_b)) + 1e-3
+
+
+WERNER_PARAMS = (
+    ReductionParams(0.0, 0.0),
+    ReductionParams(1.0, 1.0),
+    ReductionParams(-1.0 / 3.0, 2.0 / 3.0),
+    ReductionParams(1e5, -1e5),
+    ReductionParams(1e-3, 1e5),
+    ReductionParams(0.5 + 0.5j, -2j),
+    ReductionParams(1e5j, 3.0 - 1e5j),
+    ReductionParams(-7e4 + 7e4j, 0.25),
+)
+
+
+class TestWernerExact:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("f", [-1.0, -0.5, -0.1, 0.0, 1.0 / 3.0, 1.0])
+    def test_class_none_statistic(self, d, f):
+        # Both reductions are I/d, so rho~ = rho + c I, c = ab - (a + b)/d, is
+        # normal, with the eigenvalues l_+ + c on the symmetric subspace and
+        # l_- + c on the antisymmetric one.
+        state = werner(d, f).state
+        l_plus, l_minus = ((d - f + s * (d * f - 1)) / (d**3 - d) for s in (1, -1))
+        for p in WERNER_PARAMS:
+            c = p.a * p.b - (p.a + p.b) / d
+            want = d * (d + 1) / 2 * abs(l_plus + c) + d * (d - 1) / 2 * abs(l_minus + c)
+            got = evaluate(state, p, GptOpSet())
+            assert abs(got.statistic - want) <= 1e-12 * max(1.0, got.bound)
+        assert detected(state, WERNER_PARAMS, all_subsets()) == full_path(
+            state, WERNER_PARAMS, all_subsets())
