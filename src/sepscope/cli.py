@@ -148,11 +148,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(COMPARE_ROW.format("state", "params", *names))
     for idx, labeled in enumerate(itertools.chain((first,), members)):
         state = labeled.state
+        oracles = {name: check(state).entangled for name, check in ORACLES.items()}
         row = (
-            *(check(state).entangled for check in ORACLES.values()),
-            # Stops at the first detecting class, and takes the SVD only of the
-            # maps that none of its three trace-norm bounds settles.
-            detected(state, grid, subsets),
+            *oracles.values(),
+            # A PPT flag is grc's pair (0, 0), {rA,cA}, whose bound is exactly
+            # 1: with v = -lambda_min(T_A rho) > TOL_VERDICT, ||T_B rho||_1 =
+            # sum |lambda_i| >= tr rho + 2v, and a validated state has tr rho
+            # >= 1 - 1e-12, so that pair's excess is at least 2v - 1e-12 -
+            # O(d eps) > TOL_VERDICT.  0.0 is in AB_TEST_GRID and {rA,cA} in
+            # all_subsets(), so detected would flag it.  Otherwise detected
+            # stops at the first detecting class, and takes the SVD only of
+            # the maps that none of its three trace-norm bounds settles.
+            oracles["ppt"] or detected(state, grid, subsets),
         )
         flags.append(row)
         param_text = " ".join(f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"

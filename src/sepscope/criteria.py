@@ -25,7 +25,6 @@ from .matlin import (
     DensityState,
     hermitian_eigenvalues,
     kron,
-    partial_trace,
     trace_norm,
 )
 
@@ -104,10 +103,11 @@ def _judge(excess: list[float], bound: list[float],
 
 def reduction_maps(rho: DensityState, params: Sequence[ReductionParams]) -> np.ndarray:
     """The maps of generalized_reduction_map for every entry of params, as
-    one (k, d, d) stack built from one pair of partial traces."""
+    one (k, d, d) stack built from the state's one pair of reductions."""
     m, n = rho.dims.m, rho.dims.n
-    k_b = kron(np.eye(m, dtype=complex), partial_trace(rho, "A"))
-    k_a = kron(partial_trace(rho, "B"), np.eye(n, dtype=complex))
+    rho_a, rho_b = rho.reductions
+    k_b = kron(np.eye(m, dtype=complex), rho_b)
+    k_a = kron(rho_a, np.eye(n, dtype=complex))
     a = np.array([p.a for p in params])[:, None, None]
     b = np.array([p.b for p in params])[:, None, None]
     ab = np.array([p.a * p.b for p in params])[:, None, None]
@@ -249,7 +249,7 @@ class _Split:
 
     def __init__(self, rho: DensityState, params: Sequence[ReductionParams]) -> None:
         self.dims = rho.dims
-        rho_a, rho_b = partial_trace(rho, "B"), partial_trace(rho, "A")
+        rho_a, rho_b = rho.reductions
         self.delta = rho.mat - kron(rho_a, rho_b)
         self.delta_fro = float(np.linalg.norm(self.delta))
 
@@ -460,8 +460,7 @@ def ppt_check(rho: DensityState) -> CriterionVerdict:
 def reduction_check(rho: DensityState) -> CriterionVerdict:
     """Positivity of I kron rho_B - rho and rho_A kron I - rho, jointly."""
     m, n = rho.dims.m, rho.dims.n
-    rho_a = partial_trace(rho, "B")
-    rho_b = partial_trace(rho, "A")
+    rho_a, rho_b = rho.reductions
     lo_b = float(hermitian_eigenvalues(kron(np.eye(m), rho_b) - rho.mat)[0])
     lo_a = float(hermitian_eigenvalues(kron(rho_a, np.eye(n)) - rho.mat)[0])
     statistic = min(lo_a, lo_b)

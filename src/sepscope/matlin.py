@@ -3,6 +3,7 @@ Hermitian spectra and partial traces of bipartite density matrices."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
 
@@ -92,6 +93,16 @@ class DensityState:
         object.__setattr__(self, "mat", mat)
         if check:
             validate_density(mat)
+
+    @functools.cached_property
+    def reductions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rho_A, rho_B), the reduced states of A and of B: partial_trace's
+        arrays, taken on first use and read-only, so every criterion that
+        reads them shares one pair of traces."""
+        pair = partial_trace(self, "B"), partial_trace(self, "A")
+        for reduced in pair:
+            reduced.setflags(write=False)
+        return pair
 
 
 def kron(a, b) -> np.ndarray:

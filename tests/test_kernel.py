@@ -6,7 +6,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sepscope import (
@@ -35,11 +35,12 @@ from sepscope.criteria import (
     _certified,
     _Split,
     detected,
+    ppt_check,
     reduction_maps,
     verdict_blocks,
 )
 from sepscope.errors import ParamOutOfRange
-from sepscope.gptops import realign
+from sepscope.gptops import PARTIAL_TRANSPOSE_Y, realign
 from sepscope.matlin import kron, partial_trace, trace_norm
 from sepscope.states import random_density_state
 
@@ -207,23 +208,53 @@ def compare_grc_column(capsys, argv, count):
     return [row.split()[-1] == "Y" for row in rows]
 
 
+# compare's grid: every (a, b) of AB_TEST_GRID, a major.
+COMPARE_GRID = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
+
+
 class TestCompareEarlyExit:
-    def test_werner_stops_before_eighth_class(self, monkeypatch, capsys):
+    def test_werner_stops_before_eighth_class(self, monkeypatch):
         import sepscope.criteria as criteria
 
         transforms = []
         original = criteria.gpt_transform
         monkeypatch.setattr(criteria, "gpt_transform",
                             lambda rho, dims, y: transforms.append(y) or original(rho, dims, y))
-        # --count 1 is the single state f = -1.  The first class takes one
+        # The state f = -1 on compare's grid.  The first class takes one
         # transform, shared by its semidefinite certificate and the SVD of
         # what the certificate leaves open.  The second and third classes,
         # {cB} and {rB}, are settled by the norm bound without a transform.
         # The fourth, {rB,cB} and {rA,cA}, holds the partial transpose at
         # (a, b) = (0, 0), which detects it; the four classes after it are
         # never computed.
-        assert compare_grc_column(capsys, ["--family", "werner-3"], 1) == [True]
+        assert detected(werner(3, -1.0).state, COMPARE_GRID, all_subsets())
         assert [y.code for y in transforms] == ["none", "rB,cB"]
+
+    @pytest.mark.parametrize("argv,count,calls", [
+        (["--family", "werner-3"], 1, 0),  # f = -1: NPT, so its PPT flag is grc's
+        (["--family", "horodecki"], 2, 2),  # PPT entangled: detected decides each
+    ], ids=["werner-npt", "horodecki-ppt"])
+    def test_detected_runs_only_on_ppt_states(self, monkeypatch, capsys, argv, count, calls):
+        import sepscope.cli as cli
+
+        states = []
+        original = cli.detected
+        monkeypatch.setattr(cli, "detected",
+                            lambda rho, params, ysets: states.append(rho) or original(rho, params, ysets))
+        assert compare_grc_column(capsys, argv, count) == [True] * count
+        assert len(states) == calls
+
+    def test_separable_takes_its_reductions_once(self, monkeypatch, capsys):
+        import sepscope.matlin as matlin
+
+        sides = []
+        original = matlin.partial_trace
+        monkeypatch.setattr(matlin, "partial_trace",
+                            lambda rho, side: sides.append(side) or original(rho, side))
+        # reduction_maps, the product-residual split and the reduction oracle
+        # all read the state's one pair.
+        assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
+        assert sides == ["B", "A"]
 
     def test_separable_takes_fewer_svds(self, monkeypatch, capsys):
         import sepscope.criteria as criteria
@@ -521,3 +552,37 @@ class TestWernerExact:
             assert abs(got.statistic - want) <= 1e-12 * max(1.0, got.bound)
         assert detected(state, WERNER_PARAMS, all_subsets()) == full_path(
             state, WERNER_PARAMS, all_subsets())
+
+
+class TestPptImpliesGrc:
+    """compare takes its grc flag from the PPT oracle's where that flags: the
+    pair (0, 0), {rA,cA} is the partial transpose, bound 1, and its excess is
+    at least twice the PPT violation, less the trace's 1e-12 tolerance."""
+
+    @staticmethod
+    def pair(state):
+        return evaluate(state, ReductionParams(0.0, 0.0), PARTIAL_TRANSPOSE_Y["A"])
+
+    @settings(max_examples=150)
+    @given(state=kernel_states())
+    def test_ppt_flag_implies_grc_flag(self, state):
+        ppt = ppt_check(state)
+        assume(ppt.entangled)
+        verdict = self.pair(state)
+        assert verdict.bound == 1.0
+        assert verdict.entangled
+        assert verdict.violation >= 2 * ppt.violation - 1e-12
+        assert detected(state, COMPARE_GRID, all_subsets())
+
+    @pytest.mark.parametrize("f,ppt_flags,ppt_violation,grc_violation", [
+        (-4e-8, True, 1.33e-8, 2.67e-8),
+        # Only one way: grc's margin is twice PPT's, so grc flags alone here.
+        (-2e-8, False, 6.67e-9, 1.33e-8),
+    ])
+    def test_werner_edges(self, f, ppt_flags, ppt_violation, grc_violation):
+        state = werner(3, f).state
+        ppt, verdict = ppt_check(state), self.pair(state)
+        assert (ppt.entangled, verdict.entangled) == (ppt_flags, True)
+        assert ppt.violation == pytest.approx(ppt_violation, rel=1e-2)
+        assert verdict.violation == pytest.approx(grc_violation, rel=1e-2)
+        assert verdict.violation >= 2 * ppt.violation - 1e-12

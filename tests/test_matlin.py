@@ -187,6 +187,23 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(st, "C")
 
+    def test_reductions_taken_once_with_partial_traces_bits(self, monkeypatch):
+        import sepscope.matlin as matlin
+
+        rng = np.random.default_rng(4)
+        g = random_complex(rng, 6, 6)
+        st = DensityState(SubsystemDims(2, 3), g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        calls = []
+        original = matlin.partial_trace
+        monkeypatch.setattr(matlin, "partial_trace",
+                            lambda rho, side: calls.append(side) or original(rho, side))
+        rho_a, rho_b = st.reductions
+        assert st.reductions[0] is rho_a and st.reductions[1] is rho_b
+        assert calls == ["B", "A"]
+        assert rho_a.tobytes() == original(st, "B").tobytes()
+        assert rho_b.tobytes() == original(st, "A").tobytes()
+        assert not rho_a.flags.writeable and not rho_b.flags.writeable
+
 
 class TestVecIdentity:
     def test_vec_of_triple_product(self):
