@@ -141,7 +141,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # so a bad option fails before any output.
     members = (family.build(args, value) for value in family.spacing(args, args.count))
     first = next(members)
-    grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
+    grid = [(complex(a), complex(b)) for a in AB_TEST_GRID for b in AB_TEST_GRID]
     subsets = all_subsets()
     names = (*ORACLES, "grc")
     flags: list[tuple[bool, bool, bool, bool]] = []

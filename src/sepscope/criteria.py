@@ -53,6 +53,9 @@ class ReductionParams:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    def __iter__(self) -> Iterator[complex]:  # a, b = p, as the kernel reads a plain pair
+        return iter((self.a, self.b))
+
 
 @dataclass(frozen=True)
 class BoundPair:
@@ -84,8 +87,8 @@ class CriterionVerdict:
     entangled: bool
 
 
-def _overflow(p: ReductionParams) -> ParamOutOfRange:
-    a, b = (f"{x.real:g}" if x.imag == 0 else f"{x:g}" for x in (p.a, p.b))
+def _overflow(p: tuple[complex, complex]) -> ParamOutOfRange:
+    a, b = (f"{x.real:g}" if x.imag == 0 else f"{x:g}" for x in p)
     return ParamOutOfRange(f"the map, its trace norm or the bound is not finite at a={a}, b={b}")
 
 
@@ -101,16 +104,15 @@ def _judge(excess: list[float], bound: list[float],
     return violation, [v > TOL_VERDICT * max(1.0, b) for v, b in zip(violation, bound)]
 
 
-def reduction_maps(rho: DensityState, params: Sequence[ReductionParams]) -> np.ndarray:
+def reduction_maps(rho: DensityState, params: Sequence[tuple[complex, complex]]) -> np.ndarray:
     """The maps of generalized_reduction_map for every entry of params, as
     one (k, d, d) stack built from the state's one pair of reductions."""
     m, n = rho.dims.m, rho.dims.n
     rho_a, rho_b = rho.reductions
     k_b = kron(np.eye(m, dtype=complex), rho_b)
     k_a = kron(rho_a, np.eye(n, dtype=complex))
-    a = np.array([p.a for p in params])[:, None, None]
-    b = np.array([p.b for p in params])[:, None, None]
-    ab = np.array([p.a * p.b for p in params])[:, None, None]
+    a, b = (np.array(x)[:, None, None] for x in zip(*params))
+    ab = np.array([x * y for x, y in params])[:, None, None]
     try:  # before any SVD: LAPACK reports a non-finite input on the terminal
         with np.errstate(over="raise", invalid="raise"):
             np.multiply(a, b)  # raises where a Python product in ab overflowed silently
@@ -130,7 +132,6 @@ def generalized_reduction_map(rho: DensityState, p: ReductionParams) -> np.ndarr
     return reduction_maps(rho, (p,))[0]
 
 
-@functools.lru_cache(maxsize=1 << 13)  # one full b stack's factors, across family parameters
 def _factor(x: complex, dim: int, same: bool) -> float:
     """h_factor's value, keyed by whether the two flags are the same."""
     try:
@@ -176,7 +177,7 @@ class VerdictBlock(NamedTuple):
 
 
 def _classes(
-    params: Sequence[ReductionParams],
+    params: Sequence[tuple[complex, complex]],
     dims,
     ysets: Sequence[GptOpSet],
 ) -> Iterator[tuple[GptOpSet, list[int], list[float]]]:
@@ -193,16 +194,19 @@ def _classes(
     for j, y in enumerate(ysets):
         name = (not y.cA, not y.rB, not y.cB) if y.rA else (y.cA, y.rB, y.cB)
         served.setdefault(name, []).append(j)
+    h_a: dict[bool, list[float]] = {}  # each side's factors by flags equal, on first use
+    h_b: dict[bool, list[float]] = {}
     bounds: dict[tuple[bool, bool], list[float]] = {}
     for (cA, rB, cB), indices in served.items():
-        key = (not cA, rB == cB)
+        key = same_a, same_b = (not cA, rB == cB)
         if key not in bounds:
-            bounds[key] = [_factor(p.a, dims.m, key[0]) * _factor(p.b, dims.n, key[1])
-                           for p in params]
+            h_a[same_a] = h_a.get(same_a) or [_factor(a, dims.m, same_a) for a, _ in params]
+            h_b[same_b] = h_b.get(same_b) or [_factor(b, dims.n, same_b) for _, b in params]
+            bounds[key] = [x * y for x, y in zip(h_a[same_a], h_b[same_b])]
         yield GptOpSet(False, cA, rB, cB), indices, bounds[key]
 
 
-def _judged(statistic: list[float], bound: list[float], params: Sequence[ReductionParams]
+def _judged(statistic: list[float], bound: list[float], params: Sequence[tuple[complex, complex]]
             ) -> tuple[list[float], list[bool]]:
     """_judge on trace norms against their bounds; a pair whose excess is not
     finite raises ParamOutOfRange naming its (a, b)."""
@@ -212,7 +216,7 @@ def _judged(statistic: list[float], bound: list[float], params: Sequence[Reducti
 
 def verdict_blocks(
     rho: DensityState,
-    params: Sequence[ReductionParams],
+    params: Sequence[tuple[complex, complex]],
     ysets: Sequence[GptOpSet],
 ) -> Iterator[VerdictBlock]:
     """Generalized reduction criterion for every pair (params[i], ysets[j]),
@@ -223,7 +227,8 @@ def verdict_blocks(
     params, whatever was requested.  Classes come in order of their first
     request, each only when the consumer asks for its block, so a consumer
     may stop early.  A map, statistic or bound that is not finite raises
-    ParamOutOfRange naming its (a, b).
+    ParamOutOfRange naming its (a, b).  params are (a, b) pairs of Python
+    complex, checked finite by the caller; a ReductionParams unpacks as one.
     """
     stack = reduction_maps(rho, params)
     for member, served, bound in _classes(params, rho.dims, ysets):
@@ -247,7 +252,7 @@ class _Split:
     detected's screen 3).
     """
 
-    def __init__(self, rho: DensityState, params: Sequence[ReductionParams]) -> None:
+    def __init__(self, rho: DensityState, params: Sequence[tuple[complex, complex]]) -> None:
         self.dims = rho.dims
         rho_a, rho_b = rho.reductions
         self.delta = rho.mat - kron(rho_a, rho_b)
@@ -258,7 +263,8 @@ class _Split:
             off = np.linalg.norm(mat - np.diag(diagonal)) ** 2
             return np.sqrt((np.abs(np.array(x)[:, None] - diagonal) ** 2).sum(-1) + off)
 
-        self.product = distance(rho_a, [p.a for p in params]) * distance(rho_b, [p.b for p in params])
+        a, b = zip(*params)
+        self.product = distance(rho_a, a) * distance(rho_b, b)
 
     @functools.cached_property
     def residual(self) -> float:
@@ -292,7 +298,7 @@ def _certified(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 def detected(
     rho: DensityState,
-    params: Sequence[ReductionParams],
+    params: Sequence[tuple[complex, complex]],
     ysets: Sequence[GptOpSet],
 ) -> bool:
     """Whether any pair (params[i], ysets[j]) is flagged: what
@@ -358,7 +364,7 @@ def detected(
     own map and _judge.  numpy's stacked SVD takes each matrix alone, so an
     unsettled map's statistic has the bits verdict_blocks gives it, and a flag or
     a ParamOutOfRange comes from the same first class and names the same
-    (a, b).
+    (a, b).  params are (a, b) pairs of complex the caller checked finite.
     """
     stack = reduction_maps(rho, params)
     k, m, n = len(params), rho.dims.m, rho.dims.n
@@ -428,7 +434,7 @@ def evaluate_grid(
 
 def evaluate(rho: DensityState, p: ReductionParams, y: GptOpSet) -> CriterionVerdict:
     """Generalized reduction criterion for one (a, b) pair and one subset y."""
-    return _verdict(next(verdict_blocks(rho, (p,), (y,))), 0, p, y)
+    return _verdict(next(verdict_blocks(rho, ((p.a, p.b),), (y,))), 0, p, y)
 
 
 def evaluate_all_Y(rho: DensityState, p: ReductionParams) -> tuple[CriterionVerdict, ...]:

@@ -45,6 +45,8 @@ class GridSpec:
     path: str | None = None  # state file for family "file"
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.a):
+            raise ParamOutOfRange(f"a must be finite, got {self.a}")
         for name, axis in (("family parameter", self.param_axis), ("b", self.b_axis)):
             if not all(math.isfinite(x) for x in axis):
                 raise ParamOutOfRange(f"{name} axis must be finite, got (start, stop, step) = {axis}")
@@ -115,20 +117,14 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> list[SweepRecord]:
 def _sweep_records(spec: GridSpec) -> Iterator[SweepRecord]:
     """run_sweep's records, computed one stack of b points at a time as they
     are asked for; errors surface when the first record is.  A stack's
-    params are built when it is reached and dropped when the next one is."""
+    (a, b) pairs are built when it is reached, from GridSpec's finite a."""
     factory = _state_factory(spec.family, spec.path)
     bs = axis_points(*spec.b_axis)
-
-    @functools.lru_cache(maxsize=1)  # a one-stack b axis builds its params once
-    def stack(start: int) -> tuple[list[float], list[ReductionParams]]:
-        chunk = bs[start:start + STACK_MAPS]
-        return chunk, [ReductionParams(spec.a, b) for b in chunk]
-
-    code = spec.yset.code
+    a, code = complex(spec.a), spec.yset.code
     for param in axis_points(*spec.param_axis):
         state = factory(param)
-        for chunk, grid in map(stack, range(0, len(bs), STACK_MAPS)):
-            for block in verdict_blocks(state, grid, (spec.yset,)):
+        for chunk in (bs[start:start + STACK_MAPS] for start in range(0, len(bs), STACK_MAPS)):
+            for block in verdict_blocks(state, [(a, complex(b)) for b in chunk], (spec.yset,)):
                 yield from (SweepRecord(param, spec.a, b, code, statistic, bound, violation)
                             for b, statistic, bound, violation in zip(chunk, block.statistic,
                                                                       block.bound, block.violation))

@@ -272,10 +272,13 @@ class TestSweep:
         ("--b-start", "nan", "b axis"),
         ("--param-stop", "nan", "family parameter axis"),
         ("--param-step", "inf", "family parameter axis"),
-    ], ids=["b-stop-inf", "b-start-nan", "param-stop-nan", "param-step-inf"])
+        ("--a", "nan", "a"),
+        ("--a", "-inf", "a"),
+    ], ids=["b-stop-inf", "b-start-nan", "param-stop-nan", "param-step-inf", "a-nan", "a-inf"])
     def test_non_finite_axis_exits_two(self, tmp_path, capsys, option, value, axis):
         out = tmp_path / "x.csv"
-        code = main(["sweep", "--family", "werner-3", option, value, "--out", str(out)])
+        # option=value, so argparse takes "-inf" as a value, not an option.
+        code = main(["sweep", "--family", "werner-3", f"{option}={value}", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

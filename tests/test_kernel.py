@@ -125,18 +125,6 @@ class TestBlocks:
                     assert block.bound[i] == bound_for(p, st_.dims, subsets[j]).product
         assert sorted(served) == list(range(16))
 
-    def test_factor_cache_misses_per_call(self):
-        from sepscope.criteria import _factor
-
-        grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
-        st_ = random_state(3, 3, 3)
-        _factor.cache_clear()
-        assert len(list(verdict_blocks(st_, grid, all_subsets()))) == 8
-        # Each value with equal and with unequal flags; a and b share keys, as m = n.
-        assert _factor.cache_info().misses == 2 * len(AB_TEST_GRID)
-        list(verdict_blocks(st_, grid, all_subsets()))
-        assert _factor.cache_info().misses == 2 * len(AB_TEST_GRID)
-
     def test_one_bound_list_per_key(self):
         # A class's bound depends on its member's flags only through
         # (not cA, rB == cB), so the 8 classes share 4 lists.
@@ -192,6 +180,20 @@ class TestSweepMatchesEvaluate:
             direct = evaluate(werner(3, rec.family_param).state, ReductionParams(0.7, rec.b), yset)
             assert (rec.statistic, rec.bound, rec.violation) == (
                 direct.statistic, direct.bound, direct.violation)
+
+    def test_builds_no_reduction_params(self, monkeypatch):
+        import sepscope.sweep as sweep
+
+        # The kernel reads plain (a, b) pairs, whose values GridSpec checked.
+        built = []
+        original = ReductionParams.__post_init__
+        monkeypatch.setattr(ReductionParams, "__post_init__",
+                            lambda self: built.append(self) or original(self))
+        monkeypatch.setattr(sweep, "STACK_MAPS", 3)
+        yset = GptOpSet.from_code("rA,cB")
+        records = run_sweep(GridSpec("werner-3", 0.7, (-1.0, 0.8, 0.2), (-1.0, 0.0, 1.0), yset))
+        assert len(records) == 20
+        assert built == []
 
 
 def reference_grc(state):
@@ -356,6 +358,14 @@ def kernel_states(draw):
     return werner(m, draw(st.floats(-1.0, 1.0))).state
 
 
+def kernel_params():
+    """A parameter as the kernel takes it: a ReductionParams, or a plain
+    (a, b) pair of Python complex."""
+    scalar = real_or_complex_scalar()
+    return st.one_of(st.builds(ReductionParams, scalar, scalar),
+                     st.tuples(scalar, scalar).map(lambda ab: (complex(ab[0]), complex(ab[1]))))
+
+
 def outcome(decide):
     try:
         return decide()
@@ -371,8 +381,7 @@ class TestDetected:
     @settings(max_examples=150)
     @given(
         state=kernel_states(),
-        params=st.lists(st.builds(ReductionParams, real_or_complex_scalar(),
-                                  real_or_complex_scalar()), min_size=1, max_size=6),
+        params=st.lists(kernel_params(), min_size=1, max_size=6),
         ysets=st.lists(st.sampled_from(all_subsets()), max_size=20),
     )
     def test_equals_full_path(self, state, params, ysets):
