@@ -142,6 +142,21 @@ def _factor(x: complex, dim: int, same: bool) -> float:
         return math.inf
 
 
+def _factors(values: list[complex], dim: int, same: bool) -> list[float]:
+    """_factor of every entry of values, computed once per distinct value.
+    Hashing a complex costs about a quarter of a factor, so a constant side,
+    a sweep stack's a, is found by equality alone, and a side with no
+    repeats skips the table."""
+    if values and values.count(values[0]) == len(values):
+        return [_factor(values[0], dim, same)] * len(values)
+    factor = dict.fromkeys(values)
+    if len(factor) == len(values):
+        return [_factor(x, dim, same) for x in values]
+    for x in factor:
+        factor[x] = _factor(x, dim, same)
+    return list(map(factor.__getitem__, values))
+
+
 def h_factor(x: complex, dim: int, row_in: bool, col_in: bool) -> float:
     """Per-subsystem bound factor for parameter x on a dim-dimensional factor.
 
@@ -188,22 +203,30 @@ def _classes(
     A subset and its complement have transposed transforms, hence the same
     statistic and bound.  The bound depends on the member's flags only
     through (not cA, rB == cB), so each of the at most four lists is built
-    once per call, on first use, and shared by the classes with its key.
+    once per call, on first use, and shared by the classes with its key;
+    each side's factor is computed once per distinct value in the call.  A
+    requested subset without rA is yielded as its class's member.
     """
     served: dict[tuple[bool, bool, bool], list[int]] = {}
+    members: dict[tuple[bool, bool, bool], GptOpSet] = {}
     for j, y in enumerate(ysets):
         name = (not y.cA, not y.rB, not y.cB) if y.rA else (y.cA, y.rB, y.cB)
         served.setdefault(name, []).append(j)
+        if not y.rA:
+            members.setdefault(name, y)
     h_a: dict[bool, list[float]] = {}  # each side's factors by flags equal, on first use
     h_b: dict[bool, list[float]] = {}
     bounds: dict[tuple[bool, bool], list[float]] = {}
-    for (cA, rB, cB), indices in served.items():
+    for name, indices in served.items():
+        cA, rB, cB = name
         key = same_a, same_b = (not cA, rB == cB)
         if key not in bounds:
-            h_a[same_a] = h_a.get(same_a) or [_factor(a, dims.m, same_a) for a, _ in params]
-            h_b[same_b] = h_b.get(same_b) or [_factor(b, dims.n, same_b) for _, b in params]
+            if same_a not in h_a:
+                h_a[same_a] = _factors([a for a, _ in params], dims.m, same_a)
+            if same_b not in h_b:
+                h_b[same_b] = _factors([b for _, b in params], dims.n, same_b)
             bounds[key] = [x * y for x, y in zip(h_a[same_a], h_b[same_b])]
-        yield GptOpSet(False, cA, rB, cB), indices, bounds[key]
+        yield members.get(name) or GptOpSet(False, cA, rB, cB), indices, bounds[key]
 
 
 def _judged(statistic: list[float], bound: list[float], params: Sequence[tuple[complex, complex]]
@@ -296,6 +319,52 @@ def _certified(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
         return group
 
 
+@functools.lru_cache(maxsize=16)
+def _marginal_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_norm_sums' 0/1 maps on the composite digits (i, mu) of an m x n
+    state: kron(E_m, E_n) with E_d = [I_d | 1_d], whose slot d sums an
+    axis, and kron(F_m, F_n), where F_d's column 0 picks slot d and its
+    column 1 sums slots 0..d-1."""
+    def marginal(d: int) -> np.ndarray:
+        return np.eye(d + 1)[:d] + np.eye(d + 1)[d]
+
+    def norm(d: int) -> np.ndarray:
+        return np.stack([np.eye(d + 1)[d], 1.0 - np.eye(d + 1)[d]], axis=1)
+
+    maps = np.kron(marginal(m), marginal(n)), np.kron(norm(m), norm(n))
+    for x in maps:
+        x.setflags(write=False)
+    return maps
+
+
+def _norm_sums(stack: np.ndarray, dims) -> np.ndarray:
+    """Every column- and row-norm sum of every transform of a (k, d, d)
+    stack of maps, as a (k, 16) table.
+
+    View the squared magnitudes as sq[i, mu, j, nu].  Entry 8 s_i + 4 s_mu +
+    2 s_j + s_nu sums, over the values of the digits with s = 1, the square
+    root of the sum of sq over the digits with s = 0.  A transform's
+    column-norm sum is the entry whose s marks its column digits
+    (_norm_entry), and its row-norm sum is the complementary entry, 15 minus
+    that.  The maps of _marginal_maps give all 16 marginals of sq as one
+    (k, (m+1)(n+1), (m+1)(n+1)) array in two matrix products, slot d of an
+    axis holding its sum; after one sqrt, two more products pick slot d or
+    sum the others.  Callers run it with overflow and invalid ignored: a
+    square or sum that is not finite makes inf or, through 0 * inf, NaN
+    entries.
+    """
+    marginal, norm = _marginal_maps(dims.m, dims.n)
+    sums = np.sqrt(marginal.T @ (stack.real ** 2 + stack.imag ** 2) @ marginal)
+    return (norm.T @ sums @ norm).reshape(len(stack), 16)
+
+
+def _norm_entry(member: GptOpSet) -> int:
+    """The entry of _norm_sums that holds the column-norm sum of member's
+    transform: bit 3 - axis set for each column digit, axes numbered
+    (i, mu, j, nu)."""
+    return sum(1 << (3 - axis) for axis, in_rows in transform_digits(member) if not in_rows)
+
+
 def detected(
     rho: DensityState,
     params: Sequence[tuple[complex, complex]],
@@ -307,14 +376,18 @@ def detected(
     upper bounds on the trace norm leave unsettled.  Let slack =
     TOL_VERDICT * max(1, bound), the flag threshold, for a pair's bound.
 
-    1. Column/row sums, every class.  Write a class member's transform X by
-       its columns, X = sum_j x_j e_j^†.  Each term has rank one and trace
-       norm ||x_j||_2, so ||X||_1 <= sum_j ||x_j||_2, and likewise for the
-       rows.  Every transform only permutes the entries of its map, so both
-       sums come from axis sums of one array of squared magnitudes, without
-       a transposed copy; every rA-free member keeps i among its row digits,
-       so all column sums start from one sum over i.  A pair is settled
-       where the smaller sum is at most its finite bound.
+    1. Column/row sums, every class in one pass.  Write a class member's
+       transform X by its columns, X = sum_j x_j e_j^†.  Each term has rank
+       one and trace norm ||x_j||_2, so ||X||_1 <= sum_j ||x_j||_2, and
+       likewise for the rows.  Every transform only permutes the entries of
+       its map, so a column-norm sum adds, over the column digits, square
+       roots of sums of squared magnitudes over the row digits, and a
+       row-norm sum swaps the two roles.  _norm_sums builds all 16 such
+       sums of every map as one (k, 16) table, from the 16 marginals of the
+       squared magnitudes, without a transposed copy; each class reads its
+       two entries, and the test runs over all classes at once.  A pair is
+       settled where the smaller sum is at most its finite bound.  Only
+       the classes left with an open pair go on, in order of first request.
 
     2. Semidefinite certificate, classes none and rB,cB, whose transforms
        are d x d and Hermitian for real (a, b).  Split X = H + K into its
@@ -352,7 +425,14 @@ def detected(
 
     Rounding: the full path's statistic and each computed bound above round
     by O(d * eps * bound) (the statistic's worst measured excess is 0.67 eps
-    d ||rho~||_F), squares that underflow lose under 1e-154 per entry, and
+    d ||rho~||_F).  Each entry of screen 1's table is a sum of non-negative
+    terms in whatever order the matrix products take: two rounds of at most
+    d terms each for a marginal, one sqrt, and two more such rounds, where
+    the zero terms of the 0/1 maps add exactly.  Any order of adding n
+    non-negative terms rounds by at most (n - 1) eps/2 relative, so an
+    entry is within about 1.5 d eps of its exact value, an O(d * eps *
+    bound) error wherever it settles a pair, as with axis sums in any other
+    order.  Squares that underflow lose under 1e-154 per entry, and
     the certificate spends at most 3/8 slack; for d = 9 the rest is about
     1e-13 bound, so the full path would flag no settled pair.  Nor would it
     raise on one: screens 2 and 3 see only pairs whose column/row sums and
@@ -367,22 +447,20 @@ def detected(
     (a, b).  params are (a, b) pairs of complex the caller checked finite.
     """
     stack = reduction_maps(rho, params)
-    k, m, n = len(params), rho.dims.m, rho.dims.n
+    classes = list(_classes(params, rho.dims, ysets))
+    if not classes:
+        return False
+    column = np.array([_norm_entry(member) for member, _, _ in classes])
+    limits = np.array([bound for _, _, bound in classes]).T  # (k, classes)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum or bound leaves a pair open
-        sq = (stack.real ** 2 + stack.imag ** 2).reshape(k, m, n, m, n)  # axes (k, i, mu, j, nu)
-        sq_rows = sq.sum(axis=1)  # axes (k, mu, j, nu): i is a row digit of every member
-        for member, _, bound in _classes(params, rho.dims, ysets):
-            digits = transform_digits(member)
-            # A column's squared norm sums sq over the row digits, a row's over the
-            # others; sq_rows has summed i and keeps the other digits' axis numbers.
-            row_axes = tuple(axis for axis, in_rows in digits if in_rows and axis)
-            col_axes = tuple(1 + axis for axis, in_rows in digits if not in_rows)
-            upper = np.minimum(np.sqrt(sq_rows.sum(axis=row_axes)).reshape(k, -1).sum(-1),
-                               np.sqrt(sq.sum(axis=col_axes)).reshape(k, -1).sum(-1))
-            limit = np.array(bound)
-            finite = np.isfinite(upper) & np.isfinite(limit)
-            unsettled = np.flatnonzero(~(finite & (upper <= limit)))
-            screened = finite[unsettled]  # screens 2 and 3 see finite sums and bounds only
+        sums = _norm_sums(stack, rho.dims)
+        upper = np.minimum(sums[:, column], sums[:, 15 - column])  # the row sum is the complement
+        finite = np.isfinite(upper) & np.isfinite(limits)
+        settled = finite & (upper <= limits)
+        for c in np.flatnonzero(~settled.all(axis=0)):  # classes with an open pair, in order
+            member, limit = classes[c][0], limits[:, c]
+            unsettled = np.flatnonzero(~settled[:, c])
+            screened = finite[unsettled, c]  # screens 2 and 3 see finite sums and bounds only
             if member == REALIGN_Y and screened.any():
                 split = _Split(rho, params)
                 product, cap = split.product[unsettled], limit[unsettled]
@@ -392,9 +470,9 @@ def detected(
                 continue
             transform = gpt_transform(stack[unsettled], rho.dims, member)
             if not member.cA and member.rB == member.cB:  # none and rB,cB, which skip the split
-                settled = np.zeros(unsettled.size, dtype=bool)
-                settled[screened] = _certified(transform[screened], limit[unsettled[screened]])
-                unsettled, transform = unsettled[~settled], transform[~settled]
+                certified = np.zeros(unsettled.size, dtype=bool)
+                certified[screened] = _certified(transform[screened], limit[unsettled[screened]])
+                unsettled, transform = unsettled[~certified], transform[~certified]
                 if unsettled.size == 0:
                     continue
             statistic = trace_norm(transform)

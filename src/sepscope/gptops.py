@@ -50,13 +50,16 @@ class GptOpSet:
         return cls(**{name: name in seen for name in FLAG_NAMES})
 
 
+_ALL_SUBSETS = tuple(
+    GptOpSet(rA=bool(k & 8), cA=bool(k & 4), rB=bool(k & 2), cB=bool(k & 1))
+    for k in range(16)
+)
+
+
 def all_subsets() -> tuple[GptOpSet, ...]:
     """The 16 flag subsets in canonical counter order, rA the most
-    significant bit and cB the least."""
-    return tuple(
-        GptOpSet(rA=bool(k & 8), cA=bool(k & 4), rB=bool(k & 2), cB=bool(k & 1))
-        for k in range(16)
-    )
+    significant bit and cB the least; the same tuple on every call."""
+    return _ALL_SUBSETS
 
 
 def row_transposition(a) -> np.ndarray:

@@ -116,9 +116,8 @@ def random_separable(dims: SubsystemDims, k: int, seed: int) -> LabeledState:
     ket_a = _normalized(g[:, :m] + 1j * g[:, m:2 * m])
     ket_b = _normalized(g[:, 2 * m:2 * m + n] + 1j * g[:, 2 * m + n:])
     products = (ket_a[:, :, None] * ket_b[:, None, :]).reshape(k, m * n)
-    mat = np.zeros((dims.total, dims.total), dtype=complex)
-    for p, product in zip(weights, products):
-        mat += p * (product[:, None] * product.conj())
+    # One reduction over axis 0 adds the terms in order, as the loop would.
+    mat = (weights[:, None, None] * (products[:, :, None] * products.conj()[:, None, :])).sum(0)
     return LabeledState(
         name="separable",
         params={"m": dims.m, "n": dims.n, "k": k, "seed": seed},

@@ -62,6 +62,7 @@ class TestOpSet:
         assert len(set(subsets)) == 16
         assert subsets[0] == GptOpSet()
         assert subsets[-1] == GptOpSet(rA=True, cA=True, rB=True, cB=True)
+        assert all_subsets() is subsets  # built once
 
 
 class TestSingleTranspositions:

@@ -33,6 +33,9 @@ from sepscope.cli import main
 from sepscope.criteria import (
     TOL_VERDICT,
     _certified,
+    _classes,
+    _norm_entry,
+    _norm_sums,
     _Split,
     detected,
     ppt_check,
@@ -40,7 +43,7 @@ from sepscope.criteria import (
     verdict_blocks,
 )
 from sepscope.errors import ParamOutOfRange
-from sepscope.gptops import PARTIAL_TRANSPOSE_Y, realign
+from sepscope.gptops import PARTIAL_TRANSPOSE_Y, gpt_transform, realign
 from sepscope.matlin import kron, partial_trace, trace_norm
 from sepscope.states import random_density_state
 
@@ -131,6 +134,32 @@ class TestBlocks:
         blocks = list(verdict_blocks(random_state(2, 3, 7), COMPLEX_PARAMS, all_subsets()))
         assert len(blocks) == 8
         assert len({id(block.bound) for block in blocks}) == 4
+
+    def test_factor_once_per_distinct_value(self, monkeypatch):
+        import sepscope.criteria as criteria
+
+        values = []
+        original = criteria._factor
+        monkeypatch.setattr(criteria, "_factor",
+                            lambda x, dim, same: values.append(x) or original(x, dim, same))
+        # compare's grid: 6 values a side, each with flags equal and unequal.
+        list(_classes(COMPARE_GRID, SubsystemDims(3, 3), all_subsets()))
+        assert len(values) == 24
+        # A sweep stack: a constant a and a 41-point b axis.
+        values.clear()
+        stack = [(0.7 + 0j, complex(b)) for b in axis_points(-1.0, 1.0, 0.05)]
+        list(_classes(stack, SubsystemDims(3, 3), (GptOpSet.from_code("rA,cB"),)))
+        assert len(stack) == 41
+        assert values.count(0.7) == 1 and len(values) == 42
+
+    def test_requested_rA_free_subset_is_its_member(self):
+        subsets = all_subsets()
+        # Counter order reversed: each class is first requested through its
+        # member with rA, then through the one without.
+        for member, served, _ in _classes(COMPLEX_PARAMS, SubsystemDims(2, 3), subsets[::-1]):
+            assert member is subsets[15 - served[1]]
+        (member, _, _), = _classes(COMPLEX_PARAMS, SubsystemDims(2, 3), (GptOpSet.from_code("rA,cB"),))
+        assert member == GptOpSet.from_code("cA,rB")
 
     def test_flag_rule(self):
         st_ = werner(3, -1.0).state
@@ -409,6 +438,44 @@ class TestDetected:
         for state in states:
             assert detected(state, grid, all_subsets()) == full_path(state, grid, all_subsets())
 
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (4, 3)])
+    def test_dims_sweep_as_full_path(self, m, n):
+        dims = SubsystemDims(m, n)
+        states = [near_psd_state(m, n, 3)]
+        for seed in range(3):
+            states += [random_state(m, n, seed), random_separable(dims, m * n, seed).state,
+                       random_separable(dims, 1, seed).state]
+        if m == n:
+            states += [werner(m, f).state for f in (-1.0, -0.1, 0.5)]
+        for params in (COMPARE_GRID, COMPLEX_PARAMS):
+            for state in states:
+                assert detected(state, params, all_subsets()) == full_path(
+                    state, params, all_subsets())
+                for y in all_subsets()[:8]:
+                    assert detected(state, params, (y,)) == full_path(state, params, (y,))
+
+    def test_overflowing_square_stays_open(self, monkeypatch):
+        # The map's entries reach 1e160, so their squares overflow, and every
+        # column and row sum is inf, or NaN where a 0/1 map multiplies an inf
+        # by 0.
+        import sepscope.criteria as criteria
+
+        state = random_density_state(SubsystemDims(3, 3), 1).state
+        params = [(0.5 + 0j, 0.5 + 0j), (1e160 + 0j, 1e-10 + 0j)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _norm_sums(reduction_maps(state, params), state.dims)
+        assert np.isfinite(sums[0]).all()
+        assert not np.isfinite(sums[1]).any()
+        # In class none its bound is finite and the full path's SVD leaves it
+        # unflagged; no screen may settle it first.
+        assert not full_path(state, params[1:], (GptOpSet(),))
+        maps = []
+        original = criteria.trace_norm
+        monkeypatch.setattr(criteria, "trace_norm",
+                            lambda mat: maps.append(np.shape(mat)) or original(mat))
+        assert not detected(state, params[1:], (GptOpSet(),))
+        assert maps == [(1, 9, 9)]
+
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
         # class none.  The certificate's Cholesky must fail on rho + tau I and
@@ -455,6 +522,36 @@ class TestDetected:
         flags = [full_path(state, grid, (y,)) for y in all_subsets()]
         assert flags[:4] == [True] * 4
         assert [detected(state, grid, (y,)) for y in all_subsets()] == flags
+
+
+class TestNormSums:
+    @settings(max_examples=150)
+    @given(state=kernel_states(), params=st.lists(kernel_params(), min_size=1, max_size=6))
+    def test_entries_are_column_and_row_norm_sums(self, state, params):
+        # Each class reads its column-norm sum at _norm_entry and its row-norm
+        # sum at the complement; both bound the SVD trace norm.
+        stack = reduction_maps(state, params)
+        sums = _norm_sums(stack, state.dims)
+        eps, d = np.finfo(float).eps, state.dims.total
+        for y in all_subsets():
+            x = gpt_transform(stack, state.dims, y)
+            sq = x.real ** 2 + x.imag ** 2
+            column, row = np.sqrt(sq.sum(-2)).sum(-1), np.sqrt(sq.sum(-1)).sum(-1)
+            entry = _norm_entry(y)
+            np.testing.assert_allclose(sums[:, entry], column, rtol=8 * eps, atol=0)
+            np.testing.assert_allclose(sums[:, 15 - entry], row, rtol=8 * eps, atol=0)
+            upper = np.minimum(sums[:, entry], sums[:, 15 - entry])
+            assert np.all(np.array(trace_norm(x)) <= upper * (1 + d * eps))
+
+    def test_entry_digits(self):
+        # Every member without rA keeps i among its row digits; the
+        # realignment class's columns are (mu, nu), the partial transpose's
+        # (i, nu) and the Frobenius vector has none.
+        codes = {y.code: _norm_entry(y) for y in all_subsets()}
+        assert codes["none"] == 0b0011 and codes["rA,cA,rB,cB"] == 0b1100
+        assert codes["cA,rB"] == 0b0101 and codes["rA,cA"] == 0b1001
+        assert codes["cA,cB"] == 0b0000 and codes["rA,rB"] == 0b1111
+        assert sorted(codes.values()) == list(range(16))
 
 
 class TestCertificate:

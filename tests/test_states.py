@@ -156,6 +156,15 @@ class TestRandomSeparable:
             got = random_separable(dims, k, seed).state.mat
             assert got.tobytes() == self.term_by_term(dims, k, seed).tobytes(), seed
 
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (8, 8)])
+    @pytest.mark.parametrize("k", [3, 64, 100])
+    def test_one_reduction_bytes_equal_term_by_term(self, m, n, k):
+        # The terms are added by one reduction over their axis, in order.
+        dims = SubsystemDims(m, n)
+        for seed in range(20):
+            got = random_separable(dims, k, seed).state.mat
+            assert got.tobytes() == self.term_by_term(dims, k, seed).tobytes(), seed
+
 
 class TestRandomDensity:
     def test_density_invariants(self):
