@@ -104,6 +104,18 @@ def _judge(excess: list[float], bound: list[float],
     return violation, [v > TOL_VERDICT * max(1.0, b) for v, b in zip(violation, bound)]
 
 
+def flag_margin(verdict: CriterionVerdict) -> float:
+    """How far the verdict's excess lies past _judge's flag line: excess -
+    TOL_VERDICT * max(1, bound), with the excess of CriterionVerdict.  It
+    is > 0 exactly where the verdict is entangled, as a float difference
+    has the sign of the exact one."""
+    if verdict.criterion in ("ppt", "reduction"):  # minimum eigenvalues against 0
+        excess = -verdict.statistic
+    else:
+        excess = verdict.statistic - verdict.bound
+    return excess - TOL_VERDICT * max(1.0, verdict.bound)
+
+
 def reduction_maps(rho: DensityState, params: Sequence[tuple[complex, complex]]) -> np.ndarray:
     """The maps of generalized_reduction_map for every entry of params, as
     one (k, d, d) stack built from the state's one pair of reductions."""

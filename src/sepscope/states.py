@@ -37,11 +37,9 @@ def swap_operator(d: int) -> np.ndarray:
     """
     if d < 1:
         raise ParamOutOfRange(f"swap dimension must be >= 1, got {d}")
-    v = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            v[i * d + j, j * d + i] = 1.0
-    return v
+    v = np.zeros((d, d, d, d))
+    np.einsum("ijji->ij", v)[...] = 1.0  # a writeable view of the entries <ij|V|ji>
+    return v.reshape(d * d, d * d)
 
 
 def werner(d: int, f: float) -> LabeledState:

@@ -1,5 +1,5 @@
 """Parameter-grid evaluation over (family parameter, b), threshold location
-by bisection, and CSV/JSON emission."""
+by a bracketed ITP search, and CSV/JSON emission."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .criteria import ORACLES, TOL_VERDICT, ReductionParams, evaluate, verdict_blocks
+from .criteria import ORACLES, TOL_VERDICT, ReductionParams, evaluate, flag_margin, verdict_blocks
 from .errors import NoSignChange, ParamOutOfRange
 from .gptops import GptOpSet
 from .matlin import DensityState
@@ -31,6 +31,9 @@ MAX_GRID_POINTS = 10**6
 # The most maps one kernel call stacks, so a sweep's working arrays stay
 # bounded however long its b axis is.
 STACK_MAPS = 4096
+
+# find_threshold's target: the width of the bracket it returns the midpoint of.
+_WIDTH = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,14 +105,12 @@ def _state_factory(family: str, path: str | None = None) -> Callable[[float], De
     return lambda param: FAMILIES[family].build(None, param).state
 
 
-def run_sweep(spec: GridSpec, workers: int = 1) -> list[SweepRecord]:
+def run_sweep(spec: GridSpec) -> list[SweepRecord]:
     """Evaluate the criterion on every grid point, ordered family-parameter
     major then b.  Each family parameter's state is built once, and its b
     axis goes to verdict_blocks in stacks of at most STACK_MAPS maps, whose
     block lists become the records directly; each record matches a direct
     evaluate call bit for bit.
-
-    workers is accepted for compatibility and ignored.
     """
     return list(_sweep_records(spec))
 
@@ -139,12 +140,31 @@ def find_threshold(
     hi: float,
     criterion: str = "grc",
 ) -> float:
-    """Bisect the family parameter to the boundary where the chosen
-    criterion's verdict flips, to |hi - lo| <= 1e-6; returns the midpoint.
+    """Narrow the family parameter to the boundary where the chosen
+    criterion's verdict flips, to hi - lo <= 1e-6; returns the midpoint of
+    the last bracket.
 
     criterion selects the detector: "grc" uses evaluate with (a, b, yset),
     "ppt"/"reduction"/"realignment" use the corresponding oracle check.
-    The bracket must have lo < hi.
+    The bracket must have lo < hi, and its two ends different verdicts.
+
+    The search is ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on each
+    verdict's flag_margin g, which is > 0 exactly where it flags.  Step j
+    takes the regula falsi point of (lo, g(lo)) and (hi, g(hi)), or the
+    midpoint where that point is not finite or not strictly inside (lo, hi);
+    moves it toward the midpoint by kappa * (hi - lo)**2, or onto it where
+    it is nearer; and projects it into the midpoint's ball of radius 1e-6/2
+    * 2**(n_max - j) - (hi - lo)/2.
+    kappa = 0.2 / (hi - lo) and n_max = ceil(log2((hi - lo) / 1e-6)) + 1 are
+    taken from the first bracket.  The probe's verdict, not g, decides which
+    end it replaces, so the two ends keep different verdicts throughout.
+    Where g is near linear the bracket closes in a few probes; the
+    projection bounds any search to n_max steps, one more than bisection.  A
+    flat side takes that worst case: grc {rA,cA} at (0, 0) has excess
+    exactly 0 on the whole PPT side of werner-3, which holds the regula
+    falsi point near that end.  The radius keeps a relative 1e-8 of
+    headroom, so rounding in the midpoint cannot leave the last bracket just
+    over 1e-6.
     """
     factory = _state_factory(family)
     if criterion == "grc":
@@ -154,24 +174,42 @@ def find_threshold(
         check = ORACLES[criterion]
     else:
         raise ParamOutOfRange(f"unknown criterion {criterion!r}")
-    if not lo < hi:  # also rejects NaN, on which the bisection would never run
+    if not lo < hi:  # also rejects NaN, on which the search would never run
         raise ParamOutOfRange(f"bracket must have lo < hi, got lo={lo}, hi={hi}")
 
-    def detected(param: float) -> bool:
-        return check(factory(param)).entangled
+    def probe(param: float) -> tuple[bool, float]:
+        verdict = check(factory(param))
+        return verdict.entangled, flag_margin(verdict)
 
-    flag_lo = detected(lo)
-    if flag_lo == detected(hi):
+    (flag_lo, g_lo), (flag_hi, g_hi) = probe(lo), probe(hi)
+    if flag_lo == flag_hi:
         raise NoSignChange(
             f"verdict is {flag_lo} at both endpoints [{lo}, {hi}];"
             f" violation never crosses {TOL_VERDICT} * max(1, bound)"
         )
-    while hi - lo > 1e-6:
+    # After both ends are built, so a bracket the family rejects raises its
+    # own ParamOutOfRange first.
+    kappa = 0.2 / (hi - lo)
+    n_max = max(0, math.ceil(math.log2((hi - lo) / _WIDTH))) + 1
+    radius = (1.0 - 1e-8) * _WIDTH / 2 * 2.0 ** n_max  # halved every step
+    while hi - lo > _WIDTH:
         mid = 0.5 * (lo + hi)
-        if detected(mid) == flag_lo:
-            lo = mid
+        x = (g_hi * lo - g_lo * hi) / (g_hi - g_lo)
+        if lo < x < hi:  # False for NaN and inf too
+            sigma = math.copysign(1.0, mid - x)
+            delta = kappa * (hi - lo) ** 2
+            x = x + sigma * delta if delta <= abs(mid - x) else mid
+            r = radius - 0.5 * (hi - lo)
+            if abs(x - mid) > r:
+                x = mid - sigma * r
         else:
-            hi = mid
+            x = mid
+        flag, g = probe(x)
+        if flag == flag_lo:
+            lo, g_lo = x, g
+        else:
+            hi, g_hi = x, g
+        radius *= 0.5
     return 0.5 * (lo + hi)
 
 

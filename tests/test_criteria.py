@@ -439,3 +439,25 @@ class TestOneVerdictRule:
         monkeypatch.setattr(criteria, patched, lambda mat: value)
         with pytest.raises(SepscopeError, match=f"^the {name} statistic is not finite"):
             criteria.ORACLES[name](werner(3, 0.5).state)
+
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_flag_margin_positive_exactly_where_flagged(self, state):
+        from sepscope.criteria import ORACLES, flag_margin
+
+        st = self.STATES[state]()
+        verdicts = [check(st) for check in ORACLES.values()]
+        for a in AB_TEST_GRID:
+            verdicts += evaluate_all_Y(st, ReductionParams(a, -a))
+        for v in verdicts:
+            assert (flag_margin(v) > 0) == v.entangled
+
+    @pytest.mark.parametrize("statistic", [-1e-8, -np.nextafter(1e-8, 1.0), 1e-8])
+    @pytest.mark.parametrize("name", ["ppt", "reduction"])
+    def test_flag_margin_at_the_line(self, name, statistic):
+        # An eigenvalue criterion's excess is -statistic: -1e-8 sits on the
+        # line, unflagged with margin 0, and one step below it flags.
+        from sepscope.criteria import _oracle, flag_margin
+
+        v = _oracle(name, None, statistic, 0.0, -statistic)
+        assert (flag_margin(v) > 0) == v.entangled == (statistic < -1e-8)
+        assert flag_margin(v) == -statistic - 1e-8

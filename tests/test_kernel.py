@@ -494,6 +494,25 @@ class TestDetected:
         grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
         assert detected(state, grid, all_subsets())
 
+    @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
+    def test_screen_one_edge_flags(self, p):
+        # (1-p)|00><00| + p|Phi+><Phi+| at (0, 0) in the realignment class
+        # alone, flagged with excess p.  The realigned map is rank one, so
+        # its smaller column/row sum equals its statistic to rounding, and a
+        # screen 1 that settled pairs with upper 0.1% below its value would
+        # drop the flag.
+        ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        mat = (1 - p) * np.diag([1.0, 0.0, 0.0, 0.0]) + p * np.outer(ket, ket)
+        state = DensityState(SubsystemDims(2, 2), mat)
+        pair, realignment = ((0j, 0j),), (GptOpSet(cA=True, rB=True),)
+        (block,) = verdict_blocks(state, pair, realignment)
+        column = _norm_entry(realignment[0])
+        sums = _norm_sums(reduction_maps(state, pair), state.dims)[0]
+        upper = min(sums[column], sums[15 - column])
+        assert upper == pytest.approx(block.statistic[0], rel=1e-15)
+        assert block.entangled == [True]
+        assert detected(state, pair, realignment) is True
+
     @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-5, 1e-3])
     def test_unchecked_non_hermitian_as_full_path(self, scale):
         # A separable state plus a skew-Hermitian part, unchecked.  The

@@ -55,6 +55,15 @@ class TestSwapOperator:
             beta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             np.testing.assert_allclose(v @ np.kron(alpha, beta), np.kron(beta, alpha), atol=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_equals_entry_loop(self, d):
+        want = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                want[i * d + j, j * d + i] = 1.0
+        v = swap_operator(d)
+        assert v.dtype == want.dtype and np.array_equal(v, want)
+
 
 class TestWerner:
     def test_antisymmetric_extreme(self):

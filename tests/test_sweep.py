@@ -29,6 +29,7 @@ from sepscope import (
     save_state,
     werner,
 )
+from sepscope.criteria import ORACLES
 
 REALIGN_Y = GptOpSet(cA=True, rB=True)
 
@@ -100,9 +101,13 @@ class TestRunSweep:
             (-1.0, 0.0), (-1.0, 0.5), (-0.5, 0.0), (-0.5, 0.5),
         ]
 
-    def test_parallel_matches_serial(self):
+    def test_takes_no_workers(self):
+        # The sweep runs in the calling thread; its old ignored workers
+        # parameter is gone.
         spec = GridSpec("werner-3", 0.0, (-1.0, 1.0, 0.5), (-1.0, 1.0, 0.5), REALIGN_Y)
-        assert run_sweep(spec, workers=4) == run_sweep(spec, workers=1)
+        assert run_sweep(spec) == run_sweep(spec)
+        with pytest.raises(TypeError):
+            run_sweep(spec, workers=1)
 
     def test_file_family(self, tmp_path):
         path = tmp_path / "state.json"
@@ -176,7 +181,7 @@ class TestFindThreshold:
         calls = []
         monkeypatch.setattr(sweep, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
         find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -1.0, 0.0)
-        assert len(calls) == 22
+        assert len(calls) == 9
         assert all(args[1:] == (ReductionParams(0.0, 0.0), REALIGN_Y) for args in calls)
 
     def test_no_sign_change(self):
@@ -196,6 +201,76 @@ class TestFindThreshold:
         with pytest.raises(ParamOutOfRange, match=f"lo={lo}, hi={hi}"):
             find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, lo, hi, criterion=criterion)
         assert built == []
+
+
+# (criterion, a, b, yset, threshold) on werner-3: the four {cA,rB} pairs of
+# the acceptance suite, grc at {rA,cA}, and the ppt and realignment oracles.
+SEARCH_CASES = [
+    ("grc", 0.0, 0.0, "cA,rB", -1 / 3),
+    ("grc", 0.0, 2 / 3, "cA,rB", -1 / 3),
+    ("grc", 1.0, -1 / 3, "cA,rB", -1 / 3),
+    ("grc", 1.0, 1.0, "cA,rB", -1 / 3),
+    ("grc", 0.0, 0.0, "rA,cA", 0.0),
+    ("ppt", 0.0, 0.0, "none", 0.0),
+    ("realignment", 0.0, 0.0, "none", -1 / 3),
+]
+
+
+def searched(criterion, a, b, code, lo, hi):
+    """find_threshold's result on werner-3 and the family parameters of the
+    states it built, in order."""
+    import sepscope.states as states
+
+    built, original = [], states.werner
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "werner", lambda d, f: built.append(f) or original(d, f))
+        result = find_threshold("werner-3", a, b, GptOpSet.from_code(code), lo, hi,
+                                criterion=criterion)
+    return result, built
+
+
+def flagged(criterion, a, b, code, f):
+    rho = werner(3, f).state
+    if criterion == "grc":
+        return evaluate(rho, ReductionParams(a, b), GptOpSet.from_code(code)).entangled
+    return ORACLES[criterion](rho).entangled
+
+
+class TestThresholdSearch:
+    @pytest.mark.parametrize("criterion,a,b,code,target", SEARCH_CASES)
+    @settings(max_examples=25)
+    @given(lo=st.floats(-1.0, -0.5), hi=st.floats(0.2, 1.0))
+    def test_bracketed_within_bisection_plus_one(self, criterion, a, b, code, target, lo, hi):
+        result, built = searched(criterion, a, b, code, lo, hi)
+        assert abs(result - target) <= 1e-6
+        assert len(built) <= math.ceil(math.log2((hi - lo) / 1e-6)) + 1 + 2
+        # The last bracket's ends are the nearest probes on either side; they
+        # are 1e-6 apart at most and have different verdicts.
+        below = max(f for f in built if f < result)
+        above = min(f for f in built if f > result)
+        assert result == 0.5 * (below + above) and above - below <= 1e-6
+        assert flagged(criterion, a, b, code, below) != flagged(criterion, a, b, code, above)
+
+    def test_realignment_class_in_few_probes(self):
+        # Bisection builds 23 states on this bracket.
+        result, built = searched("grc", 0.0, 0.0, "cA,rB", -1.0, 1.0)
+        assert abs(result + 1 / 3) <= 1e-6
+        assert len(built) <= 12
+
+    def test_flat_side_still_converges(self):
+        # {rA,cA} at (0, 0) has excess exactly 0 on the whole PPT side, so
+        # the interpolation is no help there and the search may take its
+        # worst case, n_max steps.
+        result, built = searched("grc", 0.0, 0.0, "rA,cA", -1.0, 1.0)
+        assert abs(result) <= 1e-6
+        assert len(built) <= math.ceil(math.log2(2.0 / 1e-6)) + 1 + 2
+
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, 0.0), (-1.0, math.inf), (-2.0, 0.0)])
+    def test_rejected_end_raises_before_the_search(self, lo, hi):
+        # The step bound is taken only once both ends are built, so an end the
+        # family rejects raises the family's own error, an infinite one too.
+        with pytest.raises(ParamOutOfRange, match="Werner parameter must lie in"):
+            find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, lo, hi)
 
 
 def reference_bytes(records):
