@@ -150,21 +150,27 @@ def find_threshold(
 
     The search is ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on each
     verdict's flag_margin g, which is > 0 exactly where it flags.  Step j
-    takes the regula falsi point of (lo, g(lo)) and (hi, g(hi)), or the
-    midpoint where that point is not finite or not strictly inside (lo, hi);
-    moves it toward the midpoint by kappa * (hi - lo)**2, or onto it where
-    it is nearer; and projects it into the midpoint's ball of radius 1e-6/2
-    * 2**(n_max - j) - (hi - lo)/2.
-    kappa = 0.2 / (hi - lo) and n_max = ceil(log2((hi - lo) / 1e-6)) + 1 are
-    taken from the first bracket.  The probe's verdict, not g, decides which
-    end it replaces, so the two ends keep different verdicts throughout.
-    Where g is near linear the bracket closes in a few probes; the
-    projection bounds any search to n_max steps, one more than bisection.  A
-    flat side takes that worst case: grc {rA,cA} at (0, 0) has excess
-    exactly 0 on the whole PPT side of werner-3, which holds the regula
-    falsi point near that end.  The radius keeps a relative 1e-8 of
-    headroom, so rounding in the midpoint cannot leave the last bracket just
-    over 1e-6.
+    takes an interpolation point: once the flagged side holds two probes,
+    the secant through its latest two, or the midpoint where their g are
+    equal; before that, the midpoint where the unflagged end's excess is 0
+    to within its slack, g >= -2 * TOL_VERDICT * max(1, bound), and else
+    the regula falsi point of (lo, g(lo)) and (hi, g(hi)).  Only the
+    flagged side's g carries a slope: on the unflagged side the excess may
+    stay at 0, as grc {rA,cA} at (0, 0), 2 tr (T_B rho)_-, does on the
+    whole PPT side of werner-3, and a point drawn through a flat end lands
+    next to it.  Where the point is not finite or not strictly inside (lo,
+    hi) the step takes the midpoint instead.  It then moves the point
+    toward the midpoint by kappa * (hi - lo)**2, or onto it where it is
+    nearer, and projects it into the midpoint's ball of radius 1e-6/2 *
+    2**(n_max - j) - (hi - lo)/2.  kappa = 0.2 / (hi - lo) and n_max =
+    ceil(log2((hi - lo) / 1e-6)) + 1 are taken from the first bracket.  The
+    probe's verdict, not g, decides which end it replaces, so the two ends
+    keep different verdicts throughout.  Where g is near linear on the
+    flagged side the bracket closes in a few probes, about 7 past the two
+    ends on each of the benchmark's werner-3 cases, the flat one included;
+    the projection bounds any search to n_max steps, one more than
+    bisection.  The radius keeps a relative 1e-8 of headroom, so rounding
+    in the midpoint cannot leave the last bracket just over 1e-6.
     """
     factory = _state_factory(family)
     if criterion == "grc":
@@ -177,11 +183,14 @@ def find_threshold(
     if not lo < hi:  # also rejects NaN, on which the search would never run
         raise ParamOutOfRange(f"bracket must have lo < hi, got lo={lo}, hi={hi}")
 
-    def probe(param: float) -> tuple[bool, float]:
+    def probe(param: float) -> tuple[bool, float, bool]:
+        """The verdict's flag, its flag_margin, and whether its excess is 0
+        to within the slack TOL_VERDICT * max(1, bound) _judge allows."""
         verdict = check(factory(param))
-        return verdict.entangled, flag_margin(verdict)
+        g = flag_margin(verdict)
+        return verdict.entangled, g, g >= -2.0 * TOL_VERDICT * max(1.0, verdict.bound)
 
-    (flag_lo, g_lo), (flag_hi, g_hi) = probe(lo), probe(hi)
+    (flag_lo, g_lo, flat_lo), (flag_hi, g_hi, flat_hi) = probe(lo), probe(hi)
     if flag_lo == flag_hi:
         raise NoSignChange(
             f"verdict is {flag_lo} at both endpoints [{lo}, {hi}];"
@@ -192,9 +201,17 @@ def find_threshold(
     kappa = 0.2 / (hi - lo)
     n_max = max(0, math.ceil(math.log2((hi - lo) / _WIDTH))) + 1
     radius = (1.0 - 1e-8) * _WIDTH / 2 * 2.0 ** n_max  # halved every step
+    flagged = [(lo, g_lo) if flag_lo else (hi, g_hi)]  # its latest probes, the end last
+    flat = flat_hi if flag_lo else flat_lo  # of the unflagged end
     while hi - lo > _WIDTH:
         mid = 0.5 * (lo + hi)
-        x = (g_hi * lo - g_lo * hi) / (g_hi - g_lo)
+        if len(flagged) == 2:
+            (x0, g0), (x1, g1) = flagged
+            x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else mid
+        elif flat:
+            x = mid
+        else:
+            x = (g_hi * lo - g_lo * hi) / (g_hi - g_lo)
         if lo < x < hi:  # False for NaN and inf too
             sigma = math.copysign(1.0, mid - x)
             delta = kappa * (hi - lo) ** 2
@@ -204,7 +221,11 @@ def find_threshold(
                 x = mid - sigma * r
         else:
             x = mid
-        flag, g = probe(x)
+        flag, g, flat_x = probe(x)
+        if flag:
+            flagged = [flagged[-1], (x, g)]
+        else:
+            flat = flat_x
         if flag == flag_lo:
             lo, g_lo = x, g
         else:

@@ -513,6 +513,48 @@ class TestDetected:
         assert block.entangled == [True]
         assert detected(state, pair, realignment) is True
 
+    def test_screen_two_edge_flags(self):
+        # An unchecked Hermitian matrix of trace 1 + 0.9 slack with three
+        # eigenvalues at -nu, just above -tau = -slack/(8d), at (0, 0) in
+        # class none alone, whose map is the matrix itself and whose bound
+        # is 1.  Its trace norm, trace + 6 nu, is flagged with excess 1.08
+        # slack.  A certificate that took pairs up to bound + slack would
+        # pass it to the Cholesky of H + tau I, which succeeds, and settle
+        # it; at bound + slack/8 it reaches the SVD.
+        slack, d, nu = TOL_VERDICT, 4, 3e-10
+        assert nu < slack / (8 * d)
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((d, d)))
+        mat = q @ np.diag([1 + 0.9 * slack + 3 * nu, -nu, -nu, -nu]) @ q.T
+        state = DensityState(SubsystemDims(2, 2), (mat + mat.T) / 2, check=False)
+        pair, none = ((0j, 0j),), (GptOpSet(),)
+        (block,) = verdict_blocks(state, pair, none)
+        assert block.bound == [1.0]
+        assert block.statistic[0] - 1 == pytest.approx(1.08 * slack, rel=1e-6)
+        assert block.entangled == [True]
+        assert detected(state, pair, none) is True
+
+    @pytest.mark.parametrize("excess", [1e-4, 1e-5, 1e-6])
+    def test_screen_three_edge_flags(self, excess):
+        # (1-p) I/4 + p|Phi+><Phi+| at (0, 0) in the realignment class alone,
+        # with p = (1 + 2 excess)/3.  Both marginals are I/2 and R(Delta)
+        # lies in the span of the Pauli vectors, orthogonal to u = v =
+        # vec(I/2), so P + ||R(Delta)||_1 equals the statistic, 1 + excess,
+        # to rounding.  P + ||Delta||_F is about 0.79, so the residual is
+        # taken, and a screen 3 that settled pairs 0.1% over the bound would
+        # drop the flag.
+        p = (1 + 2 * excess) / 3
+        ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        state = DensityState(SubsystemDims(2, 2), (1 - p) * np.eye(4) / 4 + p * np.outer(ket, ket))
+        pair, realignment = ((0j, 0j),), (GptOpSet(cA=True, rB=True),)
+        (block,) = verdict_blocks(state, pair, realignment)
+        split = _Split(state, pair)
+        bound = block.bound[0]
+        assert split.product[0] + split.delta_fro < bound
+        assert bound < split.product[0] + split.residual < 1.001 * bound
+        assert split.product[0] + split.residual == pytest.approx(block.statistic[0], rel=1e-14)
+        assert block.entangled == [True]
+        assert detected(state, pair, realignment) is True
+
     @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-5, 1e-3])
     def test_unchecked_non_hermitian_as_full_path(self, scale):
         # A separable state plus a skew-Hermitian part, unchecked.  The

@@ -1,4 +1,4 @@
-"""Tests for the grid sweep engine, threshold bisection and emission."""
+"""Tests for the grid sweep engine, threshold search and emission."""
 
 import csv
 import io
@@ -216,14 +216,17 @@ SEARCH_CASES = [
 ]
 
 
-def searched(criterion, a, b, code, lo, hi):
-    """find_threshold's result on werner-3 and the family parameters of the
-    states it built, in order."""
+def searched(criterion, a, b, code, lo, hi, sign=1.0):
+    """find_threshold's result on werner-3, its member at f built as
+    werner(3, sign * f), and the family parameters of the states it built,
+    in order."""
     import sepscope.states as states
 
-    built, original = [], states.werner
+    built = []
+    family = states.FAMILIES["werner-3"]._replace(
+        build=lambda _options, f: built.append(f) or werner(3, sign * f))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(states, "werner", lambda d, f: built.append(f) or original(d, f))
+        patch.setitem(states.FAMILIES, "werner-3", family)
         result = find_threshold("werner-3", a, b, GptOpSet.from_code(code), lo, hi,
                                 criterion=criterion)
     return result, built
@@ -236,6 +239,20 @@ def flagged(criterion, a, b, code, f):
     return ORACLES[criterion](rho).entangled
 
 
+def assert_last_bracket(criterion, a, b, code, result, built, sign=1.0):
+    """The last bracket's ends are the nearest probes on either side; they
+    are 1e-6 apart at most and have different verdicts."""
+    below = max(f for f in built if f < result)
+    above = min(f for f in built if f > result)
+    assert result == 0.5 * (below + above) and above - below <= 1e-6
+    assert flagged(criterion, a, b, code, sign * below) != flagged(criterion, a, b, code, sign * above)
+
+
+# grc {rA,cA} at (0, 0): its excess, 2 tr (T_B rho)_-, is exactly 0 on the
+# whole PPT side, f >= 0.
+FLAT_CASE = SEARCH_CASES[4][:4]
+
+
 class TestThresholdSearch:
     @pytest.mark.parametrize("criterion,a,b,code,target", SEARCH_CASES)
     @settings(max_examples=25)
@@ -244,26 +261,45 @@ class TestThresholdSearch:
         result, built = searched(criterion, a, b, code, lo, hi)
         assert abs(result - target) <= 1e-6
         assert len(built) <= math.ceil(math.log2((hi - lo) / 1e-6)) + 1 + 2
-        # The last bracket's ends are the nearest probes on either side; they
-        # are 1e-6 apart at most and have different verdicts.
-        below = max(f for f in built if f < result)
-        above = min(f for f in built if f > result)
-        assert result == 0.5 * (below + above) and above - below <= 1e-6
-        assert flagged(criterion, a, b, code, below) != flagged(criterion, a, b, code, above)
+        assert_last_bracket(criterion, a, b, code, result, built)
 
     def test_realignment_class_in_few_probes(self):
         # Bisection builds 23 states on this bracket.
         result, built = searched("grc", 0.0, 0.0, "cA,rB", -1.0, 1.0)
         assert abs(result + 1 / 3) <= 1e-6
+        assert len(built) == 9
+
+    def test_flat_side_in_few_probes(self):
+        # Regula falsi through the flat end took ITP's worst case here: 24 builds.
+        result, built = searched(*FLAT_CASE, -1.0, 1.0)
+        assert abs(result) <= 1e-6
         assert len(built) <= 12
 
-    def test_flat_side_still_converges(self):
-        # {rA,cA} at (0, 0) has excess exactly 0 on the whole PPT side, so
-        # the interpolation is no help there and the search may take its
-        # worst case, n_max steps.
-        result, built = searched("grc", 0.0, 0.0, "rA,cA", -1.0, 1.0)
+    # sign -1 mirrors the family: the flat side at lo, the flags at hi.
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @settings(max_examples=25)
+    @given(lo=st.floats(-1.0, -0.5), hi=st.floats(0.2, 1.0))
+    def test_flat_side_in_few_probes_on_every_bracket(self, sign, lo, hi):
+        result, built = searched(*FLAT_CASE, lo, hi, sign)
+        assert abs(result) <= 1e-6
+        assert len(built) <= 12
+        assert_last_bracket(*FLAT_CASE, result, built, sign)
+
+    def test_mirrored_flat_side_converges(self):
+        result, built = searched(*FLAT_CASE, -1.0, 1.0, sign=-1.0)
+        assert abs(result) <= 1e-6
+        assert_last_bracket(*FLAT_CASE, result, built, sign=-1.0)
+
+    def test_flagged_side_without_slope_converges(self, monkeypatch):
+        # Two flagged probes with equal margins give the secant no slope;
+        # the step takes the midpoint instead of dividing by zero.
+        import sepscope.sweep as sweep
+
+        monkeypatch.setattr(sweep, "flag_margin", lambda verdict: 1.0 if verdict.entangled else -1.0)
+        result, built = searched("ppt", 0.0, 0.0, "none", -1.0, 1.0)
         assert abs(result) <= 1e-6
         assert len(built) <= math.ceil(math.log2(2.0 / 1e-6)) + 1 + 2
+        assert_last_bracket("ppt", 0.0, 0.0, "none", result, built)
 
     @pytest.mark.parametrize("lo,hi", [(-math.inf, 0.0), (-1.0, math.inf), (-2.0, 0.0)])
     def test_rejected_end_raises_before_the_search(self, lo, hi):
