@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import logging
 import math
 import os
 from dataclasses import asdict, replace
@@ -29,7 +30,8 @@ from sepscope import (
     save_state,
     werner,
 )
-from sepscope.criteria import ORACLES
+from sepscope.cli import main
+from sepscope.criteria import ORACLES, flag_margin
 
 REALIGN_Y = GptOpSet(cA=True, rB=True)
 
@@ -181,8 +183,27 @@ class TestFindThreshold:
         calls = []
         monkeypatch.setattr(sweep, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
         find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -1.0, 0.0)
-        assert len(calls) == 9
+        assert len(calls) == 5
         assert all(args[1:] == (ReductionParams(0.0, 0.0), REALIGN_Y) for args in calls)
+
+    # ReductionParams raised a plain ValueError here, while GridSpec raises
+    # ParamOutOfRange for the same a.
+    @pytest.mark.parametrize("a,b", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_non_finite_a_or_b_rejected_before_any_state(self, monkeypatch, a, b):
+        import sepscope.states as states
+
+        built = []
+        monkeypatch.setitem(states.FAMILIES, "werner-3", states.FAMILIES["werner-3"]._replace(
+            build=lambda _options, f: built.append(f)))
+        with pytest.raises(ParamOutOfRange, match=f"a={a}, b={b}"):
+            find_threshold("werner-3", a, b, REALIGN_Y, -1.0, 0.0)
+        assert built == []
+
+    @pytest.mark.parametrize("criterion", ["ppt", "realignment"])
+    def test_oracles_ignore_a_and_b(self, criterion):
+        finite = find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -1.0, 1.0, criterion=criterion)
+        assert find_threshold("werner-3", math.nan, math.inf, REALIGN_Y, -1.0, 1.0,
+                              criterion=criterion) == finite
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
@@ -216,15 +237,29 @@ SEARCH_CASES = [
 ]
 
 
-def searched(criterion, a, b, code, lo, hi, sign=1.0):
+def linear(f):
+    return f
+
+
+# werner-3 reparametrised by a monotone map of [-1, 1] onto itself, so every
+# verdict's margin is curved on both sides, and its inverse.
+def quadratic(f):
+    return -1.0 + 2.0 * ((f + 1.0) / 2.0) ** 2
+
+
+def unquadratic(w):
+    return 2.0 * math.sqrt((w + 1.0) / 2.0) - 1.0
+
+
+def searched(criterion, a, b, code, lo, hi, sign=1.0, warp=linear):
     """find_threshold's result on werner-3, its member at f built as
-    werner(3, sign * f), and the family parameters of the states it built,
-    in order."""
+    werner(3, sign * warp(f)), and the family parameters of the states it
+    built, in order."""
     import sepscope.states as states
 
     built = []
     family = states.FAMILIES["werner-3"]._replace(
-        build=lambda _options, f: built.append(f) or werner(3, sign * f))
+        build=lambda _options, f: built.append(f) or werner(3, sign * warp(f)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(states.FAMILIES, "werner-3", family)
         result = find_threshold("werner-3", a, b, GptOpSet.from_code(code), lo, hi,
@@ -239,13 +274,20 @@ def flagged(criterion, a, b, code, f):
     return ORACLES[criterion](rho).entangled
 
 
-def assert_last_bracket(criterion, a, b, code, result, built, sign=1.0):
+def assert_last_bracket(criterion, a, b, code, result, built, sign=1.0, warp=linear):
     """The last bracket's ends are the nearest probes on either side; they
     are 1e-6 apart at most and have different verdicts."""
     below = max(f for f in built if f < result)
     above = min(f for f in built if f > result)
     assert result == 0.5 * (below + above) and above - below <= 1e-6
-    assert flagged(criterion, a, b, code, sign * below) != flagged(criterion, a, b, code, sign * above)
+    assert (flagged(criterion, a, b, code, sign * warp(below))
+            != flagged(criterion, a, b, code, sign * warp(above)))
+
+
+def n_max_plus_two(lo, hi):
+    """The most states a search on (lo, hi) may build: n_max steps, one more
+    than bisection, past its two ends."""
+    return math.ceil(math.log2((hi - lo) / 1e-6)) + 1 + 2
 
 
 # grc {rA,cA} at (0, 0): its excess, 2 tr (T_B rho)_-, is exactly 0 on the
@@ -260,14 +302,60 @@ class TestThresholdSearch:
     def test_bracketed_within_bisection_plus_one(self, criterion, a, b, code, target, lo, hi):
         result, built = searched(criterion, a, b, code, lo, hi)
         assert abs(result - target) <= 1e-6
-        assert len(built) <= math.ceil(math.log2((hi - lo) / 1e-6)) + 1 + 2
+        assert len(built) <= n_max_plus_two(lo, hi)
         assert_last_bracket(criterion, a, b, code, result, built)
 
     def test_realignment_class_in_few_probes(self):
-        # Bisection builds 23 states on this bracket.
+        # Bisection builds 23 states on this bracket.  The secant is exact
+        # from the second flagged probe on; the two probes after it straddle
+        # its prediction.
         result, built = searched("grc", 0.0, 0.0, "cA,rB", -1.0, 1.0)
         assert abs(result + 1 / 3) <= 1e-6
-        assert len(built) == 9
+        assert len(built) == 6
+        assert abs(built[-1] - built[-2]) <= 1e-6
+
+    # The draws of test_bracketed_within_bisection_plus_one, mapped through
+    # unquadratic, so the ends are those states to rounding.
+    @pytest.mark.parametrize("criterion,a,b,code,target", SEARCH_CASES)
+    @settings(max_examples=25)
+    @given(lo=st.floats(-1.0, -0.5), hi=st.floats(0.2, 1.0))
+    def test_curved_margin_within_bisection_plus_one(self, criterion, a, b, code, target, lo,
+                                                     hi):
+        lo, hi = unquadratic(lo), unquadratic(hi)
+        result, built = searched(criterion, a, b, code, lo, hi, warp=quadratic)
+        assert abs(result - unquadratic(target)) <= 1e-6
+        assert len(built) <= n_max_plus_two(lo, hi)
+        assert_last_bracket(criterion, a, b, code, result, built, warp=quadratic)
+
+    def test_curved_margin_in_few_probes_on_average(self):
+        # The flagged side's secant alone took 22.7 builds per threshold on
+        # these brackets, about bisection's 23, and 16.0 with the straddle alone;
+        # the unflagged side's secant brings it to 12.9.
+        rng = np.random.default_rng(18)
+        counts = []
+        for _ in range(20):
+            for criterion, a, b, code, _target in SEARCH_CASES:
+                lo, hi = unquadratic(rng.uniform(-1.0, -0.5)), unquadratic(rng.uniform(0.2, 1.0))
+                counts.append(len(searched(criterion, a, b, code, lo, hi, warp=quadratic)[1]))
+        assert np.mean(counts) <= 14
+
+    @pytest.mark.parametrize("warp,unwarp", [(linear, linear), (quadratic, unquadratic)],
+                             ids=["linear", "quadratic"])
+    @pytest.mark.parametrize("criterion,a,b,code,target", SEARCH_CASES)
+    @settings(max_examples=10)
+    @given(lo=st.floats(-1.0, -0.5), hi=st.floats(0.2, 1.0))
+    def test_probes_strictly_inside_the_bracket(self, criterion, a, b, code, target, warp,
+                                                unwarp, lo, hi):
+        lo, hi = unwarp(lo), unwarp(hi)
+        _, built = searched(criterion, a, b, code, lo, hi, warp=warp)
+        assert built[:2] == [lo, hi] and len(set(built)) == len(built)
+        flag_lo = flagged(criterion, a, b, code, warp(lo))
+        for x in built[2:]:
+            assert lo < x < hi
+            if flagged(criterion, a, b, code, warp(x)) == flag_lo:
+                lo = x
+            else:
+                hi = x
 
     def test_flat_side_in_few_probes(self):
         # Regula falsi through the flat end took ITP's worst case here: 24 builds.
@@ -298,7 +386,7 @@ class TestThresholdSearch:
         monkeypatch.setattr(sweep, "flag_margin", lambda verdict: 1.0 if verdict.entangled else -1.0)
         result, built = searched("ppt", 0.0, 0.0, "none", -1.0, 1.0)
         assert abs(result) <= 1e-6
-        assert len(built) <= math.ceil(math.log2(2.0 / 1e-6)) + 1 + 2
+        assert len(built) <= n_max_plus_two(-1.0, 1.0)
         assert_last_bracket("ppt", 0.0, 0.0, "none", result, built)
 
     @pytest.mark.parametrize("lo,hi", [(-math.inf, 0.0), (-1.0, math.inf), (-2.0, 0.0)])
@@ -307,6 +395,43 @@ class TestThresholdSearch:
         # family rejects raises the family's own error, an infinite one too.
         with pytest.raises(ParamOutOfRange, match="Werner parameter must lie in"):
             find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, lo, hi)
+
+
+class TestThresholdLog:
+    def test_silent_by_default(self):
+        assert any(isinstance(handler, logging.NullHandler)
+                   for handler in logging.getLogger("sepscope").handlers)
+
+    def test_one_record_per_built_state(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="sepscope"):
+            _, built = searched("grc", 0.0, 0.0, "cA,rB", -1.0, 1.0)
+        records = [record for record in caplog.records if record.name == "sepscope.sweep"]
+        assert [record.args[0] for record in records] == built
+        for record, f in zip(records, built):
+            verdict = evaluate(werner(3, f).state, ReductionParams(0.0, 0.0), REALIGN_Y)
+            assert record.levelno == logging.DEBUG
+            assert record.args[1:] == (verdict.entangled, flag_margin(verdict))
+
+    def test_results_unchanged_with_debug_on(self, caplog):
+        def thresholds():
+            return [repr(find_threshold("werner-3", 0.0, 0.0, REALIGN_Y, -0.9, 0.7,
+                                        criterion=criterion))
+                    for criterion in ("grc", "ppt", "realignment")]
+
+        off = thresholds()
+        with caplog.at_level(logging.DEBUG, logger="sepscope"):
+            on = thresholds()
+        assert on == off and caplog.records
+
+    def test_cli_stdout_unchanged_with_debug_on(self, caplog, capsys, tmp_path):
+        runs, out = [], tmp_path / "sweep.csv"  # the summary line names it
+        for level in (logging.WARNING, logging.DEBUG):
+            with caplog.at_level(level, logger="sepscope"):
+                codes = (main(["check", "--builtin", "werner", "--f", "-0.5", "--yset", "all"]),
+                         main(["sweep", "--family", "werner-3", "--param-start", "-1",
+                               "--param-stop", "0", "--param-step", "0.5", "--out", str(out)]))
+            runs.append((codes, capsys.readouterr(), out.read_bytes()))
+        assert runs[0] == runs[1]
 
 
 def reference_bytes(records):
