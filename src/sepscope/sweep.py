@@ -38,7 +38,7 @@ STACK_MAPS = 4096
 # find_threshold's target: the width of the bracket it returns the midpoint of.
 _WIDTH = 1e-6
 
-# How far find_threshold moves a secant's prediction toward the midpoint: a
+# The most find_threshold moves a secant's prediction toward the midpoint: a
 # probe just past a right prediction sends the next one just past it the
 # other way, closing the bracket at 2 * _STRADDLE < _WIDTH.
 _STRADDLE = 0.45 * _WIDTH
@@ -159,36 +159,29 @@ def find_threshold(
     The search is ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on each
     verdict's flag_margin g, which is > 0 exactly where it flags.  Step j
     takes an interpolation point: once the flagged side holds two probes,
-    a secant, or the midpoint where its two g are equal; before that, the
-    midpoint where the unflagged end's excess is 0 to within its slack,
-    g >= -2 * TOL_VERDICT * max(1, bound), and else the regula falsi point
-    of (lo, g(lo)) and (hi, g(hi)).  The secant runs through the flagged
-    side's latest two probes, except after a probe lands unflagged while
-    that side holds two probes of its own taken since the flagged side
-    held two: then it runs through those.  On a curved margin the flagged
-    secant keeps landing on the unflagged side, where its own pair stops
-    updating; the unflagged pair lets the next point come from the other
-    side.  Probes from before the flagged side held two are far off and
-    not used, and a flat probe empties the unflagged pair: on that side
-    the excess may stay at 0, as grc {rA,cA} at (0, 0), 2 tr (T_B rho)_-,
-    does on the whole PPT side of werner-3, and a line drawn through a flat
-    probe lands next to it.  Where the point is not finite or not strictly
-    inside (lo, hi) the step takes the midpoint instead.  It then moves
-    the point toward the midpoint, or onto it where it is nearer, by kappa
-    * (hi - lo)**2 for a regula falsi point and by 0.45e-6 for a secant's:
-    a probe just past a right prediction lands on its far side, and the
-    next probe, the same prediction moved the other way, closes the
-    bracket at 0.9e-6.  Last it projects the point into the midpoint's
-    ball of radius 1e-6/2 * 2**(n_max - j) - (hi - lo)/2.  kappa = 0.2 /
-    (hi - lo) and n_max = ceil(log2((hi - lo) / 1e-6)) + 1 are taken from
-    the first bracket.  The probe's verdict, not g, decides which end it
-    replaces, so the two ends keep different verdicts throughout.  Where g
-    is near linear on the flagged side the bracket closes about two probes
-    after the secant first predicts: 3 to 6 past the two ends on the
-    benchmark's werner-3 cases, the flat one included.  The projection
-    bounds any search to n_max steps, one more than bisection.  The radius
-    keeps a relative 1e-8 of headroom, so rounding in the midpoint cannot
-    leave the last bracket just over 1e-6.
+    the secant through its latest two, or the midpoint where their g are
+    equal; before that, the midpoint where the unflagged end's excess is 0
+    to within its slack, g >= -2 * TOL_VERDICT * max(1, bound), and else
+    the regula falsi point of (lo, g(lo)) and (hi, g(hi)).  Only the
+    flagged side's g carries a slope: on the unflagged side the excess may
+    stay at 0, as grc {rA,cA} at (0, 0), 2 tr (T_B rho)_-, does on the
+    whole PPT side of werner-3, and a point drawn through a flat end lands
+    next to it.  Where the point is not finite or not strictly inside (lo,
+    hi) the step takes the midpoint instead.  It then moves the point
+    toward the midpoint by kappa * (hi - lo)**2, at most 0.45e-6 for a
+    secant's point, or onto the midpoint where it is nearer, and projects
+    it into the midpoint's ball of radius 1e-6/2 * 2**(n_max - j) - (hi -
+    lo)/2.  kappa = 0.2 / (hi - lo) and n_max = ceil(log2((hi - lo) /
+    1e-6)) + 1 are taken from the first bracket.  A probe just past a
+    right prediction lands on its far side, the next probe passes it the
+    other way, and the bracket closes at 0.9e-6.  The probe's verdict, not
+    g, decides which end it replaces, so the two ends keep different
+    verdicts throughout.  Where g is near linear on the flagged side the
+    bracket closes about two probes after the secant first predicts: 3 to
+    6 past the two ends on the benchmark's werner-3 cases, the flat one
+    included.  The projection bounds any search to n_max steps, one more
+    than bisection.  The radius keeps a relative 1e-8 of headroom, so
+    rounding in the midpoint cannot leave the last bracket just over 1e-6.
 
     Each probe is logged at DEBUG on the "sepscope.sweep" logger with its
     parameter, its flag and its flag_margin.
@@ -228,18 +221,18 @@ def find_threshold(
     n_max = max(0, math.ceil(math.log2((hi - lo) / _WIDTH))) + 1
     radius = (1.0 - 1e-8) * _WIDTH / 2 * 2.0 ** n_max  # halved every step
     flagged = [(lo, g_lo) if flag_lo else (hi, g_hi)]  # its latest probes, the end last
-    unflagged: list[tuple[float, float]] = []  # its latest since flagged held two, none flat
     flat = flat_hi if flag_lo else flat_lo  # of the unflagged end
-    flag = True  # the latest probe's; no unflagged pair is held before one lands
     while hi - lo > _WIDTH:
         mid = 0.5 * (lo + hi)
+        delta = kappa * (hi - lo) ** 2
         if len(flagged) == 2:
-            (x0, g0), (x1, g1) = unflagged if not flag and len(unflagged) == 2 else flagged
+            (x0, g0), (x1, g1) = flagged
             x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else mid
-            delta = _STRADDLE
+            delta = min(delta, _STRADDLE)
+        elif flat:
+            x = mid
         else:
-            x = mid if flat else (g_hi * lo - g_lo * hi) / (g_hi - g_lo)
-            delta = kappa * (hi - lo) ** 2
+            x = (g_hi * lo - g_lo * hi) / (g_hi - g_lo)
         if lo < x < hi:  # False for NaN and inf too
             sigma = math.copysign(1.0, mid - x)
             x = x + sigma * delta if delta <= abs(mid - x) else mid
@@ -251,8 +244,6 @@ def find_threshold(
         flag, g, flat_x = probe(x)
         if flag:
             flagged = [flagged[-1], (x, g)]
-        elif len(flagged) == 2:
-            unflagged = [] if flat_x else [*unflagged[-1:], (x, g)]
         else:
             flat = flat_x
         if flag == flag_lo:

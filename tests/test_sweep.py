@@ -30,7 +30,6 @@ from sepscope import (
     save_state,
     werner,
 )
-from sepscope.cli import main
 from sepscope.criteria import ORACLES, flag_margin
 
 REALIGN_Y = GptOpSet(cA=True, rB=True)
@@ -327,18 +326,6 @@ class TestThresholdSearch:
         assert len(built) <= n_max_plus_two(lo, hi)
         assert_last_bracket(criterion, a, b, code, result, built, warp=quadratic)
 
-    def test_curved_margin_in_few_probes_on_average(self):
-        # The flagged side's secant alone took 22.7 builds per threshold on
-        # these brackets, about bisection's 23, and 16.0 with the straddle alone;
-        # the unflagged side's secant brings it to 12.9.
-        rng = np.random.default_rng(18)
-        counts = []
-        for _ in range(20):
-            for criterion, a, b, code, _target in SEARCH_CASES:
-                lo, hi = unquadratic(rng.uniform(-1.0, -0.5)), unquadratic(rng.uniform(0.2, 1.0))
-                counts.append(len(searched(criterion, a, b, code, lo, hi, warp=quadratic)[1]))
-        assert np.mean(counts) <= 14
-
     @pytest.mark.parametrize("warp,unwarp", [(linear, linear), (quadratic, unquadratic)],
                              ids=["linear", "quadratic"])
     @pytest.mark.parametrize("criterion,a,b,code,target", SEARCH_CASES)
@@ -422,16 +409,6 @@ class TestThresholdLog:
         with caplog.at_level(logging.DEBUG, logger="sepscope"):
             on = thresholds()
         assert on == off and caplog.records
-
-    def test_cli_stdout_unchanged_with_debug_on(self, caplog, capsys, tmp_path):
-        runs, out = [], tmp_path / "sweep.csv"  # the summary line names it
-        for level in (logging.WARNING, logging.DEBUG):
-            with caplog.at_level(level, logger="sepscope"):
-                codes = (main(["check", "--builtin", "werner", "--f", "-0.5", "--yset", "all"]),
-                         main(["sweep", "--family", "werner-3", "--param-start", "-1",
-                               "--param-stop", "0", "--param-step", "0.5", "--out", str(out)]))
-            runs.append((codes, capsys.readouterr(), out.read_bytes()))
-        assert runs[0] == runs[1]
 
 
 def reference_bytes(records):
