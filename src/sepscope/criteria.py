@@ -23,7 +23,9 @@ from .gptops import (
 )
 from .matlin import (
     DensityState,
+    constant_cache,
     hermitian_eigenvalues,
+    identity,
     kron,
     trace_norm,
 )
@@ -100,8 +102,8 @@ def _judge(excess: list[float], bound: list[float],
     float raises culprit(i) for the first."""
     if not all(map(math.isfinite, excess)):
         raise culprit([math.isfinite(e) for e in excess].index(False))
-    violation = [max(0.0, e) for e in excess]
-    return violation, [v > TOL_VERDICT * max(1.0, b) for v, b in zip(violation, bound)]
+    violation = [e if e > 0.0 else 0.0 for e in excess]  # max(0.0, e) without the call
+    return violation, [v > TOL_VERDICT * (b if b > 1.0 else 1.0) for v, b in zip(violation, bound)]
 
 
 def flag_margin(verdict: CriterionVerdict) -> float:
@@ -116,23 +118,27 @@ def flag_margin(verdict: CriterionVerdict) -> float:
     return excess - TOL_VERDICT * max(1.0, verdict.bound)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # found below, by the map it spoils
 def reduction_maps(rho: DensityState, params: Sequence[tuple[complex, complex]]) -> np.ndarray:
     """The maps of generalized_reduction_map for every entry of params, as
-    one (k, d, d) stack built from the state's one pair of reductions."""
+    one (k, d, d) stack built from the state's one pair of reductions.
+
+    A map with an entry that is not finite raises ParamOutOfRange naming its
+    (a, b), the first such in params, before any SVD sees it.  One isfinite
+    check on the stack finds every overflow: the map's terms ab I, a (I kron
+    rho_B), b (rho_A kron I) and rho are only added up, and a sum with an inf
+    or NaN term is inf or NaN, so a product that overflowed, ab's included,
+    leaves its map not finite.
+    """
     m, n = rho.dims.m, rho.dims.n
     rho_a, rho_b = rho.reductions
-    k_b = kron(np.eye(m, dtype=complex), rho_b)
-    k_a = kron(rho_a, np.eye(n, dtype=complex))
-    a, b = (np.array(x)[:, None, None] for x in zip(*params))
-    ab = np.array([x * y for x, y in params])[:, None, None]
-    try:  # before any SVD: LAPACK reports a non-finite input on the terminal
-        with np.errstate(over="raise", invalid="raise"):
-            np.multiply(a, b)  # raises where a Python product in ab overflowed silently
-            return ab * np.eye(m * n) - a * k_b - b * k_a + rho.mat
-    except FloatingPointError:  # each map alone, until the first to overflow is named
-        for p in params[:-1]:
-            reduction_maps(rho, (p,))
-        raise _overflow(params[-1]) from None
+    a, b, ab = np.array([(x, y, x * y) for x, y in params]).T[:, :, None, None]
+    stack = (ab * identity(m * n) - a * kron(identity(m, complex), rho_b)
+             - b * kron(rho_a, identity(n, complex)) + rho.mat)
+    finite = np.isfinite(stack)
+    if not finite.all():
+        raise _overflow(params[int(np.argmin(finite.all((1, 2))))])
+    return stack
 
 
 def generalized_reduction_map(rho: DensityState, p: ReductionParams) -> np.ndarray:
@@ -209,36 +215,33 @@ def _classes(
     ysets: Sequence[GptOpSet],
 ) -> Iterator[tuple[GptOpSet, list[int], list[float]]]:
     """The complement classes {y, complement of y} of ysets, lazily, in order
-    of their first request: each as its member without rA, the indices of
-    the requested subsets it serves, and its bound over params.
+    of their first request: each as its member without rA, the subset of
+    all_subsets() at its code 4 cA + 2 rB + cB, the indices of the
+    requested subsets it serves, and its bound over params.
 
     A subset and its complement have transposed transforms, hence the same
-    statistic and bound.  The bound depends on the member's flags only
-    through (not cA, rB == cB), so each of the at most four lists is built
-    once per call, on first use, and shared by the classes with its key;
-    each side's factor is computed once per distinct value in the call.  A
-    requested subset without rA is yielded as its class's member.
+    statistic and bound; a subset with rA is served by its complement,
+    whose code is 7 minus its own.  The bound depends on the member's flags
+    only through (not cA, rB == cB), so each of the at most four lists is
+    built once per call, on first use, and shared by the classes with its
+    key; each side's factor is computed once per distinct value in the call.
     """
-    served: dict[tuple[bool, bool, bool], list[int]] = {}
-    members: dict[tuple[bool, bool, bool], GptOpSet] = {}
+    served: dict[int, list[int]] = {}
     for j, y in enumerate(ysets):
-        name = (not y.cA, not y.rB, not y.cB) if y.rA else (y.cA, y.rB, y.cB)
-        served.setdefault(name, []).append(j)
-        if not y.rA:
-            members.setdefault(name, y)
+        code = 4 * y.cA + 2 * y.rB + y.cB
+        served.setdefault(7 - code if y.rA else code, []).append(j)
     h_a: dict[bool, list[float]] = {}  # each side's factors by flags equal, on first use
     h_b: dict[bool, list[float]] = {}
     bounds: dict[tuple[bool, bool], list[float]] = {}
-    for name, indices in served.items():
-        cA, rB, cB = name
-        key = same_a, same_b = (not cA, rB == cB)
+    for code, indices in served.items():
+        key = same_a, same_b = (not code & 4, (code & 3) in (0, 3))
         if key not in bounds:
             if same_a not in h_a:
                 h_a[same_a] = _factors([a for a, _ in params], dims.m, same_a)
             if same_b not in h_b:
                 h_b[same_b] = _factors([b for _, b in params], dims.n, same_b)
             bounds[key] = [x * y for x, y in zip(h_a[same_a], h_b[same_b])]
-        yield members.get(name) or GptOpSet(False, cA, rB, cB), indices, bounds[key]
+        yield all_subsets()[code], indices, bounds[key]
 
 
 def _judged(statistic: list[float], bound: list[float], params: Sequence[tuple[complex, complex]]
@@ -331,7 +334,7 @@ def _certified(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
         return group
 
 
-@functools.lru_cache(maxsize=16)
+@constant_cache(16, lambda m, n: m * n * (m + 1) * (n + 1))
 def _marginal_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """_norm_sums' 0/1 maps on the composite digits (i, mu) of an m x n
     state: kron(E_m, E_n) with E_d = [I_d | 1_d], whose slot d sums an
@@ -343,10 +346,7 @@ def _marginal_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     def norm(d: int) -> np.ndarray:
         return np.stack([np.eye(d + 1)[d], 1.0 - np.eye(d + 1)[d]], axis=1)
 
-    maps = np.kron(marginal(m), marginal(n)), np.kron(norm(m), norm(n))
-    for x in maps:
-        x.setflags(write=False)
-    return maps
+    return np.kron(marginal(m), marginal(n)), np.kron(norm(m), norm(n))
 
 
 def _norm_sums(stack: np.ndarray, dims) -> np.ndarray:
@@ -523,8 +523,11 @@ def evaluate_grid(
 
 
 def evaluate(rho: DensityState, p: ReductionParams, y: GptOpSet) -> CriterionVerdict:
-    """Generalized reduction criterion for one (a, b) pair and one subset y."""
-    return _verdict(next(verdict_blocks(rho, ((p.a, p.b),), (y,))), 0, p, y)
+    """Generalized reduction criterion for one (a, b) pair and one subset y:
+    verdict_blocks' one block, taken to its end, which costs less than
+    closing a generator left suspended."""
+    (block,) = verdict_blocks(rho, ((p.a, p.b),), (y,))
+    return _verdict(block, 0, p, y)
 
 
 def evaluate_all_Y(rho: DensityState, p: ReductionParams) -> tuple[CriterionVerdict, ...]:
@@ -557,8 +560,8 @@ def reduction_check(rho: DensityState) -> CriterionVerdict:
     """Positivity of I kron rho_B - rho and rho_A kron I - rho, jointly."""
     m, n = rho.dims.m, rho.dims.n
     rho_a, rho_b = rho.reductions
-    lo_b = float(hermitian_eigenvalues(kron(np.eye(m), rho_b) - rho.mat)[0])
-    lo_a = float(hermitian_eigenvalues(kron(rho_a, np.eye(n)) - rho.mat)[0])
+    lo_b = float(hermitian_eigenvalues(kron(identity(m), rho_b) - rho.mat)[0])
+    lo_a = float(hermitian_eigenvalues(kron(rho_a, identity(n)) - rho.mat)[0])
     statistic = min(lo_a, lo_b)
     return _oracle("reduction", None, statistic, 0.0, -statistic)
 

@@ -4,6 +4,7 @@ the SVD-based Kronecker-sum decomposition."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,16 +116,22 @@ def gpt_transform(rho, dims: SubsystemDims, y: GptOpSet) -> np.ndarray:
     m, n = dims.m, dims.n
     rho = _require_square(rho, dims, batch=True)
     lead = rho.shape[:-2]
-    off = len(lead)
-    t = rho.reshape(*lead, m, n, m, n)  # axes (..., i, mu, j, nu)
-    digits = transform_digits(y)
-    row_axes = [off + axis for axis, in_rows in digits if in_rows]
-    col_axes = [off + axis for axis, in_rows in digits if not in_rows]
-    rows = 1
-    for axis in row_axes:
-        rows *= t.shape[axis]
-    return t.transpose([*range(off), *row_axes, *col_axes]).reshape(
+    order, a_rows, b_rows = _regrouping(y, len(lead))
+    rows = m**a_rows * n**b_rows
+    return rho.reshape(*lead, m, n, m, n).transpose(order).reshape(
         *lead, rows, (m * m * n * n) // rows)
+
+
+@functools.lru_cache(maxsize=32)  # 16 subsets, with or without a batch axis
+def _regrouping(y: GptOpSet, off: int) -> tuple[tuple[int, ...], int, int]:
+    """gpt_transform's axis order for the (..., i, mu, j, nu) view with off
+    leading axes, rows' digits then columns', and how many of the row
+    digits index A (i, j) and B (mu, nu)."""
+    digits = transform_digits(y)
+    rows = [axis for axis, in_rows in digits if in_rows]
+    cols = [axis for axis, in_rows in digits if not in_rows]
+    order = (*range(off), *(off + axis for axis in rows + cols))
+    return order, sum(axis % 2 == 0 for axis in rows), sum(axis % 2 for axis in rows)
 
 
 def transform_digits(y: GptOpSet) -> tuple[tuple[int, bool], ...]:

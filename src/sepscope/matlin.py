@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import InitVar, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,15 +19,55 @@ TOL_PSD = -1e-9
 
 CMatrix = np.ndarray
 
+# The most entries one cached constant holds: 64 Ki, 1 MiB as complex.  A
+# larger one is built on every call, so no cache keeps a large array alive:
+# werner(100)'s swap operator alone is 800 MB.
+CACHE_ENTRIES = 1 << 16
 
+
+def constant_cache(maxsize: int, entries: Callable[..., int]):
+    """Decorator for a builder of constant arrays: an LRU cache of at most
+    maxsize results, each made read-only, that keeps only a result whose
+    entries(*args) <= CACHE_ENTRIES and builds any larger one afresh.  So a
+    cache holds at most maxsize * CACHE_ENTRIES entries.  The cache's
+    cache_info and cache_clear are the wrapper's."""
+    def wrap(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+        @functools.wraps(build)
+        def read_only(*args, **kwargs):
+            result = build(*args, **kwargs)
+            for array in result if isinstance(result, tuple) else (result,):
+                array.setflags(write=False)
+            return result
+
+        cached = functools.lru_cache(maxsize=maxsize)(read_only)
+
+        @functools.wraps(build)
+        def constant(*args, **kwargs):
+            keep = entries(*args, **kwargs) <= CACHE_ENTRIES
+            return (cached if keep else read_only)(*args, **kwargs)
+
+        constant.cache_info, constant.cache_clear = cached.cache_info, cached.cache_clear
+        return constant
+    return wrap
+
+
+@constant_cache(16, lambda d, dtype=float: d * d)
+def identity(d: int, dtype=float) -> np.ndarray:
+    """np.eye(d, dtype=dtype), read-only."""
+    return np.eye(d, dtype=dtype)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow in the sum is the finding
 def as_cmatrix(entries) -> np.ndarray:
     """Coerce to a 2-D complex array whose entry magnitudes sum to a finite
-    float, a sum that bounds every partial trace and trace norm taken of it."""
-    mat = np.atleast_2d(np.asarray(entries, dtype=complex))
+    float, a sum that bounds every partial trace and trace norm taken of it.
+    A 2-D complex ndarray comes back as itself, not a copy."""
+    mat = np.asarray(entries, dtype=complex)
+    if mat.ndim != 2:
+        mat = np.atleast_2d(mat)
     if mat.ndim != 2 or mat.size == 0:
         raise DimensionMismatch(f"expected a non-empty 2-D matrix, got shape {mat.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the finding
-        total = np.abs(mat).sum()
+    total = abs(mat).sum()
     if not math.isfinite(total):
         raise InvariantViolation(f"matrix entry magnitudes must sum to a finite float, got {total}")
     return mat
@@ -52,16 +93,17 @@ class SubsystemDims:
 
 def validate_density(mat: np.ndarray) -> None:
     """Raise InvariantViolation unless mat is Hermitian, unit-trace and PSD
-    within tolerance."""
-    herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
+    within tolerance.  mat is a square complex ndarray, such as as_cmatrix
+    returns."""
+    herm_defect = float(abs(mat - mat.conj().T).max())
     if herm_defect > TOL_HERM:
         raise InvariantViolation(
             f"not Hermitian: max |rho_ij - conj(rho_ji)| = {herm_defect:.3e}"
         )
-    tr = complex(np.trace(mat))
+    tr = complex(mat.trace())
     if abs(tr.real - 1.0) > 1e-12 or abs(tr.imag) > 1e-12:
         raise InvariantViolation(f"trace is {tr}, expected 1")
-    min_eig = float(np.linalg.eigvalsh(mat).min())
+    min_eig = float(np.linalg.eigvalsh(mat)[0])  # ascending
     if min_eig < TOL_PSD:
         raise InvariantViolation(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
 
@@ -73,7 +115,9 @@ class DensityState:
     Construction validates Hermiticity, unit trace and positive
     semidefiniteness; pass ``check=False`` only for explicitly unchecked
     file loads.  The stored matrix is a read-only copy, safe to share
-    across workers.
+    across workers: mat may be any matrix as_cmatrix takes, and the state
+    makes one complex copy of it, whatever its type, so it never shares
+    memory with the input.
     """
 
     dims: SubsystemDims
@@ -81,14 +125,13 @@ class DensityState:
     check: InitVar[bool] = True
 
     def __post_init__(self, check: bool) -> None:
-        mat = as_cmatrix(self.mat)
+        mat = as_cmatrix(np.array(self.mat, dtype=complex))  # the one copy
         d = self.dims.total
         if mat.shape != (d, d):
             raise DimensionMismatch(
                 f"state matrix is {mat.shape}; dims ({self.dims.m}, {self.dims.n})"
                 f" require ({d}, {d})"
             )
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         if check:
@@ -123,11 +166,11 @@ def vec(a) -> np.ndarray:
     return np.asarray(a, dtype=complex).reshape(-1, 1, order="F")
 
 
+@np.errstate(over="ignore")
 def trace_norm(mat) -> float | list[float]:
     """Sum of singular values (Ky Fan / nuclear norm) of a matrix, as a float,
     or of each matrix of a (k, r, c) stack, as a list; inf past the float range."""
-    with np.errstate(over="ignore"):
-        return np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False).sum(-1).tolist()
+    return np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False).sum(-1).tolist()
 
 
 def svd(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,7 +191,7 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NotHermitian(f"matrix of shape {mat.shape} is not square")
-    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    defect = float(abs(mat - mat.conj().T).max())
     if defect > TOL_HERM:
         raise NotHermitian(f"max |M_ij - conj(M_ji)| = {defect:.3e} exceeds {TOL_HERM}")
     return np.linalg.eigvalsh(mat)
@@ -163,7 +206,7 @@ def partial_trace(rho: DensityState, trace_out: str) -> np.ndarray:
     m, n = rho.dims.m, rho.dims.n
     t = rho.mat.reshape(m, n, m, n)
     if trace_out == "B":
-        return np.trace(t, axis1=1, axis2=3)
+        return t.trace(axis1=1, axis2=3)
     if trace_out == "A":
-        return np.trace(t, axis1=0, axis2=2)
+        return t.trace(axis1=0, axis2=2)
     raise ValueError(f"trace_out must be 'A' or 'B', got {trace_out!r}")

@@ -14,7 +14,7 @@ from .errors import (
     ParamOutOfRange,
     ParseError,
 )
-from .matlin import DensityState, SubsystemDims, kron
+from .matlin import DensityState, SubsystemDims, constant_cache, identity, kron
 
 TOL_UNITARY = 1e-8
 
@@ -33,10 +33,17 @@ def swap_operator(d: int) -> np.ndarray:
     """The swap V = sum_{i,j} |ij><ji| on a d x d product space.
 
     V is a symmetric real 0/1 matrix with V^2 = I and Tr V = d, and
-    V (alpha kron beta) = beta kron alpha.
+    V (alpha kron beta) = beta kron alpha.  It is read-only, and cached
+    while it has at most matlin.CACHE_ENTRIES entries (d <= 16).
     """
     if d < 1:
         raise ParamOutOfRange(f"swap dimension must be >= 1, got {d}")
+    return _swap(d)
+
+
+@constant_cache(8, lambda d: d**4)
+def _swap(d: int) -> np.ndarray:
+    """swap_operator's matrix for a d >= 1 it has checked."""
     v = np.zeros((d, d, d, d))
     np.einsum("ijji->ij", v)[...] = 1.0  # a writeable view of the entries <ij|V|ji>
     return v.reshape(d * d, d * d)
@@ -52,7 +59,7 @@ def werner(d: int, f: float) -> LabeledState:
         raise ParamOutOfRange(f"Werner dimension must be >= 2, got {d}")
     if not -1.0 <= f <= 1.0:
         raise ParamOutOfRange(f"Werner parameter must lie in [-1, 1], got {f}")
-    mat = ((d - f) * np.eye(d * d) + (d * f - 1.0) * swap_operator(d)) / (d**3 - d)
+    mat = ((d - f) * identity(d * d) + (d * f - 1.0) * swap_operator(d)) / (d**3 - d)
     return LabeledState(
         name="werner",
         params={"d": d, "f": f},
@@ -228,16 +235,36 @@ def _parse_dim(payload: dict, key: str) -> int:
     return value
 
 
+# For each dtype kind numpy gives a field's array when some entry is not a JSON
+# number, what that entry is.
+_NOT_NUMBERS = {"b": "true or false", "U": "a string",
+                "O": "null, an object or an integer outside the 64-bit range"}
+
+
 def _parse_array(payload: dict, key: str, d: int) -> np.ndarray:
+    """Field key as a (d, d) float array.  Every entry must be a finite JSON
+    number: the array's dtype kind must be integer or float, which one
+    string, null or object anywhere fails, as does a field of nothing but
+    true/false, and one isfinite rejects NaN, Infinity and 1e400.  true or
+    false among numbers is not caught: numpy reads it as 1 or 0 and leaves
+    no trace of it in the dtype."""
     value = payload.get(key)
     if value is None:
         raise ParseError(f"field {key!r}: missing")
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.array(value)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {key!r}: not a numeric 2-D array ({exc})") from exc
     if arr.shape != (d, d):
         raise ParseError(f"field {key!r}: shape {arr.shape} does not match m*n = {d}")
+    if arr.dtype.kind not in "iuf":
+        raise ParseError(f"field {key!r}: every entry must be a number,"
+                         f" found {_NOT_NUMBERS[arr.dtype.kind]}")
+    arr = arr.astype(float, copy=False)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ParseError(f"field {key!r}: every entry must be finite,"
+                         f" found {arr.flat[np.argmin(finite)]}")
     return arr
 
 

@@ -22,7 +22,7 @@ from sepscope import (
     werner,
 )
 from sepscope.cli import build_parser, main
-from sepscope.errors import ParamOutOfRange
+from sepscope.errors import ParamOutOfRange, ParseError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -32,6 +32,36 @@ def run_python(code: str, *args: str, stdout=subprocess.PIPE) -> subprocess.Comp
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+# (field, entry as JSON text, the end of the message): each makes load_state
+# raise ParseError naming the field, checked or not, before any arithmetic,
+# and check exit 2 with that message as its one line.
+BAD_ENTRIES = [
+    ("re", '"0.25"', "found a string"),
+    ("re", "true", "found true or false"),
+    ("re", "null", "found null, an object or an integer outside the 64-bit range"),
+    ("re", "{}", "found null, an object or an integer outside the 64-bit range"),
+    ("re", str(10**30), "found null, an object or an integer outside the 64-bit range"),
+    ("re", "NaN", "found nan"),
+    ("re", "Infinity", "found inf"),
+    ("re", "1e400", "found inf"),
+    ("im", "Infinity", "found inf"),
+    ("im", "-Infinity", "found -inf"),
+    ("im", '"0"', "found a string"),
+]
+
+
+def bad_entry_file(field, text):
+    """A 1x2 state file whose field holds text at (0, 1), and, where text is
+    true, true in every entry, so that no number sits beside it."""
+    entries = {"re": ["0.5", "0", "0", "0.5"], "im": ["0", "0", "0", "0"]}
+    if text == "true":
+        entries[field] = [text] * 4
+    else:
+        entries[field][1] = text
+    rows = {key: "[[{}, {}], [{}, {}]]".format(*values) for key, values in entries.items()}
+    return f'{{"m": 1, "n": 2, "re": {rows["re"]}, "im": {rows["im"]}}}'
 
 
 def verdict_rows(output):
@@ -114,6 +144,21 @@ class TestCheck:
         path.write_text(json.dumps({"m": 2, "n": 2, "re": mat, "im": np.zeros((4, 4)).tolist()}))
         code = main(["check", "--file", str(path), "--unchecked", "--criterion", "realignment"])
         assert code in (0, 1)
+
+    @pytest.mark.parametrize("field,text,found", BAD_ENTRIES)
+    @pytest.mark.parametrize("unchecked", [[], ["--unchecked"]], ids=["checked", "unchecked"])
+    def test_bad_entry_exits_two_naming_its_field(self, tmp_path, capsys, field, text, found,
+                                                    unchecked):
+        path = tmp_path / "entries.json"
+        path.write_text(bad_entry_file(field, text))
+        with pytest.raises(ParseError, match=f"^field '{field}': .*{found}$"):
+            load_state(path, unchecked=bool(unchecked))
+        assert main(["check", "--file", str(path), *unchecked]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: field '{field}': ")
+        assert lines[0].endswith(found)
 
     def test_unknown_yset_exits_two(self, capsys):
         assert main(["check", "--builtin", "werner", "--yset", "qZ"]) == 2
@@ -551,6 +596,65 @@ class TestCompare:
         assert code == 0
         text = capsys.readouterr().out
         assert "flagged totals: ppt=0  reduction=0  realignment=3  grc=3" in text
+
+
+# The exit code and sha256 of `check --criterion all` stdout, fixed before the
+# single-state path was trimmed: every printed statistic, bound and violation
+# of the 16 subsets and the three oracles is pinned, at real and complex (a, b).
+CHECK_CASES = {
+    "random-3x3": (["--builtin", "random", "--seed", "7", "--a", "0.3", "--b", "-0.7"], 1,
+                   "bb82247b69ffe4bd7b7f99b99715268b54909c23897a8db7c032a1a9eba60c8e"),
+    "random-3x3-origin": (["--builtin", "random", "--seed", "12"], 1,
+                          "c9f9918096bfdf1666518ba2c2df293ccc5336a1d7618b078f7a12c52c4cf053"),
+    "separable-2x4-complex-a": (["--builtin", "separable", "--m", "2", "--n", "4", "--k", "6",
+                                 "--seed", "3", "--a", "0.4", "--a-im", "-0.25", "--b", "-0.5"], 0,
+                                "0061fa6a6359602d8e8035da23be5aba4055d0cf3890e2794a3686e43ec4fe4a"),
+    "werner-3-f-1": (["--builtin", "werner", "--f", "-1"], 1,
+                     "416d986fb35e51b3ce839528281c1e3f77d8724cb5eff5bcde708c2baedec764"),
+    "werner-3-f-0.3": (["--builtin", "werner", "--f", "-0.3", "--a", "1",
+                        "--b", "-0.3333333333333333"], 1,
+                       "804245fd3e986121955f909685e7a47a2251600cff2a0ea12d1500dfa5f3ff9a"),
+    "werner-3-f0.5": (["--builtin", "werner", "--f", "0.5", "--a", "0.6666666666666666",
+                       "--b", "2"], 0,
+                      "9763995efeb65a7c64956976a869a8b271438374b77e5e04a32ad908051046c1"),
+    "horodecki-c0.1": (["--builtin", "horodecki", "--c", "0.1"], 1,
+                       "b1da4708152dda018a85f0e315cf9bba3fcccd2ae1c23b012a76836da41e0312"),
+    "horodecki-c0.5": (["--builtin", "horodecki", "--c", "0.5", "--a", "-1", "--b", "0.5"], 1,
+                       "0523f7e0abf7cbdab279e68a347637e6df12082df0ba1ce59f7cf1c963d2b52a"),
+    "horodecki-c0.9": (["--builtin", "horodecki", "--c", "0.9", "--a", "1", "--b", "1"], 1,
+                       "208c144340b2ca5320b03c642461bf8912a17233dd94077f0af08d0e343551ef"),
+}
+
+# float.hex of find_threshold on werner-3 for the benchmark's seven cases,
+# (criterion, a, b, yset), each from one fixed bracket (lo, hi), fixed at the
+# same time as CHECK_CASES.
+THRESHOLD_CASES = (
+    ("grc", 0.0, 0.0, "cA,rB", -0.75, 0.5, "-0x1.5555560121ccdp-2"),
+    ("grc", 0.0, 2.0 / 3.0, "cA,rB", -0.9, 0.3, "-0x1.5555560121cc2p-2"),
+    ("grc", 1.0, -1.0 / 3.0, "cA,rB", -0.6, 0.8, "-0x1.555556acee443p-2"),
+    ("grc", 1.0, 1.0, "cA,rB", -0.55, 0.25, "-0x1.555556acee437p-2"),
+    ("grc", 0.0, 0.0, "rA,cA", -0.7, 0.9, "-0x1.01b2b26745e80p-26"),
+    ("ppt", 0.0, 0.0, "none", -0.8, 0.6, "-0x1.01b2b290ffffcp-25"),
+    ("realignment", 0.0, 0.0, "none", -1.0, 1.0, "-0x1.5555560121ccbp-2"),
+)
+
+
+class TestCheckBits:
+    @pytest.mark.parametrize("case", sorted(CHECK_CASES))
+    def test_bytes_unchanged(self, capsys, case):
+        argv, code, digest = CHECK_CASES[case]
+        assert main(["check", *argv, "--criterion", "all"]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", THRESHOLD_CASES,
+                             ids=lambda c: f"{c[0]}-{c[1]:g}-{c[2]:g}-{c[3]}")
+    def test_thresholds_unchanged(self, case):
+        from sepscope import find_threshold
+
+        criterion, a, b, code, lo, hi, want = case
+        got = find_threshold("werner-3", a, b, GptOpSet.from_code(code), lo, hi,
+                             criterion=criterion)
+        assert got.hex() == want
 
 
 def family_choices(command, option):

@@ -3,6 +3,7 @@ evaluation, complement sharing, the compare workflow, and soundness on
 separable states over many orders of magnitude of (a, b)."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -426,6 +427,21 @@ class TestDetected:
         want = outcome(lambda: full_path(state, params, all_subsets()))
         assert want[0] is ParamOutOfRange and "not finite at a=" in want[1]
         assert outcome(lambda: detected(state, params, all_subsets())) == want
+
+    @pytest.mark.parametrize("middle,name", [
+        ((1e200, 1e200), "a=1e+200, b=1e+200"),  # ab overflows
+        ((1.7e308, -1.0), "a=1.7e+308, b=-1"),  # ab is finite, ab - a (rho_B)_ii is not
+    ])
+    def test_overflowing_middle_pair_named(self, middle, name):
+        # Only the middle map of the stack is not finite; both paths name it.
+        state = random_density_state(SubsystemDims(3, 3), 1).state
+        params = ((0.5 + 0j, -0.25 + 0j), tuple(map(complex, middle)), (0.2 + 0j, 1j))
+        assert np.isfinite(reduction_maps(state, params[::2])).all()
+        message = f"the map, its trace norm or the bound is not finite at {name}"
+        with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+            next(verdict_blocks(state, params, all_subsets()))
+        with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+            detected(state, params, all_subsets())
 
     def test_mixed_stack_flags_as_full_path(self):
         # Random states are flagged, separable ones are not, whatever the

@@ -19,8 +19,10 @@ from sepscope import (
     vec,
     werner,
 )
+from sepscope.criteria import _marginal_maps
 from sepscope.gptops import partial_transpose
-from sepscope.states import horodecki_3x3
+from sepscope.matlin import CACHE_ENTRIES, identity
+from sepscope.states import _swap, horodecki_3x3, swap_operator
 
 
 def random_complex(rng, rows, cols):
@@ -297,3 +299,62 @@ class TestDensityState:
     def test_dims_must_be_positive(self):
         with pytest.raises(DimensionMismatch):
             SubsystemDims(0, 2)
+
+    @pytest.mark.parametrize("source", ["complex", "float", "strided view", "nested list"])
+    def test_state_owns_its_one_copy(self, source):
+        rho = werner(2, 0.3).state.mat
+        entries = {
+            "complex": lambda: rho.copy(),
+            "float": lambda: rho.real.copy(),
+            "strided view": lambda: np.repeat(np.repeat(rho, 2, 0), 2, 1)[::2, ::2],
+            "nested list": lambda: rho.tolist(),
+        }[source]()
+        state = DensityState(SubsystemDims(2, 2), entries)
+        assert state.mat.dtype == complex and not state.mat.flags.writeable
+        np.testing.assert_array_equal(state.mat, rho)
+        if isinstance(entries, np.ndarray):
+            assert not np.shares_memory(state.mat, entries)
+            entries[0, 0] = 0.5  # the caller may still write its own array
+            assert state.mat[0, 0] == rho[0, 0]
+
+
+class TestConstantCache:
+    """Every cached constant is read-only, no cache holds more than its
+    maxsize results, and a constant of more than CACHE_ENTRIES entries is
+    built afresh on every call, never kept."""
+
+    # (cached function, arguments small enough to keep, arguments too large to keep)
+    CASES = {
+        "identity": (identity, [(d, t) for t in (float, complex) for d in range(1, 20)],
+                     (257, complex)),
+        "swap": (_swap, [(d,) for d in range(1, 17)], (17,)),
+        "marginal maps": (_marginal_maps, [(m, n) for m in range(1, 8) for n in range(1, 8)],
+                          (16, 16)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bound_holds(self, case):
+        constant, small, large = self.CASES[case]
+        constant.cache_clear()
+        for args in small:
+            for result in _arrays(constant(*args)):
+                assert not result.flags.writeable and result.size <= CACHE_ENTRIES
+            assert constant.cache_info().currsize <= constant.cache_info().maxsize
+        assert constant.cache_info().currsize == min(len(small), constant.cache_info().maxsize)
+        assert constant(*small[-1]) is constant(*small[-1])
+        kept = constant.cache_info().currsize
+        built = constant(*large)
+        assert constant.cache_info().currsize == kept
+        assert constant(*large) is not built
+        assert all(not x.flags.writeable for x in _arrays(built))
+        assert max(x.size for x in _arrays(built)) > CACHE_ENTRIES
+
+    def test_callers_read_the_cache(self):
+        assert swap_operator(3) is swap_operator(3)
+        assert not swap_operator(20).flags.writeable
+        assert identity(3, dtype=complex) is identity(3, dtype=complex)
+        assert identity(3, dtype=complex).dtype == complex and identity(3).dtype == float
+
+
+def _arrays(result):
+    return result if isinstance(result, tuple) else (result,)

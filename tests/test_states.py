@@ -293,6 +293,12 @@ class TestStateFiles:
         with pytest.raises(ParseError):
             load_state(path)
 
+    def test_integer_entries_load_as_floats(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text('{"m": 1, "n": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}')
+        state = load_state(path).state
+        assert state.mat.tobytes() == np.array([[1, 0], [0, 0]], dtype=complex).tobytes()
+
 
 class TestPartialTransposeOfGenerated:
     def test_werner_ppt_iff_nonnegative_f(self):
