@@ -228,10 +228,18 @@ def save_state(labeled: LabeledState, path) -> None:
         handle.write("\n")
 
 
+def _field(payload: dict, key: str):
+    """payload[key], or ParseError if the key is absent; a JSON null reads None."""
+    if key not in payload:
+        raise ParseError(f"field {key!r}: missing")
+    return payload[key]
+
+
 def _parse_dim(payload: dict, key: str) -> int:
-    value = payload.get(key)
+    value = _field(payload, key)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParseError(f"field {key!r}: expected a positive integer, got {value!r}")
+        got = "null" if value is None else repr(value)
+        raise ParseError(f"field {key!r}: expected a positive integer, got {got}")
     return value
 
 
@@ -248,9 +256,9 @@ def _parse_array(payload: dict, key: str, d: int) -> np.ndarray:
     true/false, and one isfinite rejects NaN, Infinity and 1e400.  true or
     false among numbers is not caught: numpy reads it as 1 or 0 and leaves
     no trace of it in the dtype."""
-    value = payload.get(key)
+    value = _field(payload, key)
     if value is None:
-        raise ParseError(f"field {key!r}: missing")
+        raise ParseError(f"field {key!r}: expected a 2-D array of numbers, found null")
     try:
         arr = np.array(value)
     except (TypeError, ValueError) as exc:

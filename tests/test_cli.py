@@ -52,6 +52,19 @@ BAD_ENTRIES = [
 ]
 
 
+# (field, whether the key is absent or holds a JSON null, the whole message
+# after the field's name): an absent key and a null are told apart.
+ABSENT_OR_NULL = [
+    ("m", "absent", "missing"),
+    ("m", "null", "expected a positive integer, got null"),
+    ("n", "null", "expected a positive integer, got null"),
+    ("re", "absent", "missing"),
+    ("re", "null", "expected a 2-D array of numbers, found null"),
+    ("im", "absent", "missing"),
+    ("im", "null", "expected a 2-D array of numbers, found null"),
+]
+
+
 def bad_entry_file(field, text):
     """A 1x2 state file whose field holds text at (0, 1), and, where text is
     true, true in every entry, so that no number sits beside it."""
@@ -159,6 +172,24 @@ class TestCheck:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: field '{field}': ")
         assert lines[0].endswith(found)
+
+    @pytest.mark.parametrize("field,how,message", ABSENT_OR_NULL)
+    def test_absent_or_null_field_exits_two_naming_it(self, tmp_path, capsys, field, how,
+                                                      message):
+        payload = {"m": 1, "n": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}
+        if how == "absent":
+            del payload[field]
+        else:
+            payload[field] = None
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps(payload))
+        full = f"field '{field}': {message}"
+        with pytest.raises(ParseError, match=f"^{full}$"):
+            load_state(path)
+        assert main(["check", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {full}"]
 
     def test_unknown_yset_exits_two(self, capsys):
         assert main(["check", "--builtin", "werner", "--yset", "qZ"]) == 2

@@ -10,7 +10,6 @@ from sepscope import (
     ReductionParams,
     SubsystemDims,
     all_subsets,
-    bound_for,
     evaluate,
     evaluate_all_Y,
     generalized_reduction_map,
@@ -86,11 +85,14 @@ class TestHFactor:
         assert h_factor(1e300, 2, True, True) == 2e300
 
     def test_bound_pair_product(self):
-        pair = bound_for(ReductionParams(1.0, 2 / 3), SubsystemDims(3, 3), REALIGN_Y)
-        # single-flag branch on both sides
-        assert pair.h_a == pytest.approx(np.sqrt(2.0), abs=1e-12)
-        assert pair.h_b == pytest.approx(1.0, abs=1e-12)
-        assert pair.product == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        # The realignment class {cA,rB} at (1, 2/3) on 3x3: the single-flag
+        # branch on both sides, and the verdict's bound is their product.
+        h_a = h_factor(1.0, 3, REALIGN_Y.rA, REALIGN_Y.cA)
+        h_b = h_factor(2 / 3, 3, REALIGN_Y.rB, REALIGN_Y.cB)
+        assert h_a == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert h_b == pytest.approx(1.0, abs=1e-12)
+        verdict = evaluate(random_state(3, 3, 5), ReductionParams(1.0, 2 / 3), REALIGN_Y)
+        assert verdict.bound == h_a * h_b == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 class TestEvaluate:

@@ -19,10 +19,9 @@ from sepscope import (
     SubsystemDims,
     all_subsets,
     axis_points,
-    bound_for,
     evaluate,
     evaluate_all_Y,
-    evaluate_grid,
+    h_factor,
     horodecki_3x3,
     random_density,
     random_separable,
@@ -37,7 +36,7 @@ from sepscope.criteria import (
     _classes,
     _norm_entry,
     _norm_sums,
-    _Split,
+    _split_products,
     detected,
     ppt_check,
     reduction_maps,
@@ -90,12 +89,19 @@ class TestKernelEquivalence:
                 assert got == evaluate(st_, p, y)
 
     def test_stack_slices_equal_batch_of_one(self, m, n):
+        # Entry i of a block over a stack of params has the bits of the
+        # batch of params[i] alone.
         st_ = random_state(m, n, 30 * m + n)
-        results = {(i, j): v for i, j, v in evaluate_grid(st_, COMPLEX_PARAMS, all_subsets())}
-        assert len(results) == len(COMPLEX_PARAMS) * 16
-        for i, p in enumerate(COMPLEX_PARAMS):
-            for j, verdict in enumerate(evaluate_all_Y(st_, p)):
-                assert results[i, j] == verdict
+        singles = [evaluate_all_Y(st_, p) for p in COMPLEX_PARAMS]
+        served = []
+        for block in verdict_blocks(st_, COMPLEX_PARAMS, all_subsets()):
+            served += block.ysets
+            for j in block.ysets:
+                for i, verdict in enumerate(verdicts[j] for verdicts in singles):
+                    assert (verdict.statistic, verdict.bound, verdict.violation,
+                            verdict.entangled) == (block.statistic[i], block.bound[i],
+                                                   block.violation[i], block.entangled[i])
+        assert sorted(served) == list(range(16))
 
 
 class TestKernelLaziness:
@@ -106,27 +112,34 @@ class TestKernelLaziness:
         original = criteria.gpt_transform
         monkeypatch.setattr(criteria, "gpt_transform",
                             lambda rho, dims, y: transforms.append(y) or original(rho, dims, y))
-        grid = evaluate_grid(random_state(3, 3, 41), COMPLEX_PARAMS, all_subsets())
-        first = [next(grid) for _ in range(2 * len(COMPLEX_PARAMS))]
+        state, subsets = random_state(3, 3, 41), all_subsets()
+        blocks = verdict_blocks(state, COMPLEX_PARAMS, subsets)
+        first = next(blocks)
         # The first class is {none, all four flags}: one transform serves both.
-        assert {v.yset.code for _, _, v in first} == {"none", "rA,cA,rB,cB"}
+        assert {subsets[j].code for j in first.ysets} == {"none", "rA,cA,rB,cB"}
         assert [y.code for y in transforms] == ["none"]
-        rest = list(grid)
-        assert len(rest) == 14 * len(COMPLEX_PARAMS)
+        rest = list(blocks)
+        assert sum(len(block.ysets) for block in rest) == 14
+        assert len(transforms) == 8
+        # evaluate_all_Y takes the same 8 transforms for its 16 verdicts.
+        transforms.clear()
+        assert len(evaluate_all_Y(state, COMPLEX_PARAMS[0])) == 16
         assert len(transforms) == 8
 
 
 class TestBlocks:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
-    def test_bounds_equal_bound_for(self, m, n):
+    def test_bounds_equal_h_factor_product(self, m, n):
         st_ = random_state(m, n, 50 * m + n)
         subsets = all_subsets()
         served = []
         for block in verdict_blocks(st_, COMPLEX_PARAMS, subsets):
             for j in block.ysets:
                 served.append(j)
+                y = subsets[j]
                 for i, p in enumerate(COMPLEX_PARAMS):
-                    assert block.bound[i] == bound_for(p, st_.dims, subsets[j]).product
+                    assert block.bound[i] == (h_factor(p.a, m, y.rA, y.cA)
+                                              * h_factor(p.b, n, y.rB, y.cB))
         assert sorted(served) == list(range(16))
 
     def test_one_bound_list_per_key(self):
@@ -494,8 +507,8 @@ class TestDetected:
 
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
-        # class none.  The certificate's Cholesky must fail on rho + tau I and
-        # its spectral test must leave the pair open.
+        # class none.  The certificate's Cholesky must fail on rho + tau I,
+        # which leaves the pair open for the SVD.
         import sepscope.criteria as criteria
 
         state = near_psd_state(3, 3, 5)
@@ -509,6 +522,23 @@ class TestDetected:
         assert maps == [(1, 9, 9)]
         grid = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
         assert detected(state, grid, all_subsets())
+
+    @pytest.mark.parametrize("ysets", [(GptOpSet(),), all_subsets()], ids=["none", "all"])
+    def test_reduction_flagged_state_takes_no_spectrum(self, monkeypatch, ysets):
+        # Class none flags the random state of seed 3 at (1, 0) alone, where
+        # the reduction criterion does.  Its map is not semidefinite, so the
+        # certificate's batch Cholesky fails and settles no pair: the SVD
+        # decides the batch, and no eigenvalue is taken on the way.
+        state = random_state(3, 3, 3)
+        (block,) = verdict_blocks(state, COMPARE_GRID, (GptOpSet(),))
+        assert [p for p, flag in zip(COMPARE_GRID, block.entangled) if flag] == [
+            ReductionParams(1.0, 0.0)]
+        spectra = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: spectra.append(mat) or original(mat))
+        assert full_path(state, COMPARE_GRID, ysets)
+        assert detected(state, COMPARE_GRID, ysets)
+        assert spectra == []
 
     @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
     def test_screen_one_edge_flags(self, p):
@@ -563,11 +593,13 @@ class TestDetected:
         state = DensityState(SubsystemDims(2, 2), (1 - p) * np.eye(4) / 4 + p * np.outer(ket, ket))
         pair, realignment = ((0j, 0j),), (GptOpSet(cA=True, rB=True),)
         (block,) = verdict_blocks(state, pair, realignment)
-        split = _Split(state, pair)
+        (product,) = _split_products(state, pair)
+        delta = state.mat - kron(*state.reductions)
+        residual = trace_norm(realign(delta, state.dims))
         bound = block.bound[0]
-        assert split.product[0] + split.delta_fro < bound
-        assert bound < split.product[0] + split.residual < 1.001 * bound
-        assert split.product[0] + split.residual == pytest.approx(block.statistic[0], rel=1e-14)
+        assert product + np.linalg.norm(delta) < bound
+        assert bound < product + residual < 1.001 * bound
+        assert product + residual == pytest.approx(block.statistic[0], rel=1e-14)
         assert block.entangled == [True]
         assert detected(state, pair, realignment) is True
 
@@ -632,12 +664,15 @@ class TestNormSums:
 
 
 class TestCertificate:
-    def test_skew_part_counts_when_cholesky_fails(self):
-        # H = diag(1/2, -1/2) has ||H||_1 = 1 = bound and trace 0, so the
-        # batch's Cholesky fails; X = H + 0.1i I has ||X||_1 = 2 sqrt(0.26),
-        # which only the skew term of the spectral test accounts for.
-        x = np.array([np.diag([0.5, -0.5]) + 0.1j * np.eye(2), np.eye(2)])
-        assert _certified(x, np.array([1.0, 2.0])).tolist() == [False, True]
+    def test_failed_batch_settles_nothing(self):
+        # H = diag(1/2, -1/2) is indefinite, so the batch's Cholesky fails;
+        # the semidefinite maps beside it, within their bounds, stay open too,
+        # and the SVD decides every one of them.
+        x = np.array([np.diag([0.5, -0.5]), np.eye(2), -np.eye(2), np.diag([0.7, 0.3])])
+        bound = np.array([1.0, 2.0, 2.0, 1.0])
+        assert (np.trace(x, axis1=1, axis2=2).real <= bound).all()
+        assert _certified(x, bound).tolist() == [False] * 4
+        assert _certified(x[1:], bound[1:]).tolist() == [True] * 3
 
     @settings(max_examples=150)
     @given(
@@ -659,7 +694,8 @@ class TestCertificate:
         settled = _certified(x, bound)
         slack = TOL_VERDICT * np.maximum(1.0, bound)
         assert np.all(statistic[settled] <= (bound + slack)[settled])
-        assert settled[0]  # X = sign * scale * rho is settled at its trace
+        # X = sign * scale * rho is settled at its trace, in a batch of its own.
+        assert _certified(x[:1], bound[:1]).tolist() == [True]
 
 
 @st.composite
@@ -691,20 +727,36 @@ class TestSplit:
     def test_product_and_residual_bound_the_realigned_map(self, state, params):
         # ||R(rho~)||_1 <= ||u|| ||v|| + ||R(Delta)||_1 for any matrix, checked
         # or not: the product is the exact trace norm of the rank-one term.
-        split = _Split(state, params)
+        residual = trace_norm(realign(state.mat - kron(*state.reductions), state.dims))
         statistic = np.array(trace_norm(realign(reduction_maps(state, params), state.dims)))
-        bound = split.product + split.residual
+        bound = _split_products(state, params) + residual
         assert np.all(statistic <= bound + 1e-12 * np.maximum(1.0, bound))
 
-    def test_residual_is_zzzg_statistic(self):
-        # ||R(rho - rho_A kron rho_B)||_1, which on this bound entangled state
-        # exceeds ZZZG's separable bound sqrt((1 - tr rho_A^2)(1 - tr rho_B^2)).
+    def test_residual_is_zzzg_statistic(self, monkeypatch):
+        # The one matrix whose trace norm detected takes in screen 3 is
+        # R(rho - rho_A kron rho_B), and its trace norm, on this bound
+        # entangled state, exceeds ZZZG's separable bound sqrt((1 - tr
+        # rho_A^2)(1 - tr rho_B^2)).
+        import sepscope.criteria as criteria
+
         state = horodecki_3x3(0.5).state
         rho_a, rho_b = partial_trace(state, "B"), partial_trace(state, "A")
-        split = _Split(state, COMPLEX_PARAMS)
-        assert split.residual == trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))
+        residuals = []
+        original = criteria.trace_norm
+
+        def traced(mat):
+            norm = original(mat)
+            if np.ndim(mat) == 2:  # the residual; the SVDs of the maps take stacks
+                residuals.append(norm)
+            return norm
+
+        monkeypatch.setattr(criteria, "trace_norm", traced)
+        realignment = (GptOpSet(cA=True, rB=True),)
+        assert detected(state, COMPARE_GRID, realignment) == full_path(
+            state, COMPARE_GRID, realignment)
+        assert residuals == [trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))]
         purity_a, purity_b = (np.vdot(x, x).real for x in (rho_a, rho_b))
-        assert split.residual > np.sqrt((1 - purity_a) * (1 - purity_b)) + 1e-3
+        assert residuals[0] > np.sqrt((1 - purity_a) * (1 - purity_b)) + 1e-3
 
 
 WERNER_PARAMS = (
