@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ParamOutOfRange, SepscopeError
 from .gptops import (
+    PARTIAL_TRANSPOSE_Y,
     REALIGN_Y,
     GptOpSet,
     all_subsets,
@@ -22,6 +23,7 @@ from .gptops import (
 )
 from .matlin import (
     DensityState,
+    check_hermitian,
     constant_cache,
     hermitian_eigenvalues,
     identity,
@@ -270,26 +272,21 @@ def _split_products(rho: DensityState, params: Sequence[tuple[complex, complex]]
     return distance(rho_a, a) * distance(rho_b, b)
 
 
-def _certified(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Which of the Hermitian-class transforms x (g, d, d) detected's
-    semidefinite certificate settles against their finite bounds."""
-    d = x.shape[-1]
-    herm = (x + x.conj().swapaxes(-1, -2)) / 2
-    skew = (x - herm).view(float)  # K = X - H, exactly, as real and imaginary parts
-    skew = math.sqrt(d) * np.sqrt((skew * skew).sum((-2, -1)))
-    trace = np.trace(herm, axis1=-2, axis2=-1).real
-    sign = np.copysign(1.0, trace)
-    slack = TOL_VERDICT * np.maximum(1.0, bound)
-    group = sign * trace + skew <= bound + slack / 8
-    if not group.any():
-        return group
-    shifted = sign[group, None, None] * herm[group]
-    shifted.reshape(len(shifted), -1)[:, ::d + 1] += (slack[group] / (8 * d))[:, None]  # + tau I
+def _corners_clear(rho: DensityState) -> list[bool]:
+    """Whether class none, and class rB,cB, clears its four corners (a, b) in
+    {0, 1}^2 by TOL_VERDICT/2 of their bounds: detected's screen 2."""
+    m, n = rho.dims.m, rho.dims.n
     try:
-        np.linalg.cholesky(shifted)
-        return group
-    except np.linalg.LinAlgError:  # some s*H is not near-semidefinite: the SVD decides them all
-        return np.zeros_like(group)
+        x = reduction_maps(rho, ((0j, 0j), (1 + 0j, 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j)))
+    except ParamOutOfRange:  # a corner past the float range: the SVD decides
+        return [False, False]
+    x = np.concatenate((x, gpt_transform(x, rho.dims, PARTIAL_TRANSPOSE_Y["B"])))
+    herm = (x + x.conj().swapaxes(-1, -2)) / 2
+    skew = (x - herm).view(float)  # K = X - H, as real and imaginary parts
+    upper = (abs(np.linalg.eigvalsh(herm)).sum(-1)
+             + math.sqrt(m * n) * np.sqrt((skew * skew).sum((-2, -1))))
+    bound = np.array([1, m - 1, n - 1, (m - 1) * (n - 1)] * 2)
+    return (upper <= bound * (1 + TOL_VERDICT / 2)).reshape(2, 4).all(axis=1).tolist()
 
 
 @constant_cache(16, lambda m, n: m * n * (m + 1) * (n + 1))
@@ -343,8 +340,8 @@ def detected(
     """Whether any pair (params[i], ysets[j]) is flagged: what
     ``any(any(b.entangled) for b in verdict_blocks(rho, params, ysets))``
     returns, raising what it raises, with an SVD only of the maps that three
-    upper bounds on the trace norm leave unsettled.  Let slack =
-    TOL_VERDICT * max(1, bound), the flag threshold, for a pair's bound.
+    upper bounds on the trace norm leave unsettled.  A pair flags where its
+    excess tops T * max(1, bound), T = TOL_VERDICT.
 
     1. Column/row sums, every class in one pass.  Write a class member's
        transform X by its columns, X = sum_j x_j e_j^†.  Each term has rank
@@ -359,23 +356,23 @@ def detected(
        settled where the smaller sum is at most its finite bound.  Only
        the classes left with an open pair go on, in order of first request.
 
-    2. Semidefinite certificate, classes none and rB,cB, whose transforms
-       are d x d and Hermitian for real (a, b).  Split X = H + K into its
-       Hermitian and skew parts: ||X||_1 <= ||H||_1 + sqrt(d) ||K||_F, so a
-       complex (a, b) or an unchecked non-Hermitian state only leaves more
-       pairs open.  With s = sign(tr H) (+1 at 0), ||H||_1 = s tr H + 2 sum
-       |lambda| over the negative eigenvalues lambda of sH.  The pairs with
-       s tr H + sqrt(d) ||K||_F <= bound + slack/8 go to one batched
-       Cholesky factorization of sH + tau I, tau = slack/(8d).  If it
-       succeeds, lambda_min(sH) >= -tau - delta, where delta is its backward
-       error, O(d^2 eps ||H||_2), so ||H||_1 <= s tr H + 2d(tau + delta) and
-       ||X||_1 <= bound + 3/8 slack + 2d delta for every pair of the batch.
-       If it fails, the batch settles no pair and the SVD decides each one
-       exactly: on separable 3x3 states that costs about 1.4 more SVDs per
-       state than a spectral test would, in no measurable time.  Separable
-       states are tight here wherever X or -X is semidefinite: at (a, b) in
-       {-1, -1/3, 0}^2 and (1, 1) X >= 0, and where one of a, b is 1 and the
-       other <= 0, X <= 0 (the reduction criterion).
+    2. Corners, classes none and rB,cB, for m, n >= 2.  The map is bilinear:
+       X(a, b) = sum_c w'_c X_c over the corners c in {0, 1}^2, w' = (1-a,
+       a) kron (1-b, b).  Y is linear, so with w = |w'| = (|1-a|, |a|) kron
+       (|1-b|, |b|) the triangle inequality gives ||Y X(a, b)||_1 <= sum_c
+       w_c ||Y X_c||_1.  Both bound factors are linear, h(x) = |1-x| h(0) +
+       |x| h(1), so the bound splits alike: h_a h_b = sum_c w_c bound_c, with
+       bound_c = 1, m-1, n-1, (m-1)(n-1).  So if each corner has ||Y X_c||_1
+       <= (1 + T/2) bound_c, every pair's exact excess is at most T/2 *
+       bound, at any complex (a, b), for any matrix.  The corners are the
+       classical tests: rho, the two reduction maps and X(1, 1) in none,
+       their partial transposes in rB,cB.  _corners_clear bounds each
+       corner's trace norm by sum |eig(H)| + sqrt(d) ||K||_F, H and K the
+       Hermitian and skew parts, with one eigvalsh of the 8 maps, once per
+       call; the skew term keeps unchecked non-Hermitian input sound.  A
+       class whose four corners clear settles every open pair with finite
+       sums and bound; any other goes to the SVD, as do both classes for m
+       or n = 1, where a pair's bound no longer dominates |a|, |b| and |ab|.
 
     3. Product-residual split, the realignment class {cA,rB} only.  The map
        is rho~ = (aI - rho_A) kron (bI - rho_B) + Delta, Delta = rho - rho_A
@@ -403,13 +400,16 @@ def detected(
     non-negative terms rounds by at most (n - 1) eps/2 relative, so an
     entry is within about 1.5 d eps of its exact value, an O(d * eps *
     bound) error wherever it settles a pair, as with axis sums in any other
-    order.  Squares that underflow lose under 1e-154 per entry, and
-    the certificate spends at most 3/8 slack; for d = 9 the rest is about
-    1e-13 bound, so the full path would flag no settled pair.  Nor would it
-    raise on one: screens 2 and 3 see only pairs whose column/row sums and
-    bound are finite, so each squared entry of the map is finite, its
-    statistic, below d**2 * sqrt(float max), is too, and no Cholesky product
-    overflows.
+    order.  Squares that underflow lose under 1e-154 per entry.  In screen
+    2, h(x) >= max(1, |x|), so a pair's bound dominates the map's
+    coefficients 1, |a|, |b|, |ab|, and clear corners hold rho, I kron rho_B
+    and rho_A kron I to norms of about 1, m and n: the computed map, its SVD
+    and the corners' eigvalsh round by O(d^2 eps bound), about 1e-13 bound
+    at d = 9 and 1e-11 bound at d = 100, far inside the T/2 * bound left
+    below the flag line.  So the full path would flag no settled pair.  Nor
+    would it raise on one: screens 2 and 3 see only pairs whose column/row
+    sums and bound are finite, so each squared entry of the map is finite,
+    and its statistic, below d**2 * sqrt(float max), is too.
 
     Every other parameter takes the full path's arithmetic: the SVD of its
     own map and _judge.  numpy's stacked SVD takes each matrix alone, so an
@@ -428,6 +428,7 @@ def detected(
         upper = np.minimum(sums[:, column], sums[:, 15 - column])  # the row sum is the complement
         finite = np.isfinite(upper) & np.isfinite(limits)
         settled = finite & (upper <= limits)
+        clear = None  # _corners_clear, on the first Hermitian class with an open pair
         for c in np.flatnonzero(~settled.all(axis=0)):  # classes with an open pair, in order
             member, limit = classes[c][0], limits[:, c]
             unsettled = np.flatnonzero(~settled[:, c])
@@ -438,16 +439,14 @@ def detected(
                 if np.any(screened & (product + np.linalg.norm(delta) < cap)):
                     residual = trace_norm(realign(delta, rho.dims))  # ZZZG's statistic
                     unsettled = unsettled[~(screened & (product + residual <= cap))]
+            elif (not member.cA and member.rB == member.cB and screened.any()
+                  and rho.dims.m > 1 and rho.dims.n > 1):  # none and rB,cB
+                clear = _corners_clear(rho) if clear is None else clear
+                if clear[member.rB]:
+                    unsettled = unsettled[~screened]
             if unsettled.size == 0:
                 continue
-            transform = gpt_transform(stack[unsettled], rho.dims, member)
-            if not member.cA and member.rB == member.cB:  # none and rB,cB, which skip the split
-                certified = np.zeros(unsettled.size, dtype=bool)
-                certified[screened] = _certified(transform[screened], limit[unsettled[screened]])
-                unsettled, transform = unsettled[~certified], transform[~certified]
-                if unsettled.size == 0:
-                    continue
-            statistic = trace_norm(transform)
+            statistic = trace_norm(gpt_transform(stack[unsettled], rho.dims, member))
             _, entangled = _judged(statistic, limit[unsettled].tolist(),
                                    [params[i] for i in unsettled])
             if any(entangled):
@@ -500,8 +499,8 @@ def ppt_check(rho: DensityState) -> CriterionVerdict:
     The B-side transpose has the same spectrum for Hermitian rho (global
     transpose similarity), so one side suffices.
     """
-    pt = partial_transpose(rho.mat, rho.dims, "A")
-    statistic = float(hermitian_eigenvalues(pt)[0])
+    pt = partial_transpose(rho.mat, rho.dims, "A")  # whose defects are rho's, entry for entry
+    statistic = float(hermitian_eigenvalues(pt)[0])  # so this checks rho's own Hermiticity
     return _oracle("ppt", None, statistic, 0.0, -statistic)
 
 
@@ -509,8 +508,9 @@ def reduction_check(rho: DensityState) -> CriterionVerdict:
     """Positivity of I kron rho_B - rho and rho_A kron I - rho, jointly."""
     m, n = rho.dims.m, rho.dims.n
     rho_a, rho_b = rho.reductions
-    lo_b = float(hermitian_eigenvalues(kron(identity(m), rho_b) - rho.mat)[0])
-    lo_a = float(hermitian_eigenvalues(kron(rho_a, identity(n)) - rho.mat)[0])
+    check_hermitian(rho.mat)  # rho's own: a map's defect can sum m + 1 of rho's
+    lo_b = float(np.linalg.eigvalsh(kron(identity(m), rho_b) - rho.mat)[0])
+    lo_a = float(np.linalg.eigvalsh(kron(rho_a, identity(n)) - rho.mat)[0])
     statistic = min(lo_a, lo_b)
     return _oracle("reduction", None, statistic, 0.0, -statistic)
 

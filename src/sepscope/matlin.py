@@ -182,6 +182,14 @@ def svd(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh.conj().T
 
 
+def check_hermitian(mat: np.ndarray) -> None:
+    """Raise NotHermitian unless the square complex ndarray mat is Hermitian
+    within TOL_HERM."""
+    defect = float(abs(mat - mat.conj().T).max())
+    if defect > TOL_HERM:
+        raise NotHermitian(f"max |M_ij - conj(M_ji)| = {defect:.3e} exceeds {TOL_HERM}")
+
+
 def hermitian_eigenvalues(mat) -> np.ndarray:
     """Real spectrum of a Hermitian matrix in ascending order.
 
@@ -191,9 +199,7 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NotHermitian(f"matrix of shape {mat.shape} is not square")
-    defect = float(abs(mat - mat.conj().T).max())
-    if defect > TOL_HERM:
-        raise NotHermitian(f"max |M_ij - conj(M_ji)| = {defect:.3e} exceeds {TOL_HERM}")
+    check_hermitian(mat)
     return np.linalg.eigvalsh(mat)
 
 

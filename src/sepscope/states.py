@@ -235,11 +235,17 @@ def _field(payload: dict, key: str):
     return payload[key]
 
 
+def _wrong(key: str, expected: str, value) -> ParseError:
+    """The error for a field that holds value where expected was due; a JSON
+    null is named as such."""
+    got = "null" if value is None else repr(value)
+    return ParseError(f"field {key!r}: expected {expected}, got {got}")
+
+
 def _parse_dim(payload: dict, key: str) -> int:
     value = _field(payload, key)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        got = "null" if value is None else repr(value)
-        raise ParseError(f"field {key!r}: expected a positive integer, got {got}")
+        raise _wrong(key, "a positive integer", value)
     return value
 
 
@@ -253,9 +259,9 @@ def _parse_array(payload: dict, key: str, d: int) -> np.ndarray:
     """Field key as a (d, d) float array.  Every entry must be a finite JSON
     number: the array's dtype kind must be integer or float, which one
     string, null or object anywhere fails, as does a field of nothing but
-    true/false, and one isfinite rejects NaN, Infinity and 1e400.  true or
-    false among numbers is not caught: numpy reads it as 1 or 0 and leaves
-    no trace of it in the dtype."""
+    true/false, and one isfinite rejects NaN, Infinity and 1e400.  numpy
+    reads true or false among numbers as 1 or 0, with no trace in the dtype,
+    so only the entries equal to 0 or 1 are looked up for a bool."""
     value = _field(payload, key)
     if value is None:
         raise ParseError(f"field {key!r}: expected a 2-D array of numbers, found null")
@@ -269,6 +275,9 @@ def _parse_array(payload: dict, key: str, d: int) -> np.ndarray:
         raise ParseError(f"field {key!r}: every entry must be a number,"
                          f" found {_NOT_NUMBERS[arr.dtype.kind]}")
     arr = arr.astype(float, copy=False)
+    hits = np.flatnonzero((arr == 0) | (arr == 1)).tolist()  # where a true or false can hide
+    if any(type(value[i // d][i % d]) is bool for i in hits):
+        raise ParseError(f"field {key!r}: every entry must be a number, found {_NOT_NUMBERS['b']}")
     finite = np.isfinite(arr)
     if not finite.all():
         raise ParseError(f"field {key!r}: every entry must be finite,"
@@ -297,9 +306,9 @@ def load_state(path, unchecked: bool = False) -> LabeledState:
     im = _parse_array(payload, "im", d)
     name = payload.get("name", "state")
     if not isinstance(name, str):
-        raise ParseError(f"field 'name': expected text, got {name!r}")
+        raise _wrong("name", "text", name)
     params = payload.get("params", {})
     if not isinstance(params, dict):
-        raise ParseError(f"field 'params': expected an object, got {params!r}")
+        raise _wrong("params", "an object", params)
     state = DensityState(SubsystemDims(m, n), re + 1j * im, check=not unchecked)
     return LabeledState(name=name, params=params, state=state)

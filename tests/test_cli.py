@@ -14,11 +14,13 @@ import pytest
 from sepscope import (
     GptOpSet,
     ReductionParams,
+    SubsystemDims,
     all_subsets,
     evaluate,
     horodecki_3x3,
     load_state,
     ppt_check,
+    random_separable,
     werner,
 )
 from sepscope.cli import build_parser, main
@@ -40,6 +42,8 @@ def run_python(code: str, *args: str, stdout=subprocess.PIPE) -> subprocess.Comp
 BAD_ENTRIES = [
     ("re", '"0.25"', "found a string"),
     ("re", "true", "found true or false"),
+    ("re", "false", "found true or false"),
+    ("im", "false", "found true or false"),
     ("re", "null", "found null, an object or an integer outside the 64-bit range"),
     ("re", "{}", "found null, an object or an integer outside the 64-bit range"),
     ("re", str(10**30), "found null, an object or an integer outside the 64-bit range"),
@@ -62,6 +66,8 @@ ABSENT_OR_NULL = [
     ("re", "null", "expected a 2-D array of numbers, found null"),
     ("im", "absent", "missing"),
     ("im", "null", "expected a 2-D array of numbers, found null"),
+    ("name", "null", "expected text, got null"),
+    ("params", "null", "expected an object, got null"),
 ]
 
 
@@ -233,6 +239,38 @@ class TestCheck:
         assert len(lines) == 1
         assert lines[0].startswith("error: matrix ")
         assert "a=" not in lines[0] and "b=" not in lines[0]
+
+    @staticmethod
+    def skewed_separable_file(path, defect):
+        """random_separable 3x3 (k = 12, seed 0) with i defect/2 added at
+        [3i, 3i+1] and [3i+1, 3i], i = 0..2: a Hermiticity defect of defect."""
+        mat = random_separable(SubsystemDims(3, 3), 12, 0).state.mat.copy()
+        for i in range(3):
+            mat[3 * i, 3 * i + 1] += 0.5j * defect
+            mat[3 * i + 1, 3 * i] += 0.5j * defect
+        path.write_text(json.dumps({"m": 3, "n": 3, "re": mat.real.tolist(),
+                                    "im": mat.imag.tolist()}))
+
+    def test_state_inside_hermiticity_tolerance_answers(self, tmp_path, capsys):
+        # Validation accepts a defect of 0.9e-12.  The defect of I kron rho_B -
+        # rho sums several of the state's, so the reduction oracle checks the
+        # state's own.
+        path = tmp_path / "skewed.json"
+        self.skewed_separable_file(path, 0.9e-12)
+        assert main(["check", "--file", str(path), "--criterion", "all"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = verdict_rows(captured.out)
+        assert len(rows) == 16 + 3 and all(row["entangled"] == "no" for row in rows)
+
+    @pytest.mark.parametrize("criterion", ["ppt", "reduction"])
+    def test_unchecked_non_hermitian_exits_two(self, tmp_path, capsys, criterion):
+        path = tmp_path / "skewed.json"
+        self.skewed_separable_file(path, 1e-9)
+        code = main(["check", "--file", str(path), "--unchecked", "--criterion", criterion])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == ["error: max |M_ij - conj(M_ji)| = 1.000e-09 exceeds 1e-12"]
 
     # numpy's allocation failure is a MemoryError naming the array's shape;
     # a test must not make a real huge allocation, so the constructor raises it.

@@ -430,17 +430,21 @@ class TestOneVerdictRule:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("name,patched", [
         ("ppt", "hermitian_eigenvalues"),
-        ("reduction", "hermitian_eigenvalues"),
+        ("reduction", "eigvalsh"),
         ("realignment", "trace_norm"),
     ])
     def test_non_finite_statistic_raises(self, monkeypatch, name, patched, bad):
         import sepscope.criteria as criteria
         from sepscope import SepscopeError
 
-        value = np.array([bad]) if patched == "hermitian_eigenvalues" else bad
-        monkeypatch.setattr(criteria, patched, lambda mat: value)
+        state = werner(3, 0.5).state  # validated before eigvalsh is patched
+        if patched == "eigvalsh":  # reduction's spectra, taken after its one Hermiticity check
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.full(len(mat), bad))
+        else:
+            value = np.array([bad]) if patched == "hermitian_eigenvalues" else bad
+            monkeypatch.setattr(criteria, patched, lambda mat: value)
         with pytest.raises(SepscopeError, match=f"^the {name} statistic is not finite"):
-            criteria.ORACLES[name](werner(3, 0.5).state)
+            criteria.ORACLES[name](state)
 
     @pytest.mark.parametrize("state", list(STATES))
     def test_flag_margin_positive_exactly_where_flagged(self, state):

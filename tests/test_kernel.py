@@ -32,8 +32,8 @@ from sepscope import (
 from sepscope.cli import main
 from sepscope.criteria import (
     TOL_VERDICT,
-    _certified,
     _classes,
+    _corners_clear,
     _norm_entry,
     _norm_sums,
     _split_products,
@@ -256,6 +256,11 @@ def compare_grc_column(capsys, argv, count):
 # compare's grid: every (a, b) of AB_TEST_GRID, a major.
 COMPARE_GRID = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
 
+# The corners (a, b) in {0, 1}^2, in the order of detected's screen 2, and the
+# two classes it decides there.
+CORNERS = ((0j, 0j), (1 + 0j, 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j))
+HERMITIAN_CLASSES = (GptOpSet(), GptOpSet(rB=True, cB=True))
+
 
 class TestCompareEarlyExit:
     def test_werner_stops_before_eighth_class(self, monkeypatch):
@@ -265,15 +270,17 @@ class TestCompareEarlyExit:
         original = criteria.gpt_transform
         monkeypatch.setattr(criteria, "gpt_transform",
                             lambda rho, dims, y: transforms.append(y) or original(rho, dims, y))
-        # The state f = -1 on compare's grid.  The first class takes one
-        # transform, shared by its semidefinite certificate and the SVD of
-        # what the certificate leaves open.  The second and third classes,
-        # {cB} and {rB}, are settled by the norm bound without a transform.
-        # The fourth, {rB,cB} and {rA,cA}, holds the partial transpose at
-        # (a, b) = (0, 0), which detects it; the four classes after it are
-        # never computed.
+        # The state f = -1 on compare's grid.  The first class has open pairs,
+        # so the four corner maps are taken, with one T_B transform of the
+        # four; the state passes the reduction criterion, so class none
+        # clears its corners and settles its open pairs without an SVD.  The
+        # second and third classes, {cB} and {rB}, are settled by the norm
+        # bound without a transform.  The fourth, {rB,cB} and {rA,cA}, fails
+        # its corner (0, 0), the partial transpose, so its open pairs take one
+        # transform for the SVD, which detects it; the four classes after it
+        # are never computed.
         assert detected(werner(3, -1.0).state, COMPARE_GRID, all_subsets())
-        assert [y.code for y in transforms] == ["none", "rB,cB"]
+        assert [y.code for y in transforms] == ["rB,cB", "rB,cB"]
 
     @pytest.mark.parametrize("argv,count,calls", [
         (["--family", "werner-3"], 1, 0),  # f = -1: NPT, so its PPT flag is grc's
@@ -507,8 +514,8 @@ class TestDetected:
 
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
-        # class none.  The certificate's Cholesky must fail on rho + tau I,
-        # which leaves the pair open for the SVD.
+        # class none.  That pair is a corner, so the class fails its corner
+        # test, which leaves the pair open for the SVD.
         import sepscope.criteria as criteria
 
         state = near_psd_state(3, 3, 5)
@@ -526,19 +533,25 @@ class TestDetected:
     @pytest.mark.parametrize("ysets", [(GptOpSet(),), all_subsets()], ids=["none", "all"])
     def test_reduction_flagged_state_takes_no_spectrum(self, monkeypatch, ysets):
         # Class none flags the random state of seed 3 at (1, 0) alone, where
-        # the reduction criterion does.  Its map is not semidefinite, so the
-        # certificate's batch Cholesky fails and settles no pair: the SVD
-        # decides the batch, and no eigenvalue is taken on the way.
+        # the reduction criterion does: a corner.  The one eigvalsh detected
+        # takes is of the 8 corner maps, which leave the class to the SVD;
+        # no spectrum of a grid map is taken.
+        import sepscope.criteria as criteria
+
         state = random_state(3, 3, 3)
         (block,) = verdict_blocks(state, COMPARE_GRID, (GptOpSet(),))
         assert [p for p, flag in zip(COMPARE_GRID, block.entangled) if flag] == [
             ReductionParams(1.0, 0.0)]
-        spectra = []
-        original = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: spectra.append(mat) or original(mat))
-        assert full_path(state, COMPARE_GRID, ysets)
+        calls = []
+        eigvalsh, svd = np.linalg.eigvalsh, criteria.trace_norm
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda mat: calls.append(("eigvalsh", mat.shape)) or eigvalsh(mat))
+        monkeypatch.setattr(criteria, "trace_norm",
+                            lambda mat: calls.append(("svd", np.shape(mat)[:-2])) or svd(mat))
         assert detected(state, COMPARE_GRID, ysets)
-        assert spectra == []
+        assert calls[0] == ("eigvalsh", (8, 9, 9))
+        assert [name for name, _ in calls] == ["eigvalsh", "svd"]
+        assert full_path(state, COMPARE_GRID, ysets)
 
     @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
     def test_screen_one_edge_flags(self, p):
@@ -560,24 +573,52 @@ class TestDetected:
         assert detected(state, pair, realignment) is True
 
     def test_screen_two_edge_flags(self):
-        # An unchecked Hermitian matrix of trace 1 + 0.9 slack with three
-        # eigenvalues at -nu, just above -tau = -slack/(8d), at (0, 0) in
-        # class none alone, whose map is the matrix itself and whose bound
-        # is 1.  Its trace norm, trace + 6 nu, is flagged with excess 1.08
-        # slack.  A certificate that took pairs up to bound + slack would
-        # pass it to the Cholesky of H + tau I, which succeeds, and settle
-        # it; at bound + slack/8 it reaches the SVD.
-        slack, d, nu = TOL_VERDICT, 4, 3e-10
-        assert nu < slack / (8 * d)
-        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((d, d)))
-        mat = q @ np.diag([1 + 0.9 * slack + 3 * nu, -nu, -nu, -nu]) @ q.T
-        state = DensityState(SubsystemDims(2, 2), (mat + mat.T) / 2, check=False)
-        pair, none = ((0j, 0j),), (GptOpSet(),)
-        (block,) = verdict_blocks(state, pair, none)
-        assert block.bound == [1.0]
-        assert block.statistic[0] - 1 == pytest.approx(1.08 * slack, rel=1e-6)
-        assert block.entangled == [True]
-        assert detected(state, pair, none) is True
+        # The unchecked diag(1 + 3 nu, -nu, -nu, -nu), 2x2, nu = 0.18
+        # TOL_VERDICT.  It is diagonal, so both Hermitian classes see the same
+        # maps, and its trace is 1, so X(1, 1) is rho with its diagonal
+        # reversed.  Every corner is flagged, with excess 6 nu = 1.08
+        # TOL_VERDICT * bound.  A corner rule that cleared corners up to 1.08
+        # TOL_VERDICT of their bounds would settle (0, 0); at TOL_VERDICT/2
+        # the pair reaches the SVD.
+        nu = 0.18 * TOL_VERDICT
+        mat = np.diag([1 + 3 * nu, -nu, -nu, -nu])
+        state = DensityState(SubsystemDims(2, 2), mat, check=False)
+        for y in HERMITIAN_CLASSES:
+            (block,) = verdict_blocks(state, CORNERS, (y,))
+            excess = (np.array(block.statistic) - block.bound) / (TOL_VERDICT * np.array(block.bound))
+            np.testing.assert_allclose(excess, 1.08, rtol=1e-6)
+            assert block.entangled == [True] * 4
+            assert detected(state, CORNERS[:1], (y,)) is True
+
+    def test_corner_margin_edge(self):
+        # diag(1 + 8e, -e, ..., -e), 3x3, e = 0.9e-9, passes validation.  Its
+        # corners' excesses are 16e, 28e, 28e and 40e, that is 1.44, 1.26,
+        # 1.26 and 0.90 TOL_VERDICT * bound, in both Hermitian classes, so
+        # the full path flags (0, 0).  A clearance of 2 TOL_VERDICT would clear
+        # all four corners and settle every pair of the class.
+        e = 0.9e-9
+        state = DensityState(SubsystemDims(3, 3), np.diag([1 + 8 * e] + [-e] * 8))
+        for y in HERMITIAN_CLASSES:
+            (block,) = verdict_blocks(state, CORNERS, (y,))
+            excess = (np.array(block.statistic) - block.bound) / (TOL_VERDICT * np.array(block.bound))
+            np.testing.assert_allclose(excess, [1.44, 1.26, 1.26, 0.90], rtol=1e-6)
+            assert full_path(state, COMPARE_GRID, (y,))
+            assert detected(state, COMPARE_GRID, (y,))
+
+    def test_overflowing_corner_leaves_classes_to_the_svd(self):
+        # An unchecked state with entries 8e307 that cancel in the map at
+        # (1/2, 0), which is finite, open and flagged, while the corner X(1, 1)
+        # overflows.  detected answers as the full path, and raises nothing.
+        mat = np.diag([8e307, 0.0, 8e307, 0.0])
+        for i, j, x in ((0, 1, 0.7), (2, 3, -0.4), (1, 3, 0.9)):
+            mat[i, j] = mat[j, i] = x
+        state = DensityState(SubsystemDims(2, 2), mat, check=False)
+        with pytest.raises(ParamOutOfRange, match="at a=1, b=1$"):
+            reduction_maps(state, CORNERS)
+        pair = ((0.5 + 0j, 0j),)
+        for y in HERMITIAN_CLASSES:
+            assert full_path(state, pair, (y,))
+            assert detected(state, pair, (y,))
 
     @pytest.mark.parametrize("excess", [1e-4, 1e-5, 1e-6])
     def test_screen_three_edge_flags(self, excess):
@@ -606,8 +647,8 @@ class TestDetected:
     @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-5, 1e-3])
     def test_unchecked_non_hermitian_as_full_path(self, scale):
         # A separable state plus a skew-Hermitian part, unchecked.  The
-        # Hermitian part of every map keeps its trace and stays semidefinite
-        # at the tight pairs, so only the certificate's skew term keeps it
+        # Hermitian part of every corner map is the separable state's, which
+        # clears its corners, so only the corner test's skew term keeps it
         # from settling the pairs the full path flags from 1e-5 on.
         rng = np.random.default_rng(7)
         g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
@@ -663,39 +704,61 @@ class TestNormSums:
         assert sorted(codes.values()) == list(range(16))
 
 
-class TestCertificate:
-    def test_failed_batch_settles_nothing(self):
-        # H = diag(1/2, -1/2) is indefinite, so the batch's Cholesky fails;
-        # the semidefinite maps beside it, within their bounds, stay open too,
-        # and the SVD decides every one of them.
-        x = np.array([np.diag([0.5, -0.5]), np.eye(2), -np.eye(2), np.diag([0.7, 0.3])])
-        bound = np.array([1.0, 2.0, 2.0, 1.0])
-        assert (np.trace(x, axis1=1, axis2=2).real <= bound).all()
-        assert _certified(x, bound).tolist() == [False] * 4
-        assert _certified(x[1:], bound[1:]).tolist() == [True] * 3
-
+class TestCorners:
     @settings(max_examples=150)
     @given(
-        d=st.integers(2, 6),
+        m=st.integers(1, 4),
+        n=st.integers(1, 4),
         seed=st.integers(0, 2**31 - 1),
-        sign=st.sampled_from([1.0, -1.0]),
-        scale=st.sampled_from([1.0, 1e3, 1e-3]),
-        gap=st.sampled_from([0.0, 1e-9, 0.5]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        params=st.lists(kernel_params(), min_size=1, max_size=6),
     )
-    def test_settles_only_within_bound(self, d, seed, sign, scale, gap):
-        # Semidefinite, nearly semidefinite and indefinite Hermitian parts,
-        # each with skew parts from none to large, in one batch.
-        p, q = random_density(d, seed), random_density(d, seed + 1)
-        g = np.random.default_rng(seed).standard_normal((d, d))
-        x = np.array([sign * scale * (p - c * q) + 1j * scale * s * (g + g.T)
-                      for c in (0.0, 1e-10, 0.3) for s in (0.0, 1e-12, 1e-6, 0.1)])
-        bound = np.abs(np.trace(x, axis1=1, axis2=2).real) + scale * gap
-        statistic = np.linalg.svd(x, compute_uv=False).sum(-1)
-        settled = _certified(x, bound)
-        slack = TOL_VERDICT * np.maximum(1.0, bound)
-        assert np.all(statistic[settled] <= (bound + slack)[settled])
-        # X = sign * scale * rho is settled at its trace, in a batch of its own.
-        assert _certified(x[:1], bound[:1]).tolist() == [True]
+    def test_pair_within_corner_combination(self, m, n, seed, scale, params):
+        # On any matrix, checked or not, at any complex (a, b), a Hermitian
+        # class's statistic is at most sum_c w_c times the corners', w =
+        # (|1-a|, |a|) kron (|1-b|, |b|), and its bound is sum_c w_c bound_c.
+        rng = np.random.default_rng(seed)
+        d = m * n
+        mat = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        state = DensityState(SubsystemDims(m, n), mat, check=False)
+        for y in HERMITIAN_CLASSES:
+            (corner,) = verdict_blocks(state, CORNERS, (y,))
+            (block,) = verdict_blocks(state, params, (y,))
+            for (a, b), statistic, bound in zip(params, block.statistic, block.bound):
+                w = np.kron([abs(1 - b), abs(b)], [abs(1 - a), abs(a)])  # in CORNERS' order
+                assert statistic <= (w @ corner.statistic) * (1 + 1e-11)
+                assert bound == pytest.approx(w @ corner.bound, rel=1e-13, abs=0)
+
+    @settings(max_examples=150)
+    @given(state=kernel_states(), params=st.lists(kernel_params(), min_size=1, max_size=6))
+    def test_clear_corners_flag_nothing(self, state, params):
+        # On these Hermitian states the corner test reads the corners' trace
+        # norms against their bounds, and where it clears a class, no pair of
+        # the class flags.
+        for y, clear in zip(HERMITIAN_CLASSES, _corners_clear(state)):
+            (corner,) = verdict_blocks(state, CORNERS, (y,))
+            assert clear == all(s <= b * (1 + TOL_VERDICT / 2)
+                                for s, b in zip(corner.statistic, corner.bound))
+            if clear:
+                (block,) = verdict_blocks(state, params, (y,))
+                assert not any(block.entangled)
+
+    @pytest.mark.parametrize("m,n,x,pair", [
+        (1, 2, 0.5094572997602054, (1.0000000002706941, 6336578001.821507)),
+        (2, 1, 0.5087111075732265, (1028302355.92215, 1.0000000002778218)),
+    ])
+    def test_one_dimensional_factor_goes_to_the_svd(self, m, n, x, pair):
+        # diag(x, 1 - x) with a factor of dimension 1 clears its corners,
+        # two of which have bound 0.  Far out, next to a corner with bound 0,
+        # the pair's bound no longer dominates |a| and |b|, and the full
+        # path's own rounding flags it; detected leaves such classes to the
+        # SVD, so it agrees.
+        state = DensityState(SubsystemDims(m, n), np.diag([x, 1 - x]))
+        assert _corners_clear(state) == [True, True]
+        params = (tuple(map(complex, pair)),)
+        for y in HERMITIAN_CLASSES:
+            assert full_path(state, params, (y,))
+            assert detected(state, params, (y,))
 
 
 @st.composite

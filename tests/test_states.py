@@ -299,6 +299,17 @@ class TestStateFiles:
         state = load_state(path).state
         assert state.mat.tobytes() == np.array([[1, 0], [0, 0]], dtype=complex).tobytes()
 
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_true_among_numbers_refused(self, tmp_path, field):
+        # numpy would read true as 1.0: re would be the pure state |0><0|.
+        rows = {"re": "[[1, 0], [0, 0]]", "im": "[[0, 0], [0, 0]]"}
+        rows[field] = "[[true, 0], [0, 0]]"
+        path = tmp_path / "bool.json"
+        path.write_text(f'{{"m": 1, "n": 2, "re": {rows["re"]}, "im": {rows["im"]}}}')
+        with pytest.raises(ParseError, match=f"^field '{field}': every entry must be a number,"
+                                             " found true or false$"):
+            load_state(path, unchecked=True)
+
 
 class TestPartialTransposeOfGenerated:
     def test_werner_ppt_iff_nonnegative_f(self):
