@@ -149,21 +149,6 @@ def _factor(x: complex, dim: int, same: bool) -> float:
         return math.inf
 
 
-def _factors(values: list[complex], dim: int, same: bool) -> list[float]:
-    """_factor of every entry of values, computed once per distinct value.
-    Hashing a complex costs about a quarter of a factor, so a constant side,
-    a sweep stack's a, is found by equality alone, and a side with no
-    repeats skips the table."""
-    if values and values.count(values[0]) == len(values):
-        return [_factor(values[0], dim, same)] * len(values)
-    factor = dict.fromkeys(values)
-    if len(factor) == len(values):
-        return [_factor(x, dim, same) for x in values]
-    for x in factor:
-        factor[x] = _factor(x, dim, same)
-    return list(map(factor.__getitem__, values))
-
-
 def h_factor(x: complex, dim: int, row_in: bool, col_in: bool) -> float:
     """Per-subsystem bound factor for parameter x on a dim-dimensional factor.
 
@@ -205,7 +190,7 @@ def _classes(
     whose code is 7 minus its own.  The bound depends on the member's flags
     only through (not cA, rB == cB), so each of the at most four lists is
     built once per call, on first use, and shared by the classes with its
-    key; each side's factor is computed once per distinct value in the call.
+    key, as is each side's list of factors.
     """
     served: dict[int, list[int]] = {}
     for j, y in enumerate(ysets):
@@ -218,9 +203,9 @@ def _classes(
         key = same_a, same_b = (not code & 4, (code & 3) in (0, 3))
         if key not in bounds:
             if same_a not in h_a:
-                h_a[same_a] = _factors([a for a, _ in params], dims.m, same_a)
+                h_a[same_a] = [_factor(a, dims.m, same_a) for a, _ in params]
             if same_b not in h_b:
-                h_b[same_b] = _factors([b for _, b in params], dims.n, same_b)
+                h_b[same_b] = [_factor(b, dims.n, same_b) for _, b in params]
             bounds[key] = [x * y for x, y in zip(h_a[same_a], h_b[same_b])]
         yield all_subsets()[code], indices, bounds[key]
 

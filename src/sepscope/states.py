@@ -93,6 +93,13 @@ def horodecki_3x3(c: float) -> LabeledState:
     )
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's default generator for seed, which must not be negative."""
+    if seed < 0:
+        raise ParamOutOfRange(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _normalized(g: np.ndarray) -> np.ndarray:
     """Each row of g over its 2-norm.  The norm is np.linalg.norm's
     arithmetic, real and imaginary parts each as a dot with itself, batched
@@ -114,7 +121,7 @@ def random_separable(dims: SubsystemDims, k: int, seed: int) -> LabeledState:
     if k < 1:
         raise ParamOutOfRange(f"term count must be >= 1, got {k}")
     m, n = dims.m, dims.n
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     weights = rng.exponential(size=k)
     weights /= weights.sum()
     g = rng.standard_normal((k, 2 * m + 2 * n))
@@ -135,7 +142,7 @@ def random_density(dim: int, seed: int) -> np.ndarray:
     seeded complex Gaussian G; callers attach subsystem dims."""
     if dim < 2:
         raise ParamOutOfRange(f"dimension must be >= 2, got {dim}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     mat = g @ g.conj().T
     return mat / np.trace(mat).real
@@ -185,7 +192,7 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     phases of the triangular factor's diagonal normalized away."""
     if dim < 1:
         raise ParamOutOfRange(f"dimension must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()

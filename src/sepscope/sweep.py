@@ -1,5 +1,6 @@
 """Parameter-grid evaluation over (family parameter, b), threshold location
-by a bracketed ITP search, and CSV/JSON emission."""
+by a bracketed secant search bounded by ITP's projection, and CSV/JSON
+emission."""
 
 from __future__ import annotations
 
@@ -38,9 +39,10 @@ STACK_MAPS = 4096
 # find_threshold's target: the width of the bracket it returns the midpoint of.
 _WIDTH = 1e-6
 
-# The most find_threshold moves a secant's prediction toward the midpoint: a
-# probe just past a right prediction sends the next one just past it the
-# other way, closing the bracket at 2 * _STRADDLE < _WIDTH.
+# How far find_threshold moves a secant's prediction toward the midpoint,
+# exactly, unless the midpoint is nearer: a probe just past a right
+# prediction sends the next one just past it the other way, closing the
+# bracket at 2 * _STRADDLE < _WIDTH.
 _STRADDLE = 0.45 * _WIDTH
 
 
@@ -156,32 +158,29 @@ def find_threshold(
     "ppt"/"reduction"/"realignment" use the corresponding oracle check.
     The bracket must have lo < hi, and its two ends different verdicts.
 
-    The search is ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on each
-    verdict's flag_margin g, which is > 0 exactly where it flags.  Step j
-    takes an interpolation point: once the flagged side holds two probes,
-    the secant through its latest two, or the midpoint where their g are
-    equal; before that, the midpoint where the unflagged end's excess is 0
-    to within its slack, g >= -2 * TOL_VERDICT * max(1, bound), and else
-    the regula falsi point of (lo, g(lo)) and (hi, g(hi)).  Only the
-    flagged side's g carries a slope: on the unflagged side the excess may
-    stay at 0, as grc {rA,cA} at (0, 0), 2 tr (T_B rho)_-, does on the
-    whole PPT side of werner-3, and a point drawn through a flat end lands
-    next to it.  Where the point is not finite or not strictly inside (lo,
-    hi) the step takes the midpoint instead.  It then moves the point
-    toward the midpoint by kappa * (hi - lo)**2, at most 0.45e-6 for a
-    secant's point, or onto the midpoint where it is nearer, and projects
-    it into the midpoint's ball of radius 1e-6/2 * 2**(n_max - j) - (hi -
-    lo)/2.  kappa = 0.2 / (hi - lo) and n_max = ceil(log2((hi - lo) /
-    1e-6)) + 1 are taken from the first bracket.  A probe just past a
-    right prediction lands on its far side, the next probe passes it the
-    other way, and the bracket closes at 0.9e-6.  The probe's verdict, not
-    g, decides which end it replaces, so the two ends keep different
-    verdicts throughout.  Where g is near linear on the flagged side the
-    bracket closes about two probes after the secant first predicts: 3 to
-    6 past the two ends on the benchmark's werner-3 cases, the flat one
-    included.  The projection bounds any search to n_max steps, one more
-    than bisection.  The radius keeps a relative 1e-8 of headroom, so
-    rounding in the midpoint cannot leave the last bracket just over 1e-6.
+    Each step probes one point, by one rule on the verdicts' flag_margin
+    g, which is > 0 exactly where a verdict flags.  Until the flagged side
+    holds two probes, the step takes the midpoint.  From then on it takes
+    the secant through the flagged side's latest two probes, or the
+    midpoint where their g are equal or the secant point is not strictly
+    inside (lo, hi).  Only the flagged side's g is used: on the unflagged
+    side the excess may stay at 0, as grc {rA,cA} at (0, 0), 2 tr (T_B
+    rho)_-, does on the whole PPT side of werner-3.  A secant point moves
+    exactly 0.45e-6 toward the midpoint, or onto the midpoint where that is
+    nearer, so a probe just past a right prediction lands on its far side,
+    the next passes it the other way, and the bracket closes at 0.9e-6.
+    The point is then projected into ITP's ball (Oliveira & Takahashi, ACM
+    TOMS 47(1), 2020) around the midpoint, of radius 1e-6/2 * 2**(n_max -
+    j) - (hi - lo)/2 at step j, where n_max = ceil(log2((hi - lo) / 1e-6))
+    + 1 is taken from the first bracket.  This bounds any search to n_max
+    steps, one more than bisection; the radius keeps a relative 1e-8 of
+    headroom, so rounding in the midpoint cannot leave the last bracket
+    just over 1e-6.  The probe's verdict, not g, decides which end it
+    replaces, so the two ends keep different verdicts throughout.  On the
+    benchmark's werner-3 cases, near linear on the flagged side, the
+    bracket closes 3 to 6 probes past the two ends.  Where g is curved the
+    predictions take longer to come within 0.45e-6 of the flip, and the
+    two probes that straddle the first such one close the bracket.
 
     Each probe is logged at DEBUG on the "sepscope.sweep" logger with its
     parameter, its flag and its flag_margin.
@@ -200,16 +199,15 @@ def find_threshold(
     if not lo < hi:  # also rejects NaN, on which the search would never run
         raise ParamOutOfRange(f"bracket must have lo < hi, got lo={lo}, hi={hi}")
 
-    def probe(param: float) -> tuple[bool, float, bool]:
-        """The verdict's flag, its flag_margin, and whether its excess is 0
-        to within the slack TOL_VERDICT * max(1, bound) _judge allows."""
+    def probe(param: float) -> tuple[bool, float]:
+        """The verdict's flag and its flag_margin."""
         verdict = check(factory(param))
         g = flag_margin(verdict)
         _log.debug("find_threshold probe x=%r entangled=%s flag_margin=%r",
                    param, verdict.entangled, g)
-        return verdict.entangled, g, g >= -2.0 * TOL_VERDICT * max(1.0, verdict.bound)
+        return verdict.entangled, g
 
-    (flag_lo, g_lo, flat_lo), (flag_hi, g_hi, flat_hi) = probe(lo), probe(hi)
+    (flag_lo, g_lo), (flag_hi, g_hi) = probe(lo), probe(hi)
     if flag_lo == flag_hi:
         raise NoSignChange(
             f"verdict is {flag_lo} at both endpoints [{lo}, {hi}];"
@@ -217,39 +215,27 @@ def find_threshold(
         )
     # After both ends are built, so a bracket the family rejects raises its
     # own ParamOutOfRange first.
-    kappa = 0.2 / (hi - lo)
     n_max = max(0, math.ceil(math.log2((hi - lo) / _WIDTH))) + 1
     radius = (1.0 - 1e-8) * _WIDTH / 2 * 2.0 ** n_max  # halved every step
     flagged = [(lo, g_lo) if flag_lo else (hi, g_hi)]  # its latest probes, the end last
-    flat = flat_hi if flag_lo else flat_lo  # of the unflagged end
     while hi - lo > _WIDTH:
-        mid = 0.5 * (lo + hi)
-        delta = kappa * (hi - lo) ** 2
+        mid = x = 0.5 * (lo + hi)
         if len(flagged) == 2:
             (x0, g0), (x1, g1) = flagged
-            x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else mid
-            delta = min(delta, _STRADDLE)
-        elif flat:
-            x = mid
-        else:
-            x = (g_hi * lo - g_lo * hi) / (g_hi - g_lo)
-        if lo < x < hi:  # False for NaN and inf too
-            sigma = math.copysign(1.0, mid - x)
-            x = x + sigma * delta if delta <= abs(mid - x) else mid
-            r = radius - 0.5 * (hi - lo)
-            if abs(x - mid) > r:
-                x = mid - sigma * r
-        else:
-            x = mid
-        flag, g, flat_x = probe(x)
+            secant = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else mid
+            if lo < secant < hi:  # False for NaN and inf too
+                sigma = math.copysign(1.0, mid - secant)
+                x = secant + sigma * _STRADDLE if _STRADDLE <= abs(mid - secant) else mid
+                r = radius - 0.5 * (hi - lo)
+                if abs(x - mid) > r:
+                    x = mid - sigma * r
+        flag, g = probe(x)
         if flag:
             flagged = [flagged[-1], (x, g)]
-        else:
-            flat = flat_x
         if flag == flag_lo:
-            lo, g_lo = x, g
+            lo = x
         else:
-            hi, g_hi = x, g
+            hi = x
         radius *= 0.5
     return 0.5 * (lo + hi)
 

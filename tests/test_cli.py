@@ -207,6 +207,13 @@ class TestCheck:
     def test_out_of_range_param_exits_two(self):
         assert main(["check", "--builtin", "werner", "--f", "2.0"]) == 2
 
+    @pytest.mark.parametrize("builtin", ["separable", "random"])
+    def test_negative_seed_exits_two_naming_it(self, capsys, builtin):
+        assert main(["check", "--builtin", builtin, "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: seed must be a non-negative integer, got -3"]
+
     # Finite (a, b) whose map (ab overflows), bound (a squared factor
     # overflows) or statistic and bound (both overflow) are not finite.
     @pytest.mark.parametrize("a,b,yset", [
@@ -653,6 +660,8 @@ class TestCompare:
     @pytest.mark.parametrize("extra,message", [
         (["--seed", "-2"], "non-negative"),
         (["--k", "0"], "term count"),
+        (["--seed", "-3"], "seed must be a non-negative integer, got -3"),
+        (["--family", "random", "--seed", "-3"], "seed must be a non-negative integer, got -3"),
     ])
     def test_bad_first_member_leaves_stdout_empty(self, capsys, extra, message):
         assert main(["compare", "--family", "separable", "--count", "3", *extra]) == 2
@@ -695,16 +704,16 @@ CHECK_CASES = {
 }
 
 # float.hex of find_threshold on werner-3 for the benchmark's seven cases,
-# (criterion, a, b, yset), each from one fixed bracket (lo, hi), fixed at the
-# same time as CHECK_CASES.
+# (criterion, a, b, yset), each from one fixed bracket (lo, hi).  They change
+# with find_threshold's sequence of probes.
 THRESHOLD_CASES = (
-    ("grc", 0.0, 0.0, "cA,rB", -0.75, 0.5, "-0x1.5555560121ccdp-2"),
-    ("grc", 0.0, 2.0 / 3.0, "cA,rB", -0.9, 0.3, "-0x1.5555560121cc2p-2"),
-    ("grc", 1.0, -1.0 / 3.0, "cA,rB", -0.6, 0.8, "-0x1.555556acee443p-2"),
-    ("grc", 1.0, 1.0, "cA,rB", -0.55, 0.25, "-0x1.555556acee437p-2"),
+    ("grc", 0.0, 0.0, "cA,rB", -0.75, 0.5, "-0x1.5555560121cbep-2"),
+    ("grc", 0.0, 2.0 / 3.0, "cA,rB", -0.9, 0.3, "-0x1.5555560121cc9p-2"),
+    ("grc", 1.0, -1.0 / 3.0, "cA,rB", -0.6, 0.8, "-0x1.555556acee43ep-2"),
+    ("grc", 1.0, 1.0, "cA,rB", -0.55, 0.25, "-0x1.555556acee443p-2"),
     ("grc", 0.0, 0.0, "rA,cA", -0.7, 0.9, "-0x1.01b2b26745e80p-26"),
-    ("ppt", 0.0, 0.0, "none", -0.8, 0.6, "-0x1.01b2b290ffffcp-25"),
-    ("realignment", 0.0, 0.0, "none", -1.0, 1.0, "-0x1.5555560121ccbp-2"),
+    ("ppt", 0.0, 0.0, "none", -0.8, 0.6, "-0x1.01b2b29bffffcp-25"),
+    ("realignment", 0.0, 0.0, "none", -1.0, 1.0, "-0x1.5555560121cc8p-2"),
 )
 
 

@@ -149,22 +149,22 @@ class TestBlocks:
         assert len(blocks) == 8
         assert len({id(block.bound) for block in blocks}) == 4
 
-    def test_factor_once_per_distinct_value(self, monkeypatch):
+    def test_factors_once_per_side_and_flags(self, monkeypatch):
         import sepscope.criteria as criteria
 
         values = []
         original = criteria._factor
         monkeypatch.setattr(criteria, "_factor",
                             lambda x, dim, same: values.append(x) or original(x, dim, same))
-        # compare's grid: 6 values a side, each with flags equal and unequal.
+        # compare's grid: each side's list with flags equal and unequal, so
+        # four lists for the eight classes.
         list(_classes(COMPARE_GRID, SubsystemDims(3, 3), all_subsets()))
-        assert len(values) == 24
-        # A sweep stack: a constant a and a 41-point b axis.
+        assert len(COMPARE_GRID) == 36 and len(values) == 4 * 36
+        # A sweep stack: a constant a and a 41-point b axis, one list a side.
         values.clear()
         stack = [(0.7 + 0j, complex(b)) for b in axis_points(-1.0, 1.0, 0.05)]
         list(_classes(stack, SubsystemDims(3, 3), (GptOpSet.from_code("rA,cB"),)))
-        assert len(stack) == 41
-        assert values.count(0.7) == 1 and len(values) == 42
+        assert values == [a for a, _ in stack] + [b for _, b in stack]
 
     def test_requested_rA_free_subset_is_its_member(self):
         subsets = all_subsets()

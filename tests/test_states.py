@@ -187,6 +187,16 @@ class TestRandomDensity:
         assert not np.array_equal(random_density(4, 1), random_density(4, 2))
 
 
+@pytest.mark.parametrize("draw", [
+    lambda: random_separable(SubsystemDims(2, 2), 1, seed=-1),
+    lambda: random_density(4, seed=-1),
+    lambda: random_unitary(2, seed=-1),
+], ids=["separable", "density", "unitary"])
+def test_negative_seed_named(draw):
+    with pytest.raises(ParamOutOfRange, match="seed must be a non-negative integer, got -1"):
+        draw()
+
+
 class TestRandomUnitary:
     def test_scalar_case(self):
         u = random_unitary(1, seed=5)

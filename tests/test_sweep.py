@@ -314,16 +314,28 @@ class TestThresholdSearch:
         assert abs(built[-1] - built[-2]) <= 1e-6
 
     # The draws of test_bracketed_within_bisection_plus_one, mapped through
-    # unquadratic, so the ends are those states to rounding.
+    # unquadratic, so the ends are those states to rounding; sign -1 mirrors
+    # the family, the flags then on the other side.
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("criterion,a,b,code,target", SEARCH_CASES)
     @settings(max_examples=25)
     @given(lo=st.floats(-1.0, -0.5), hi=st.floats(0.2, 1.0))
-    def test_curved_margin_within_bisection_plus_one(self, criterion, a, b, code, target, lo,
-                                                     hi):
-        lo, hi = unquadratic(lo), unquadratic(hi)
-        result, built = searched(criterion, a, b, code, lo, hi, warp=quadratic)
-        assert abs(result - unquadratic(target)) <= 1e-6
+    def test_curved_margin_within_bisection_plus_one(self, criterion, a, b, code, target, sign,
+                                                     lo, hi):
+        lo, hi = sorted((unquadratic(sign * lo), unquadratic(sign * hi)))
+        result, built = searched(criterion, a, b, code, lo, hi, sign, quadratic)
+        assert abs(result - unquadratic(sign * target)) <= 1e-6
         assert len(built) <= n_max_plus_two(lo, hi)
+        assert_last_bracket(criterion, a, b, code, result, built, sign, quadratic)
+
+    @pytest.mark.parametrize("criterion,a,b,code,target", SEARCH_CASES)
+    def test_curved_margin_in_few_probes(self, criterion, a, b, code, target):
+        # Bisection builds 23 states on this bracket.  Each secant point
+        # moves the full 0.45e-6 toward the midpoint, so the two probes after
+        # a prediction that close to the flip straddle it.
+        result, built = searched(criterion, a, b, code, -1.0, 1.0, warp=quadratic)
+        assert abs(result - unquadratic(target)) <= 1e-6
+        assert len(built) <= 16
         assert_last_bracket(criterion, a, b, code, result, built, warp=quadratic)
 
     @pytest.mark.parametrize("warp,unwarp", [(linear, linear), (quadratic, unquadratic)],
@@ -345,7 +357,9 @@ class TestThresholdSearch:
                 hi = x
 
     def test_flat_side_in_few_probes(self):
-        # Regula falsi through the flat end took ITP's worst case here: 24 builds.
+        # A step drawn through the flat end lands next to it, and ITP's worst
+        # case here is 24 builds; the search takes the midpoint until the
+        # flagged side holds two probes.
         result, built = searched(*FLAT_CASE, -1.0, 1.0)
         assert abs(result) <= 1e-6
         assert len(built) <= 12
