@@ -25,7 +25,6 @@ from .matlin import (
     DensityState,
     check_hermitian,
     constant_cache,
-    hermitian_eigenvalues,
     identity,
     kron,
     trace_norm,
@@ -246,7 +245,7 @@ def _split_products(rho: DensityState, params: Sequence[tuple[complex, complex]]
     realignment class's split R(rho~) = u v^T + R(Delta), u = vec(aI -
     rho_A), v = vec(bI - rho_B), Delta = rho - rho_A kron rho_B, the trace
     norm ||u|| ||v|| of the rank-one term, exact for any matrix, checked or
-    not (detected's screen 3)."""
+    not (the fallback of detected's screen 4)."""
     def distance(mat: np.ndarray, x: tuple[complex, ...]) -> np.ndarray:  # ||xI - mat||_F
         diagonal = np.diagonal(mat)
         off = np.linalg.norm(mat - np.diag(diagonal)) ** 2
@@ -255,6 +254,28 @@ def _split_products(rho: DensityState, params: Sequence[tuple[complex, complex]]
     rho_a, rho_b = rho.reductions
     a, b = zip(*params)
     return distance(rho_a, a) * distance(rho_b, b)
+
+
+def _zzzg(rho: DensityState) -> tuple[float, float]:
+    """(z, ||R(Delta)||_1), Delta = rho - rho_A kron rho_B: for m, n >= 2, z
+    bounds every realignment-class pair's exact excess at every complex (a,
+    b) by z * max(1, bound).  z is ZZZG's excess bound ||R(Delta)||_1 -
+    sqrt((1 - q_A)(1 - q_B)), q_X = ||rho_X||_F^2, with its trace and
+    rounding terms (detected's screen 4); it is inf where q_A or q_B > 1,
+    and both are inf where Delta is not finite."""
+    rho_a, rho_b = rho.reductions
+    delta = rho.mat - kron(rho_a, rho_b)
+    if not np.isfinite(delta).all():
+        return math.inf, math.inf
+    residual = trace_norm(realign(delta, rho.dims))
+    q_a, q_b = (float(np.vdot(x, x).real) for x in (rho_a, rho_b))
+    if not (q_a <= 1.0 and q_b <= 1.0):
+        return math.inf, residual
+    eps = rho.dims.total ** 2 * np.finfo(float).eps  # each input's rounding, generously
+    root = math.sqrt(max(1.0 - q_a - eps, 0.0) * max(1.0 - q_b - eps, 0.0))
+    trace = max(abs(complex(np.trace(x)) - 1.0) for x in (rho_a, rho_b)) + eps
+    excess = max(residual * (1.0 + eps) + eps - root, 0.0)
+    return excess + trace * (2.0 * math.sqrt(2.0) + 2.0 * trace), residual
 
 
 def _corners_clear(rho: DensityState) -> list[bool]:
@@ -317,6 +338,28 @@ def _norm_entry(member: GptOpSet) -> int:
     return sum(1 << (3 - axis) for axis, in_rows in transform_digits(member) if not in_rows)
 
 
+# A mixed class's Hermitian partner, by code: conjugate transposition swaps
+# each row flag with its column flag, so ||Y_rB X||_1 = ||Y_cB X^†||_1 and
+# ||Y_{cA,rB,cB} X||_1 = ||Y_cA X^†||_1 (detected's screen 3).
+_PARTNERS = {1: 2, 2: 1, 4: 7, 7: 4}
+
+
+@constant_cache(8, lambda params, dims, ysets: 8 * len(params))
+def _bound_table(params: tuple, dims, ysets: tuple) -> tuple[np.ndarray, ...]:
+    """detected's view of _classes, read-only: each class's code 4 cA + 2 rB +
+    cB in order of first request, the _norm_sums entry of its column-norm
+    sum, the index of its Hermitian partner among the classes before it or
+    -1, and the (k, classes) table of its bounds, _classes' Python floats.
+    It depends on nothing but its arguments, so compare's grid builds it
+    once for every state."""
+    classes = list(_classes(params, dims, ysets))
+    codes = [4 * member.cA + 2 * member.rB + member.cB for member, _, _ in classes]
+    partner = [codes[:c].index(_PARTNERS[code]) if _PARTNERS.get(code) in codes[:c] else -1
+               for c, code in enumerate(codes)]
+    return (np.array(codes, dtype=int), np.array([_norm_entry(member) for member, _, _ in classes]),
+            np.array(partner, dtype=int), np.array([bound for _, _, bound in classes]).T)
+
+
 def detected(
     rho: DensityState,
     params: Sequence[tuple[complex, complex]],
@@ -324,9 +367,11 @@ def detected(
 ) -> bool:
     """Whether any pair (params[i], ysets[j]) is flagged: what
     ``any(any(b.entangled) for b in verdict_blocks(rho, params, ysets))``
-    returns, raising what it raises, with an SVD only of the maps that three
+    returns, raising what it raises, with an SVD only of the maps that four
     upper bounds on the trace norm leave unsettled.  A pair flags where its
-    excess tops T * max(1, bound), T = TOL_VERDICT.
+    excess tops T * max(1, bound), T = TOL_VERDICT.  The classes, their
+    bounds and their partners come from _bound_table, built once per
+    (params, dims, ysets).
 
     1. Column/row sums, every class in one pass.  Write a class member's
        transform X by its columns, X = sum_j x_j e_j^†.  Each term has rank
@@ -341,40 +386,81 @@ def detected(
        settled where the smaller sum is at most its finite bound.  Only
        the classes left with an open pair go on, in order of first request.
 
-    2. Corners, classes none and rB,cB, for m, n >= 2.  The map is bilinear:
-       X(a, b) = sum_c w'_c X_c over the corners c in {0, 1}^2, w' = (1-a,
-       a) kron (1-b, b).  Y is linear, so with w = |w'| = (|1-a|, |a|) kron
-       (|1-b|, |b|) the triangle inequality gives ||Y X(a, b)||_1 <= sum_c
-       w_c ||Y X_c||_1.  Both bound factors are linear, h(x) = |1-x| h(0) +
-       |x| h(1), so the bound splits alike: h_a h_b = sum_c w_c bound_c, with
-       bound_c = 1, m-1, n-1, (m-1)(n-1).  So if each corner has ||Y X_c||_1
-       <= (1 + T/2) bound_c, every pair's exact excess is at most T/2 *
-       bound, at any complex (a, b), for any matrix.  The corners are the
-       classical tests: rho, the two reduction maps and X(1, 1) in none,
-       their partial transposes in rB,cB.  _corners_clear bounds each
+    2. Corners, classes none and rB,cB.  The map is bilinear: X(a, b) =
+       sum_c w'_c X_c over the corners c in {0, 1}^2, w' = (1-a, a) kron
+       (1-b, b).  Y is linear, so with w = |w'| = (|1-a|, |a|) kron (|1-b|,
+       |b|) the triangle inequality gives ||Y X(a, b)||_1 <= sum_c w_c ||Y
+       X_c||_1.  Both bound factors are linear, h(x) = |1-x| h(0) + |x|
+       h(1), so the bound splits alike: h_a h_b = sum_c w_c bound_c, with
+       bound_c = 1, m-1, n-1, (m-1)(n-1).  So if each corner has ||Y
+       X_c||_1 <= (1 + T/2) bound_c, every pair's exact excess is at most
+       T/2 * bound, at any complex (a, b), for any matrix.  The corners are
+       the classical tests: rho, the two reduction maps and X(1, 1) in
+       none, their partial transposes in rB,cB.  _corners_clear bounds each
        corner's trace norm by sum |eig(H)| + sqrt(d) ||K||_F, H and K the
        Hermitian and skew parts, with one eigvalsh of the 8 maps, once per
        call; the skew term keeps unchecked non-Hermitian input sound.  A
        class whose four corners clear settles every open pair with finite
-       sums and bound; any other goes to the SVD, as do both classes for m
-       or n = 1, where a pair's bound no longer dominates |a|, |b| and |ab|.
+       sums and bound; any other goes to the SVD.
 
-    3. Product-residual split, the realignment class {cA,rB} only.  The map
-       is rho~ = (aI - rho_A) kron (bI - rho_B) + Delta, Delta = rho - rho_A
-       kron rho_B, so R(rho~) = u v^T + R(Delta) with u = vec(aI - rho_A)
-       and v = vec(bI - rho_B), and ||R(rho~)||_1 <= P(a, b) +
-       ||R(Delta)||_1, where P = ||u|| ||v|| is the exact trace norm of the
-       rank-one term (_split_products).  A pair is settled where P(a, b) +
-       ||R(Delta)||_1 <= bound.  The residual's trace norm, one SVD of one
-       matrix, is taken only when an open pair has P(a, b) + ||Delta||_F <
-       bound, as ||R(Delta)||_1 >= ||Delta||_F.  The split settles little
-       elsewhere.  The Frobenius class {cA,cB} is a d^2-vector, which screen
-       1 already decides exactly.  The classes cA, cB, rB and cA,rB,cB keep
-       a square factor xI - rho_X on one side, and their product term is no
-       rank-one matrix: with every class run to the end on compare's grid,
-       the split settled 0.015 pairs per separable 3x3 state (k=12, seeds
-       0-199) in each, against 35.1 in the realignment class, and none on
-       random 3x3 states.
+    3. Hermitian partners, the mixed classes cB, rB, cA and cA,rB,cB.
+       Conjugate transposition moves the entry at (i, mu; j, nu) to (j, nu;
+       i, mu), so it swaps each row flag with its column flag: the
+       transform of X^† under a subset is, up to conjugation, a transpose
+       and an order of rows and columns, that of X under the subset with rA
+       and cA, and rB and cB, swapped.  Up to complements that maps cB to
+       rB and cA to cA,rB,cB, and each of the other four classes to itself.
+       Hence ||Y_rB X||_1 = ||Y_cB X^†||_1 and ||Y_{cA,rB,cB} X||_1 = ||Y_cA
+       X^†||_1, and two partners share one bound list, as their flags differ
+       only in rB and cB, which are unequal in both or equal in both.
+       By the triangle inequality and ||Z||_1 <= sqrt(r) ||Z||_F for a
+       matrix Z whose smaller side is r, ||Y_S X||_1 <= ||Y_P X||_1 +
+       sqrt(r) ||X - X^†||_F, for the member S and its partner P, with r = m
+       for cB and rB and n for the other two.  So the member decided second
+       settles an open pair where its partner's known upper bound, the
+       partner's smaller column/row sum or its SVD statistic, plus sqrt(r)
+       ||X - X^†||_F, is at most (1 + T/2) bound.  At real (a, b) on a
+       Hermitian state X is Hermitian, and the second member takes no SVD
+       the first did not need.
+
+    4. ZZZG, then the product-residual split, the realignment class {cA,rB}
+       only.  The map is rho~ = (aI - rho_A) kron (bI - rho_B) + Delta,
+       Delta = rho - rho_A kron rho_B, so R(rho~) = u v^T + R(Delta) with u
+       = vec(aI - rho_A) and v = vec(bI - rho_B), and ||R(rho~)||_1 <= P(a,
+       b) + ||R(Delta)||_1, where P = ||u|| ||v|| is the exact trace norm
+       of the rank-one term (_split_products).  With t_X = tr rho_X, q_X =
+       ||rho_X||_F^2 and delta = |t_X - 1|, ||u||^2 = m|a|^2 - 2 Re(a^*
+       t_A) + q_A <= h_a^2 - (1 - q_A) + 2|a| delta, and |a| <= h_a for m
+       >= 2, so ||u||^2 <= (h_a + delta)^2 - alpha, alpha = 1 - q_A, and
+       likewise for v with beta = 1 - q_B.  For alpha, beta >= 0,
+       Cauchy-Schwarz gives sqrt(A B) + sqrt(alpha beta) <= sqrt((A +
+       alpha)(B + beta)), so P <= (h_a + delta)(h_b + delta) - sqrt(alpha
+       beta), and every pair's exact excess is at most ||R(Delta)||_1 -
+       sqrt(alpha beta) + delta (h_a + h_b + delta), the excess bound of
+       Zhang, Zhang, Zhang & Guo (PRA 77, 060301(R), 2008) plus a trace
+       term.  As h >= 1/sqrt(2), that is at most z * max(1, bound), with z
+       = max(ZZZG, 0) + delta (2 sqrt(2) + 2 delta) (_zzzg).  _zzzg rounds
+       upward: with e = d^2 eps, it lowers alpha and beta by e, raises the
+       residual by e times itself plus e and delta by e, generous against
+       the few roundings in each.  The raised delta also covers an exact
+       alpha or beta below 0 by less than e, as ||u||^2 <= (h_a + delta)^2
+       + e <= (h_a + delta + e)^2.  Where z <= T/2 the class settles every
+       open pair with finite sums and bound at once, for any (a, b); it
+       needs q_A, q_B <= 1, and a validated state has delta <= 1e-12.
+       Where it does not, a pair is settled where P(a, b) + ||R(Delta)||_1
+       <= bound.  The split settles little elsewhere.  The Frobenius class
+       {cA,cB} is a d^2-vector, which screen 1 already decides exactly.
+       The classes cA, cB, rB and cA,rB,cB keep a square factor xI - rho_X
+       on one side, and their product term is no rank-one matrix: with
+       every class run to the end on compare's grid, the split settled
+       0.015 pairs per separable 3x3 state (k=12, seeds 0-199) in each,
+       against 35.1 in the realignment class, and none on random 3x3
+       states.
+
+    Screens 2 to 4 run only for m, n >= 2.  With a factor of dimension 1 a
+    linear factor |1-a| vanishes at a = 1, so a pair's bound no longer
+    dominates |a|, |b| and |ab|, and the full path's own rounding can flag
+    a pair that a screen would settle: every such class goes to the SVD.
 
     Rounding: the full path's statistic and each computed bound above round
     by O(d * eps * bound) (the statistic's worst measured excess is 0.67 eps
@@ -385,16 +471,19 @@ def detected(
     non-negative terms rounds by at most (n - 1) eps/2 relative, so an
     entry is within about 1.5 d eps of its exact value, an O(d * eps *
     bound) error wherever it settles a pair, as with axis sums in any other
-    order.  Squares that underflow lose under 1e-154 per entry.  In screen
-    2, h(x) >= max(1, |x|), so a pair's bound dominates the map's
-    coefficients 1, |a|, |b|, |ab|, and clear corners hold rho, I kron rho_B
-    and rho_A kron I to norms of about 1, m and n: the computed map, its SVD
-    and the corners' eigvalsh round by O(d^2 eps bound), about 1e-13 bound
-    at d = 9 and 1e-11 bound at d = 100, far inside the T/2 * bound left
-    below the flag line.  So the full path would flag no settled pair.  Nor
-    would it raise on one: screens 2 and 3 see only pairs whose column/row
-    sums and bound are finite, so each squared entry of the map is finite,
-    and its statistic, below d**2 * sqrt(float max), is too.
+    order.  Squares that underflow lose under 1e-154 per entry.  For m, n >=
+    2, h(x) >= max(1, |x|) for a linear factor and h(x) >= max(1/sqrt(2),
+    |x|) for a root one, so a pair's bound is at least half the map's
+    coefficients 1, |a|, |b|, |ab|; clear corners hold rho, I kron rho_B and
+    rho_A kron I to norms of about 1, m and n.  So the computed map, its
+    SVD, a partner's SVD statistic or column/row sum, and the corners'
+    eigvalsh round by O(d^2 eps bound), about 1e-13 bound at d = 9 and
+    1e-11 bound at d = 100, far inside the T/2 * max(1, bound) that
+    screens 2 to 4 leave below the flag line.  So the full path would flag
+    no settled pair.  Nor would it raise on one: screens 2 to 4 see only
+    pairs whose column/row sums and bound are finite, so each squared entry
+    of the map is finite, and its statistic, below d**2 * sqrt(float max),
+    is too.
 
     Every other parameter takes the full path's arithmetic: the SVD of its
     own map and _judge.  numpy's stacked SVD takes each matrix alone, so an
@@ -403,35 +492,45 @@ def detected(
     (a, b).  params are (a, b) pairs of complex the caller checked finite.
     """
     stack = reduction_maps(rho, params)
-    classes = list(_classes(params, rho.dims, ysets))
-    if not classes:
+    codes, column, partner, limits = _bound_table(tuple(params), rho.dims, tuple(ysets))
+    if not len(codes):
         return False
-    column = np.array([_norm_entry(member) for member, _, _ in classes])
-    limits = np.array([bound for _, _, bound in classes]).T  # (k, classes)
+    m, n = rho.dims.m, rho.dims.n
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum or bound leaves a pair open
         sums = _norm_sums(stack, rho.dims)
-        upper = np.minimum(sums[:, column], sums[:, 15 - column])  # the row sum is the complement
-        finite = np.isfinite(upper) & np.isfinite(limits)
-        settled = finite & (upper <= limits)
-        clear = None  # _corners_clear, on the first Hermitian class with an open pair
+        known = np.minimum(sums[:, column], sums[:, 15 - column])  # the row sum is the complement
+        finite = np.isfinite(known) & np.isfinite(limits)
+        settled = finite & (known <= limits)
+        clear = skew = None  # _corners_clear and ||X - X^†||_F, each on first use
         for c in np.flatnonzero(~settled.all(axis=0)):  # classes with an open pair, in order
-            member, limit = classes[c][0], limits[:, c]
+            code, limit = int(codes[c]), limits[:, c]
+            member = all_subsets()[code]
             unsettled = np.flatnonzero(~settled[:, c])
-            screened = finite[unsettled, c]  # screens 2 and 3 see finite sums and bounds only
-            if member == REALIGN_Y and screened.any():
-                delta = rho.mat - kron(*rho.reductions)
-                product, cap = _split_products(rho, params)[unsettled], limit[unsettled]
-                if np.any(screened & (product + np.linalg.norm(delta) < cap)):
-                    residual = trace_norm(realign(delta, rho.dims))  # ZZZG's statistic
-                    unsettled = unsettled[~(screened & (product + residual <= cap))]
-            elif (not member.cA and member.rB == member.cB and screened.any()
-                  and rho.dims.m > 1 and rho.dims.n > 1):  # none and rB,cB
-                clear = _corners_clear(rho) if clear is None else clear
-                if clear[member.rB]:
+            screened = finite[unsettled, c]  # screens 2 to 4 see finite sums and bounds only
+            if not screened.any() or m == 1 or n == 1:  # screens 2 to 4 need m, n >= 2
+                pass
+            elif code == 6:  # the realignment class
+                zzzg, residual = _zzzg(rho)
+                if zzzg <= TOL_VERDICT / 2:
                     unsettled = unsettled[~screened]
+                else:
+                    product = _split_products(rho, params)[unsettled]
+                    unsettled = unsettled[~(screened & (product + residual <= limit[unsettled]))]
+            elif code in (0, 3):  # none and rB,cB
+                clear = _corners_clear(rho) if clear is None else clear
+                if clear[code == 3]:
+                    unsettled = unsettled[~screened]
+            elif partner[c] >= 0:  # cB or rB, cA or cA,rB,cB, after its partner
+                if skew is None:
+                    skew = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+                side = n if member.cA else m  # the transform's smaller side
+                upper = known[unsettled, partner[c]] + math.sqrt(side) * skew[unsettled]
+                cap = (1 + TOL_VERDICT / 2) * limit[unsettled]
+                unsettled = unsettled[~(screened & (upper <= cap))]
             if unsettled.size == 0:
                 continue
             statistic = trace_norm(gpt_transform(stack[unsettled], rho.dims, member))
+            known[unsettled, c] = statistic
             _, entangled = _judged(statistic, limit[unsettled].tolist(),
                                    [params[i] for i in unsettled])
             if any(entangled):
@@ -484,8 +583,10 @@ def ppt_check(rho: DensityState) -> CriterionVerdict:
     The B-side transpose has the same spectrum for Hermitian rho (global
     transpose similarity), so one side suffices.
     """
-    pt = partial_transpose(rho.mat, rho.dims, "A")  # whose defects are rho's, entry for entry
-    statistic = float(hermitian_eigenvalues(pt)[0])  # so this checks rho's own Hermiticity
+    pt = partial_transpose(rho.mat, rho.dims, "A")
+    if not rho.checked:  # T_A rho's defects are rho's, entry for entry
+        check_hermitian(pt)
+    statistic = float(np.linalg.eigvalsh(pt)[0])
     return _oracle("ppt", None, statistic, 0.0, -statistic)
 
 
@@ -493,10 +594,10 @@ def reduction_check(rho: DensityState) -> CriterionVerdict:
     """Positivity of I kron rho_B - rho and rho_A kron I - rho, jointly."""
     m, n = rho.dims.m, rho.dims.n
     rho_a, rho_b = rho.reductions
-    check_hermitian(rho.mat)  # rho's own: a map's defect can sum m + 1 of rho's
-    lo_b = float(np.linalg.eigvalsh(kron(identity(m), rho_b) - rho.mat)[0])
-    lo_a = float(np.linalg.eigvalsh(kron(rho_a, identity(n)) - rho.mat)[0])
-    statistic = min(lo_a, lo_b)
+    if not rho.checked:  # rho's own: a map's defect can sum m + 1 of rho's
+        check_hermitian(rho.mat)
+    maps = np.stack((kron(identity(m), rho_b), kron(rho_a, identity(n)))) - rho.mat
+    statistic = float(np.linalg.eigvalsh(maps).min())  # both spectra in one call
     return _oracle("reduction", None, statistic, 0.0, -statistic)
 
 

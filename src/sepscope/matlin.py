@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -114,15 +114,17 @@ class DensityState:
 
     Construction validates Hermiticity, unit trace and positive
     semidefiniteness; pass ``check=False`` only for explicitly unchecked
-    file loads.  The stored matrix is a read-only copy, safe to share
-    across workers: mat may be any matrix as_cmatrix takes, and the state
-    makes one complex copy of it, whatever its type, so it never shares
-    memory with the input.
+    file loads.  ``checked`` records which it was, so a criterion can skip a
+    test that a validated state always passes.  The stored matrix is a
+    read-only copy, safe to share across workers: mat may be any matrix
+    as_cmatrix takes, and the state makes one complex copy of it, whatever
+    its type, so it never shares memory with the input.
     """
 
     dims: SubsystemDims
     mat: np.ndarray
     check: InitVar[bool] = True
+    checked: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, check: bool) -> None:
         mat = as_cmatrix(np.array(self.mat, dtype=complex))  # the one copy
@@ -136,6 +138,7 @@ class DensityState:
         object.__setattr__(self, "mat", mat)
         if check:
             validate_density(mat)
+        object.__setattr__(self, "checked", check)
 
     @functools.cached_property
     def reductions(self) -> tuple[np.ndarray, np.ndarray]:

@@ -252,6 +252,24 @@ class TestOracleTable:
         monkeypatch.setattr(criteria, "ppt_check", lambda rho: "rebound")
         assert criteria.ORACLES["ppt"](werner(3, 0.0).state) == "rebound"
 
+    @pytest.mark.parametrize("check", [ppt_check, reduction_check], ids=["ppt", "reduction"])
+    def test_hermiticity_checked_only_on_unchecked_states(self, monkeypatch, check):
+        # A validated state is Hermitian within TOL_HERM, and the matrix each
+        # oracle checks has its defects, so only an unchecked state is checked
+        # again; the statistic is the same either way.
+        import sepscope.criteria as criteria
+
+        mat = werner(3, -0.2).state.mat
+        validated = DensityState(SubsystemDims(3, 3), mat)
+        unchecked = DensityState(SubsystemDims(3, 3), mat, check=False)
+        assert validated.checked and not unchecked.checked
+        checked = []
+        original = criteria.check_hermitian
+        monkeypatch.setattr(criteria, "check_hermitian",
+                            lambda mat: checked.append(mat.shape) or original(mat))
+        assert check(validated) == check(unchecked)
+        assert checked == [(9, 9)]
+
 
 class TestSpecializationIdentities:
     def test_gpt_statistic_every_subset(self):
@@ -429,7 +447,7 @@ class TestOneVerdictRule:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("name,patched", [
-        ("ppt", "hermitian_eigenvalues"),
+        ("ppt", "eigvalsh"),
         ("reduction", "eigvalsh"),
         ("realignment", "trace_norm"),
     ])
@@ -438,11 +456,10 @@ class TestOneVerdictRule:
         from sepscope import SepscopeError
 
         state = werner(3, 0.5).state  # validated before eigvalsh is patched
-        if patched == "eigvalsh":  # reduction's spectra, taken after its one Hermiticity check
+        if patched == "eigvalsh":  # a validated state's spectra, taken with no Hermiticity check
             monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.full(len(mat), bad))
         else:
-            value = np.array([bad]) if patched == "hermitian_eigenvalues" else bad
-            monkeypatch.setattr(criteria, patched, lambda mat: value)
+            monkeypatch.setattr(criteria, patched, lambda mat: bad)
         with pytest.raises(SepscopeError, match=f"^the {name} statistic is not finite"):
             criteria.ORACLES[name](state)
 

@@ -32,11 +32,13 @@ from sepscope import (
 from sepscope.cli import main
 from sepscope.criteria import (
     TOL_VERDICT,
+    _bound_table,
     _classes,
     _corners_clear,
     _norm_entry,
     _norm_sums,
     _split_products,
+    _zzzg,
     detected,
     ppt_check,
     reduction_maps,
@@ -261,6 +263,28 @@ COMPARE_GRID = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TES
 CORNERS = ((0j, 0j), (1 + 0j, 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j))
 HERMITIAN_CLASSES = (GptOpSet(), GptOpSet(rB=True, cB=True))
 
+# The mixed classes as (first, second) Hermitian partners, in the order
+# screen 3 decides them, and the realignment class of screen 4.
+PARTNER_CLASSES = ((GptOpSet(cB=True), GptOpSet(rB=True)),
+                   (GptOpSet(cA=True), GptOpSet(cA=True, rB=True, cB=True)))
+REALIGNMENT = GptOpSet(cA=True, rB=True)
+
+
+def svd_shapes(state, params, ysets):
+    """The stack shapes detected takes trace norms of, asserting that it
+    answers as the full path."""
+    import sepscope.criteria as criteria
+
+    maps = []
+    original = criteria.trace_norm
+    criteria.trace_norm = lambda mat: maps.append(np.shape(mat)[:-2]) or original(mat)
+    try:
+        flagged = detected(state, params, ysets)
+    finally:
+        criteria.trace_norm = original
+    assert flagged == full_path(state, params, ysets)
+    return maps
+
 
 class TestCompareEarlyExit:
     def test_werner_stops_before_eighth_class(self, monkeypatch):
@@ -315,13 +339,14 @@ class TestCompareEarlyExit:
         original = criteria.trace_norm
         monkeypatch.setattr(criteria, "trace_norm",
                             lambda mat: maps.append(np.shape(mat)[:-2]) or original(mat))
-        # The state of seed 0 (3x3, k = 12).  The realignment oracle and the
-        # product-residual split take single matrices; the full path would
-        # take stacks of 36 maps in each of the 8 classes, 288 maps in all.
-        # The column/row screen alone left 80 maps open.
+        # The state of seed 0 (3x3, k = 12).  The realignment oracle and
+        # ZZZG's residual take single matrices; the full path would take
+        # stacks of 36 maps in each of the 8 classes, 288 maps in all.  The
+        # column/row screen alone left 80 maps open; the corners, the
+        # Hermitian partners and ZZZG leave 6, all in cB and cA.
         assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
         assert maps[0] == ()
-        assert sum(shape[0] for shape in maps if shape) == 12 < 80
+        assert sum(shape[0] for shape in maps if shape) == 6 < 80
         assert maps.count(()) == 1 + 1
 
 
@@ -759,6 +784,238 @@ class TestCorners:
         for y in HERMITIAN_CLASSES:
             assert full_path(state, params, (y,))
             assert detected(state, params, (y,))
+        # The realignment class flags there too, while ZZZG's excess bound
+        # and the split's residual read about 0, so both screens would settle
+        # it.
+        assert _zzzg(state)[0] < 1e-14
+        assert full_path(state, params, (REALIGNMENT,))
+        assert detected(state, params, (REALIGNMENT,))
+        # A thousand times nearer, every mixed class is open and unflagged at
+        # under TOL_VERDICT/2 * bound, so a partner screen would settle the
+        # second member of each pair; both members reach the SVD instead.
+        near = (tuple(complex(x) * (1e-3 if abs(x) > 2 else 1) for x in pair),)
+        for pair_classes in PARTNER_CLASSES:
+            maps = svd_shapes(state, near, pair_classes)
+            assert maps == [(1,), (1,)]
+
+
+class TestPartners:
+    @settings(max_examples=150)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_conjugate_transpose_swaps_partners(self, m, n, seed, scale):
+        # On any matrix, ||Y_rB X||_1 = ||Y_cB X^†||_1 and ||Y_{cA,rB,cB}
+        # X||_1 = ||Y_cA X^†||_1, each either way round.  So a member's trace
+        # norm is at most its partner's plus sqrt(r) ||X - X^†||_F, r the
+        # smaller side of the transform: m for cB and rB, n for cA and
+        # cA,rB,cB.
+        rng = np.random.default_rng(seed)
+        d, dims = m * n, SubsystemDims(m, n)
+        x = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        skew = np.linalg.norm(x - x.conj().T)
+        for first, second in PARTNER_CLASSES:
+            for y, partner in ((first, second), (second, first)):
+                transform = gpt_transform(x, dims, y)
+                side = min(transform.shape)
+                assert side == (n if y.cA else m)
+                statistic = trace_norm(transform)
+                assert statistic == pytest.approx(
+                    trace_norm(gpt_transform(x.conj().T, dims, partner)), rel=1e-12)
+                upper = trace_norm(gpt_transform(x, dims, partner)) + np.sqrt(side) * skew
+                assert statistic <= upper * (1 + 1e-12)
+
+    @pytest.mark.parametrize("classes", PARTNER_CLASSES, ids=["cB-rB", "cA-cA,rB,cB"])
+    @pytest.mark.parametrize("excess,skew,svds", [(0.45, 0.0, 1), (0.55, 0.0, 2),
+                                                  (0.3, 0.08, 1), (0.3, 0.12, 2)])
+    def test_partner_edge(self, classes, excess, skew, svds):
+        # The unchecked diag(1 + 3 nu, -nu, -nu, -nu), 2x2, at (0, 0), where
+        # every mixed class has bound 1 and its transform's columns are
+        # orthogonal, so the first member reaches the SVD with excess (3 +
+        # sqrt 2) nu, unflagged.  With no skew the second member's statistic
+        # is the same: settled from its partner's at 0.45 TOL_VERDICT, left
+        # to its own SVD at 0.55.  An entry s at [0, 1] moves neither
+        # statistic by more than O(s^2), and ||X - X^†||_F = sqrt(2) s, so at
+        # 0.3 the partner screen reads 0.3 + 2 s: settled at s = 0.08, left
+        # at s = 0.12.  A clearance of TOL_VERDICT, a partner from the other
+        # pair, or a side other than the smaller one changes the count.
+        nu = excess * TOL_VERDICT / (3 + np.sqrt(2))
+        mat = np.diag([1 + 3 * nu, -nu, -nu, -nu])
+        mat[0, 1] = skew * TOL_VERDICT
+        state = DensityState(SubsystemDims(2, 2), mat, check=False)
+        pair = ((0j, 0j),)
+        for y in classes:
+            (block,) = verdict_blocks(state, pair, (y,))
+            assert block.bound == [1.0] and block.entangled == [False]
+            assert block.statistic[0] - 1 == pytest.approx(excess * TOL_VERDICT, rel=1e-6)
+        assert svd_shapes(state, pair, classes) == [(1,)] * svds
+
+    @pytest.mark.parametrize("classes,entry", [(PARTNER_CLASSES[0], (2, 1)),
+                                               (PARTNER_CLASSES[1], (1, 2))],
+                             ids=["cB-rB", "cA-cA,rB,cB"])
+    def test_skew_term_keeps_the_flag(self, classes, entry):
+        # |00><00| plus c = 2 TOL_VERDICT at one entry, unchecked, at (0, 0).
+        # In the first member's transform the entry shares the column of
+        # the 1, so its statistic is sqrt(1 + c^2), unflagged; in the second
+        # member's it lies apart, so its statistic is 1 + c, flagged.  Only
+        # the sqrt(2) ||X - X^†||_F = 2c term keeps the partner screen from
+        # settling it: each member takes its SVD, and detected flags.
+        mat = np.diag([1.0, 0.0, 0.0, 0.0])
+        mat[entry] = 2 * TOL_VERDICT
+        state = DensityState(SubsystemDims(2, 2), mat, check=False)
+        pair = ((0j, 0j),)
+        flags = [next(verdict_blocks(state, pair, (y,))).entangled for y in classes]
+        assert flags == [[False], [True]]
+        assert svd_shapes(state, pair, classes) == [(1,), (1,)]
+
+
+class TestZZZG:
+    @settings(max_examples=150)
+    @given(
+        state=kernel_states(),
+        params=st.lists(st.tuples(real_or_complex_scalar(), real_or_complex_scalar()).map(
+            lambda ab: (complex(ab[0]) / 10, complex(ab[1]) / 10)), min_size=1, max_size=6),
+    )
+    def test_realignment_excess_within_zzzg(self, state, params):
+        # Every pair's realignment excess, at complex (a, b) up to 1e4, is
+        # at most ZZZG's ||R(Delta)||_1 - sqrt((1 - q_A)(1 - q_B)) plus
+        # rounding, and at most detected's class bound z * max(1, bound).
+        rho_a, rho_b = state.reductions
+        residual = trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))
+        q_a, q_b = (np.vdot(x, x).real for x in (rho_a, rho_b))
+        zzzg = residual - np.sqrt((1 - q_a) * (1 - q_b))
+        z, got = _zzzg(state)
+        assert got == residual and zzzg <= z
+        (block,) = verdict_blocks(state, params, (REALIGNMENT,))
+        for statistic, bound in zip(block.statistic, block.bound):
+            assert statistic - bound <= zzzg + 1e-12 * max(1.0, bound)
+            assert statistic - bound <= z * max(1.0, bound) + 1e-12 * bound
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 3), (4, 4)])
+    def test_separable_states_pass(self, m, n):
+        # Mixed reductions: a pure one has purity 1 to rounding, which may
+        # round past 1 and send the class to the split.
+        for seed in range(20):
+            for k in (2, 5, 12):
+                state = random_separable(SubsystemDims(m, n), k, seed).state
+                assert _zzzg(state)[0] <= TOL_VERDICT / 2
+
+    def test_separable_takes_no_split(self, monkeypatch, capsys):
+        import sepscope.criteria as criteria
+
+        calls = []
+        monkeypatch.setattr(criteria, "_split_products",
+                            lambda rho, params: calls.append(rho) or _split_products(rho, params))
+        assert compare_grc_column(capsys, ["--family", "separable"], 3) == [False] * 3
+        assert calls == []
+
+    def test_violated_class_test_falls_back_to_the_split(self, monkeypatch):
+        # horodecki c = 0.5 is bound entangled, and ZZZG detects it, so the
+        # class test fails and the per-pair split decides the open pairs.
+        import sepscope.criteria as criteria
+
+        state = horodecki_3x3(0.5).state
+        assert _zzzg(state)[0] > 1e-3
+        calls = []
+        monkeypatch.setattr(criteria, "_split_products",
+                            lambda rho, params: calls.append(rho) or _split_products(rho, params))
+        for ysets in ((REALIGNMENT,), all_subsets()):
+            calls.clear()
+            assert detected(state, COMPARE_GRID, ysets) == full_path(state, COMPARE_GRID, ysets)
+            assert calls == [state]
+
+    @pytest.mark.parametrize("excess,splits", [(0.45, 0), (0.55, 1)])
+    def test_class_edge(self, monkeypatch, excess, splits):
+        # (1-p) I/4 + p|Phi+><Phi+| with p = (1 + 2 excess)/3: ZZZG's excess
+        # bound is excess to rounding, so the class test passes at 0.45
+        # TOL_VERDICT and leaves the pairs to the split at 0.55 TOL_VERDICT.
+        import sepscope.criteria as criteria
+
+        p = (1 + 2 * excess * TOL_VERDICT) / 3
+        ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        state = DensityState(SubsystemDims(2, 2), (1 - p) * np.eye(4) / 4 + p * np.outer(ket, ket))
+        assert _zzzg(state)[0] == pytest.approx(excess * TOL_VERDICT, rel=1e-4)
+        calls = []
+        monkeypatch.setattr(criteria, "_split_products",
+                            lambda rho, params: calls.append(rho) or _split_products(rho, params))
+        assert not detected(state, COMPARE_GRID, (REALIGNMENT,))
+        assert not full_path(state, COMPARE_GRID, (REALIGNMENT,))
+        assert len(calls) == splits
+
+    def test_trace_term_keeps_the_flag(self):
+        # Half a separable state, unchecked: its purities are a quarter, so
+        # ZZZG's own excess bound is about -0.54, yet the realignment class
+        # flags far out, where the trace defect, 0.5 * (h_a + h_b), outgrows
+        # the gain.  Only the trace term keeps the class test from passing.
+        state = DensityState(SubsystemDims(3, 3),
+                             0.5 * random_separable(SubsystemDims(3, 3), 12, 0).state.mat,
+                             check=False)
+        rho_a, rho_b = state.reductions
+        q_a, q_b = (np.vdot(x, x).real for x in (rho_a, rho_b))
+        z, residual = _zzzg(state)
+        assert residual - np.sqrt((1 - q_a) * (1 - q_b)) < -0.5 and z > 1
+        params = [(complex(a), complex(b)) for a in (-1e3, 1.0, 1e5) for b in (-1e3, 0.5, 1e5)]
+        assert full_path(state, params, (REALIGNMENT,))
+        assert detected(state, params, (REALIGNMENT,))
+
+    def test_purity_above_one_goes_to_the_split(self):
+        # An unchecked product of two non-PSD unit-trace factors with purity
+        # 2.5: Delta is 0, so ZZZG's residual is too, but sqrt((1 - q_A)(1 -
+        # q_B)) no longer bounds the rank-one term, whose trace norm 2.5
+        # flags (0, 0) against bound 1.
+        factor = np.array([[0.5, 1.0], [1.0, 0.5]])
+        state = DensityState(SubsystemDims(2, 2), np.kron(factor, factor), check=False)
+        assert _zzzg(state)[0] == np.inf
+        pair = ((0j, 0j),)
+        assert full_path(state, pair, (REALIGNMENT,))
+        assert detected(state, pair, (REALIGNMENT,))
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("ysets", [all_subsets(), all_subsets()[::-1],
+                                       (GptOpSet.from_code("rA,cB"), GptOpSet())],
+                             ids=["all", "reversed", "two"])
+    def test_equals_classes_lists(self, ysets):
+        params = (*COMPARE_GRID, *COMPLEX_PARAMS, (1e200 + 0j, 3j), (1e300j, 1e10 + 0j))
+        dims = SubsystemDims(3, 2)
+        codes, column, partner, limits = _bound_table(params, dims, ysets)
+        classes = list(_classes(params, dims, ysets))
+        assert limits.shape == (len(params), len(classes))
+        for c, (member, _, bound) in enumerate(classes):
+            assert all_subsets()[codes[c]] == member and column[c] == _norm_entry(member)
+            assert [x.hex() for x in limits[:, c].tolist()] == [x.hex() for x in bound]
+        assert not any(x.flags.writeable for x in (codes, column, partner, limits))
+
+    def test_partners_come_first(self):
+        # Screen 3 pairs a mixed class only with a partner decided before it.
+        codes, _, partner, _ = _bound_table(tuple(COMPARE_GRID), SubsystemDims(3, 3), all_subsets())
+        assert codes.tolist() == list(range(8))
+        assert partner.tolist() == [-1, -1, 1, -1, -1, -1, -1, 4]
+        codes, _, partner, _ = _bound_table(tuple(COMPARE_GRID), SubsystemDims(3, 3),
+                                            all_subsets()[7::-1])
+        assert codes.tolist() == list(range(8))[::-1]
+        assert partner.tolist() == [-1, -1, -1, 0, -1, -1, 5, -1]
+
+    def test_second_state_takes_no_factor(self, monkeypatch):
+        import sepscope.criteria as criteria
+
+        calls = []
+        original = criteria._factor
+        monkeypatch.setattr(criteria, "_factor",
+                            lambda x, dim, same: calls.append(x) or original(x, dim, same))
+        _bound_table.cache_clear()
+        grid = [(complex(a), complex(b)) for a in AB_TEST_GRID for b in AB_TEST_GRID]
+        states = [random_separable(SubsystemDims(3, 3), 12, seed).state for seed in range(2)]
+        for state in states:
+            assert not detected(state, grid, all_subsets())
+        assert len(calls) == 4 * 36
+        # A grid built afresh, as compare builds it for each call, is the same key.
+        grid = [(complex(a), complex(b)) for a in AB_TEST_GRID for b in AB_TEST_GRID]
+        assert not detected(states[0], grid, all_subsets())
+        assert len(calls) == 4 * 36
 
 
 @st.composite

@@ -9,6 +9,7 @@ from sepscope import (
     InvariantViolation,
     NotHermitian,
     SubsystemDims,
+    all_subsets,
     as_cmatrix,
     hermitian_eigenvalues,
     kron,
@@ -19,7 +20,7 @@ from sepscope import (
     vec,
     werner,
 )
-from sepscope.criteria import _marginal_maps
+from sepscope.criteria import _bound_table, _marginal_maps
 from sepscope.gptops import partial_transpose
 from sepscope.matlin import CACHE_ENTRIES, identity
 from sepscope.states import _swap, horodecki_3x3, swap_operator
@@ -330,6 +331,12 @@ class TestConstantCache:
         "swap": (_swap, [(d,) for d in range(1, 17)], (17,)),
         "marginal maps": (_marginal_maps, [(m, n) for m in range(1, 8) for n in range(1, 8)],
                           (16, 16)),
+        # detected's bounds: at most 8 classes of bounds per parameter.
+        "bound table": (_bound_table,
+                        [(tuple((complex(a), complex(b)) for a in range(6)), SubsystemDims(3, 3),
+                          all_subsets()) for b in range(10)],
+                        (tuple((complex(a), 0j) for a in range(8193)), SubsystemDims(3, 3),
+                         all_subsets())),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
