@@ -174,41 +174,6 @@ class VerdictBlock(NamedTuple):
     entangled: list[bool]
 
 
-def _classes(
-    params: Sequence[tuple[complex, complex]],
-    dims,
-    ysets: Sequence[GptOpSet],
-) -> Iterator[tuple[GptOpSet, list[int], list[float]]]:
-    """The complement classes {y, complement of y} of ysets, lazily, in order
-    of their first request: each as its member without rA, the subset of
-    all_subsets() at its code 4 cA + 2 rB + cB, the indices of the
-    requested subsets it serves, and its bound over params.
-
-    A subset and its complement have transposed transforms, hence the same
-    statistic and bound; a subset with rA is served by its complement,
-    whose code is 7 minus its own.  The bound depends on the member's flags
-    only through (not cA, rB == cB), so each of the at most four lists is
-    built once per call, on first use, and shared by the classes with its
-    key, as is each side's list of factors.
-    """
-    served: dict[int, list[int]] = {}
-    for j, y in enumerate(ysets):
-        code = 4 * y.cA + 2 * y.rB + y.cB
-        served.setdefault(7 - code if y.rA else code, []).append(j)
-    h_a: dict[bool, list[float]] = {}  # each side's factors by flags equal, on first use
-    h_b: dict[bool, list[float]] = {}
-    bounds: dict[tuple[bool, bool], list[float]] = {}
-    for code, indices in served.items():
-        key = same_a, same_b = (not code & 4, (code & 3) in (0, 3))
-        if key not in bounds:
-            if same_a not in h_a:
-                h_a[same_a] = [_factor(a, dims.m, same_a) for a, _ in params]
-            if same_b not in h_b:
-                h_b[same_b] = [_factor(b, dims.n, same_b) for _, b in params]
-            bounds[key] = [x * y for x, y in zip(h_a[same_a], h_b[same_b])]
-        yield all_subsets()[code], indices, bounds[key]
-
-
 def _judged(statistic: list[float], bound: list[float], params: Sequence[tuple[complex, complex]]
             ) -> tuple[list[float], list[bool]]:
     """_judge on trace norms against their bounds; a pair whose excess is not
@@ -225,57 +190,51 @@ def verdict_blocks(
     """Generalized reduction criterion for every pair (params[i], ysets[j]),
     one VerdictBlock per complement class, lazily.
 
-    All maps come from one stack built once.  Each class of _classes is
-    computed from its member without rA, with one stacked SVD over all of
-    params, whatever was requested.  Classes come in order of their first
-    request, each only when the consumer asks for its block, so a consumer
-    may stop early.  A map, statistic or bound that is not finite raises
-    ParamOutOfRange naming its (a, b).  params are (a, b) pairs of Python
-    complex, checked finite by the caller; a ReductionParams unpacks as one.
+    All maps come from one stack built once, and the classes and their
+    bounds from _bound_table.  Each class is computed from its member
+    without rA, with one stacked SVD over all of params, whatever was
+    requested.  Classes come in order of their first request, each only
+    when the consumer asks for its block, so a consumer may stop early.  A
+    map, statistic or bound that is not finite raises ParamOutOfRange
+    naming its (a, b).  params are (a, b) pairs of Python complex, checked
+    finite by the caller; a ReductionParams unpacks as one.
     """
     stack = reduction_maps(rho, params)
-    for member, served, bound in _classes(params, rho.dims, ysets):
-        statistic = trace_norm(gpt_transform(stack, rho.dims, member))
+    codes, _, _, owner, limits, _ = _bound_table(tuple(params), rho.dims, tuple(ysets))
+    owners = owner.tolist()
+    for c, code in enumerate(codes.tolist()):
+        bound = limits[:, c].tolist()
+        statistic = trace_norm(gpt_transform(stack, rho.dims, all_subsets()[code]))
         violation, entangled = _judged(statistic, bound, params)
-        yield VerdictBlock(served, statistic, bound, violation, entangled)
+        yield VerdictBlock([j for j, o in enumerate(owners) if o == c],
+                           statistic, bound, violation, entangled)
 
 
-def _split_products(rho: DensityState, params: Sequence[tuple[complex, complex]]) -> np.ndarray:
-    """||aI - rho_A||_F ||bI - rho_B||_F for every (a, b) of params: in the
-    realignment class's split R(rho~) = u v^T + R(Delta), u = vec(aI -
-    rho_A), v = vec(bI - rho_B), Delta = rho - rho_A kron rho_B, the trace
-    norm ||u|| ||v|| of the rank-one term, exact for any matrix, checked or
-    not (the fallback of detected's screen 4)."""
-    def distance(mat: np.ndarray, x: tuple[complex, ...]) -> np.ndarray:  # ||xI - mat||_F
-        diagonal = np.diagonal(mat)
-        off = np.linalg.norm(mat - np.diag(diagonal)) ** 2
-        return np.sqrt((np.abs(np.array(x)[:, None] - diagonal) ** 2).sum(-1) + off)
-
-    rho_a, rho_b = rho.reductions
-    a, b = zip(*params)
-    return distance(rho_a, a) * distance(rho_b, b)
-
-
-def _zzzg(rho: DensityState) -> tuple[float, float]:
-    """(z, ||R(Delta)||_1), Delta = rho - rho_A kron rho_B: for m, n >= 2, z
-    bounds every realignment-class pair's exact excess at every complex (a,
-    b) by z * max(1, bound).  z is ZZZG's excess bound ||R(Delta)||_1 -
-    sqrt((1 - q_A)(1 - q_B)), q_X = ||rho_X||_F^2, with its trace and
-    rounding terms (detected's screen 4); it is inf where q_A or q_B > 1,
-    and both are inf where Delta is not finite."""
+def _split_settles(rho: DensityState, roots: np.ndarray, bound: np.ndarray) -> bool | np.ndarray:
+    """detected's screen 4 on open realignment-class pairs with root factors
+    roots, a (k, 2) array of columns h_a, h_b, and bounds bound: True where
+    ZZZG settles every pair at once, else which pairs the product bound
+    settles.  With e = d^2 eps, the residual ||R(Delta)||_1, Delta = rho -
+    rho_A kron rho_B, is raised by e times itself plus e, alpha = 1 -
+    ||rho_A||_F^2 and beta = 1 - ||rho_B||_F^2 are lowered by e, delta =
+    |tr rho_A - 1| is raised by e, and each side's (h + delta)^2 by e times
+    itself.  A Delta that is not finite settles nothing."""
+    e = rho.dims.total ** 2 * np.finfo(float).eps
     rho_a, rho_b = rho.reductions
     delta = rho.mat - kron(rho_a, rho_b)
     if not np.isfinite(delta).all():
-        return math.inf, math.inf
-    residual = trace_norm(realign(delta, rho.dims))
-    q_a, q_b = (float(np.vdot(x, x).real) for x in (rho_a, rho_b))
-    if not (q_a <= 1.0 and q_b <= 1.0):
-        return math.inf, residual
-    eps = rho.dims.total ** 2 * np.finfo(float).eps  # each input's rounding, generously
-    root = math.sqrt(max(1.0 - q_a - eps, 0.0) * max(1.0 - q_b - eps, 0.0))
-    trace = max(abs(complex(np.trace(x)) - 1.0) for x in (rho_a, rho_b)) + eps
-    excess = max(residual * (1.0 + eps) + eps - root, 0.0)
-    return excess + trace * (2.0 * math.sqrt(2.0) + 2.0 * trace), residual
+        return False
+    residual = trace_norm(realign(delta, rho.dims)) * (1.0 + e) + e
+    alpha, beta = (1.0 - float(np.vdot(x, x).real) - e for x in (rho_a, rho_b))
+    trace = max(abs(complex(np.trace(x)) - 1.0) for x in (rho_a, rho_b)) + e
+    if alpha >= 0.0 and beta >= 0.0 and (max(residual - math.sqrt(alpha * beta), 0.0)
+                                         + trace * (2.0 * math.sqrt(2.0) + 2.0 * trace)
+                                         <= TOL_VERDICT / 2):
+        return True
+    h_a, h_b = roots.T
+    upper = np.sqrt(((h_a + trace) ** 2 * (1.0 + e) - alpha)
+                    * ((h_b + trace) ** 2 * (1.0 + e) - beta)) + residual
+    return upper <= bound + TOL_VERDICT / 2 * np.maximum(bound, 1.0)
 
 
 def _corners_clear(rho: DensityState) -> list[bool]:
@@ -344,20 +303,54 @@ def _norm_entry(member: GptOpSet) -> int:
 _PARTNERS = {1: 2, 2: 1, 4: 7, 7: 4}
 
 
-@constant_cache(8, lambda params, dims, ysets: 8 * len(params))
+@constant_cache(8, lambda params, dims, ysets: 10 * len(params) + len(ysets) + 24)
 def _bound_table(params: tuple, dims, ysets: tuple) -> tuple[np.ndarray, ...]:
-    """detected's view of _classes, read-only: each class's code 4 cA + 2 rB +
-    cB in order of first request, the _norm_sums entry of its column-norm
-    sum, the index of its Hermitian partner among the classes before it or
-    -1, and the (k, classes) table of its bounds, _classes' Python floats.
-    It depends on nothing but its arguments, so compare's grid builds it
-    once for every state."""
-    classes = list(_classes(params, dims, ysets))
-    codes = [4 * member.cA + 2 * member.rB + member.cB for member, _, _ in classes]
+    """The complement classes {y, complement of y} of ysets and their bounds
+    over params, read-only, as (codes, column, partner, owner, limits,
+    roots).
+
+    The classes come in order of their first request, each as the code 4 cA
+    + 2 rB + cB of its member without rA, the subset of all_subsets() at
+    that index.  A subset and its complement have transposed transforms,
+    hence the same statistic and bound; a subset with rA is served by its
+    complement, whose code is 7 minus its own.  owner[j] is the class that
+    serves ysets[j].  column is each class's _norm_sums entry of its
+    column-norm sum, and partner the index of its Hermitian partner among
+    the classes before it, or -1.  limits is the (k, classes) table of the
+    bounds h_a * h_b, Python float products, so its entries have the bits
+    of scalar arithmetic.  A bound depends on the member's flags only
+    through (not cA, rB == cB), so each side's list of factors, keyed by
+    its flags being equal, is built once, with one _factor call per
+    parameter: compare's grid takes 144.  roots holds the realignment
+    class's two root-factor lists as (k, 2) columns h_a, h_b, or is empty,
+    (0, 2), where that class is not requested.  The table depends on nothing but its
+    arguments, so compare's grid builds it once for every state, and a
+    sweep once for every state with the same b stack.
+    """
+    codes: list[int] = []
+    owner = []
+    for y in ysets:
+        code = 4 * y.cA + 2 * y.rB + y.cB
+        code = 7 - code if y.rA else code
+        if code not in codes:
+            codes.append(code)
+        owner.append(codes.index(code))
+    h_a: dict[bool, list[float]] = {}  # each side's factors by flags equal, on first use
+    h_b: dict[bool, list[float]] = {}
+    bounds = []
+    for code in codes:
+        same_a, same_b = not code & 4, (code & 3) in (0, 3)
+        if same_a not in h_a:
+            h_a[same_a] = [_factor(a, dims.m, same_a) for a, _ in params]
+        if same_b not in h_b:
+            h_b[same_b] = [_factor(b, dims.n, same_b) for _, b in params]
+        bounds.append([x * y for x, y in zip(h_a[same_a], h_b[same_b])])
     partner = [codes[:c].index(_PARTNERS[code]) if _PARTNERS.get(code) in codes[:c] else -1
                for c, code in enumerate(codes)]
-    return (np.array(codes, dtype=int), np.array([_norm_entry(member) for member, _, _ in classes]),
-            np.array(partner, dtype=int), np.array([bound for _, _, bound in classes]).T)
+    roots = [h_a[False], h_b[False]] if 6 in codes else [[], []]
+    column = [_norm_entry(all_subsets()[code]) for code in codes]
+    return (np.array(codes, dtype=int), np.array(column), np.array(partner, dtype=int),
+            np.array(owner, dtype=int), np.array(bounds).T, np.array(roots).T)
 
 
 def detected(
@@ -411,7 +404,7 @@ def detected(
        and cA, and rB and cB, swapped.  Up to complements that maps cB to
        rB and cA to cA,rB,cB, and each of the other four classes to itself.
        Hence ||Y_rB X||_1 = ||Y_cB X^†||_1 and ||Y_{cA,rB,cB} X||_1 = ||Y_cA
-       X^†||_1, and two partners share one bound list, as their flags differ
+       X^†||_1, and two partners share their bounds, as their flags differ
        only in rB and cB, which are unequal in both or equal in both.
        By the triangle inequality and ||Z||_1 <= sqrt(r) ||Z||_F for a
        matrix Z whose smaller side is r, ||Y_S X||_1 <= ||Y_P X||_1 +
@@ -423,39 +416,38 @@ def detected(
        Hermitian state X is Hermitian, and the second member takes no SVD
        the first did not need.
 
-    4. ZZZG, then the product-residual split, the realignment class {cA,rB}
+    4. One product bound and its supremum, the realignment class {cA,rB}
        only.  The map is rho~ = (aI - rho_A) kron (bI - rho_B) + Delta,
        Delta = rho - rho_A kron rho_B, so R(rho~) = u v^T + R(Delta) with u
-       = vec(aI - rho_A) and v = vec(bI - rho_B), and ||R(rho~)||_1 <= P(a,
-       b) + ||R(Delta)||_1, where P = ||u|| ||v|| is the exact trace norm
-       of the rank-one term (_split_products).  With t_X = tr rho_X, q_X =
-       ||rho_X||_F^2 and delta = |t_X - 1|, ||u||^2 = m|a|^2 - 2 Re(a^*
-       t_A) + q_A <= h_a^2 - (1 - q_A) + 2|a| delta, and |a| <= h_a for m
-       >= 2, so ||u||^2 <= (h_a + delta)^2 - alpha, alpha = 1 - q_A, and
-       likewise for v with beta = 1 - q_B.  For alpha, beta >= 0,
-       Cauchy-Schwarz gives sqrt(A B) + sqrt(alpha beta) <= sqrt((A +
-       alpha)(B + beta)), so P <= (h_a + delta)(h_b + delta) - sqrt(alpha
-       beta), and every pair's exact excess is at most ||R(Delta)||_1 -
-       sqrt(alpha beta) + delta (h_a + h_b + delta), the excess bound of
-       Zhang, Zhang, Zhang & Guo (PRA 77, 060301(R), 2008) plus a trace
-       term.  As h >= 1/sqrt(2), that is at most z * max(1, bound), with z
-       = max(ZZZG, 0) + delta (2 sqrt(2) + 2 delta) (_zzzg).  _zzzg rounds
-       upward: with e = d^2 eps, it lowers alpha and beta by e, raises the
-       residual by e times itself plus e and delta by e, generous against
-       the few roundings in each.  The raised delta also covers an exact
-       alpha or beta below 0 by less than e, as ||u||^2 <= (h_a + delta)^2
-       + e <= (h_a + delta + e)^2.  Where z <= T/2 the class settles every
-       open pair with finite sums and bound at once, for any (a, b); it
-       needs q_A, q_B <= 1, and a validated state has delta <= 1e-12.
-       Where it does not, a pair is settled where P(a, b) + ||R(Delta)||_1
-       <= bound.  The split settles little elsewhere.  The Frobenius class
-       {cA,cB} is a d^2-vector, which screen 1 already decides exactly.
-       The classes cA, cB, rB and cA,rB,cB keep a square factor xI - rho_X
-       on one side, and their product term is no rank-one matrix: with
-       every class run to the end on compare's grid, the split settled
-       0.015 pairs per separable 3x3 state (k=12, seeds 0-199) in each,
-       against 35.1 in the realignment class, and none on random 3x3
-       states.
+       = vec(aI - rho_A) and v = vec(bI - rho_B), and ||R(rho~)||_1 <=
+       ||u|| ||v|| + ||R(Delta)||_1, as the rank-one term's trace norm is
+       ||u|| ||v||.  With alpha = 1 - ||rho_A||_F^2 and delta = |tr rho_A -
+       1|, ||u||^2 = h_a^2 - alpha - 2 Re(a^* (tr rho_A - 1)) for the root
+       factor h_a, and |a| <= h_a for m >= 2, so ||u||^2 <= (h_a + delta)^2
+       - alpha; likewise for v, with beta = 1 - ||rho_B||_F^2, h_b and n.
+       So a pair's exact statistic is at most sqrt(((h_a + delta)^2 -
+       alpha)((h_b + delta)^2 - beta)) + ||R(Delta)||_1, for any matrix and
+       any complex (a, b), whatever the signs of alpha and beta, and a pair
+       is settled where that exceeds its bound by at most T/2 * max(1,
+       bound), h_a and h_b read from _bound_table's roots.  For alpha, beta
+       >= 0, Cauchy-Schwarz bounds the square root by (h_a + delta)(h_b +
+       delta) - sqrt(alpha beta), so the bound's excess is at most
+       ||R(Delta)||_1 - sqrt(alpha beta), the excess bound of Zhang, Zhang,
+       Zhang & Guo (PRA 77, 060301(R), 2008), its supremum over (a, b),
+       plus delta (h_a + h_b + delta); as h >= 1/sqrt(2), that is at most z
+       * max(1, bound), z = max(ZZZG, 0) + delta (2 sqrt(2) + 2 delta).
+       So the class first tries the one scalar z <= T/2, which settles every
+       open pair with finite sums and bound at once, and goes pair by pair
+       only where that fails or alpha or beta is below 0 (an entangled state
+       that ZZZG detects, or a pure reduction whose purity rounds past 1).
+       _split_settles rounds each term outward by e = d^2 eps, relative to
+       (h + delta)^2 on each side, as that may be 1e10 at |a| = 1e5 while
+       alpha is about 1: generous against the few roundings in each, so the
+       computed bound is at least the exact one.
+       The Frobenius class {cA,cB} is a d^2-vector, which screen 1 already
+       decides exactly; the classes cA, cB, rB and cA,rB,cB keep a square
+       factor xI - rho_X on one side, so their product term is no rank-one
+       matrix.
 
     Screens 2 to 4 run only for m, n >= 2.  With a factor of dimension 1 a
     linear factor |1-a| vanishes at a = 1, so a pair's bound no longer
@@ -492,7 +484,7 @@ def detected(
     (a, b).  params are (a, b) pairs of complex the caller checked finite.
     """
     stack = reduction_maps(rho, params)
-    codes, column, partner, limits = _bound_table(tuple(params), rho.dims, tuple(ysets))
+    codes, column, partner, _, limits, roots = _bound_table(tuple(params), rho.dims, tuple(ysets))
     if not len(codes):
         return False
     m, n = rho.dims.m, rho.dims.n
@@ -510,12 +502,8 @@ def detected(
             if not screened.any() or m == 1 or n == 1:  # screens 2 to 4 need m, n >= 2
                 pass
             elif code == 6:  # the realignment class
-                zzzg, residual = _zzzg(rho)
-                if zzzg <= TOL_VERDICT / 2:
-                    unsettled = unsettled[~screened]
-                else:
-                    product = _split_products(rho, params)[unsettled]
-                    unsettled = unsettled[~(screened & (product + residual <= limit[unsettled]))]
+                settles = _split_settles(rho, roots[unsettled], limit[unsettled])
+                unsettled = unsettled[~(screened & settles)]
             elif code in (0, 3):  # none and rB,cB
                 clear = _corners_clear(rho) if clear is None else clear
                 if clear[code == 3]:

@@ -33,12 +33,10 @@ from sepscope.cli import main
 from sepscope.criteria import (
     TOL_VERDICT,
     _bound_table,
-    _classes,
     _corners_clear,
     _norm_entry,
     _norm_sums,
-    _split_products,
-    _zzzg,
+    _split_settles,
     detected,
     ppt_check,
     reduction_maps,
@@ -144,13 +142,6 @@ class TestBlocks:
                                               * h_factor(p.b, n, y.rB, y.cB))
         assert sorted(served) == list(range(16))
 
-    def test_one_bound_list_per_key(self):
-        # A class's bound depends on its member's flags only through
-        # (not cA, rB == cB), so the 8 classes share 4 lists.
-        blocks = list(verdict_blocks(random_state(2, 3, 7), COMPLEX_PARAMS, all_subsets()))
-        assert len(blocks) == 8
-        assert len({id(block.bound) for block in blocks}) == 4
-
     def test_factors_once_per_side_and_flags(self, monkeypatch):
         import sepscope.criteria as criteria
 
@@ -160,22 +151,26 @@ class TestBlocks:
                             lambda x, dim, same: values.append(x) or original(x, dim, same))
         # compare's grid: each side's list with flags equal and unequal, so
         # four lists for the eight classes.
-        list(_classes(COMPARE_GRID, SubsystemDims(3, 3), all_subsets()))
+        _bound_table.cache_clear()
+        _bound_table(COMPARE_GRID, SubsystemDims(3, 3), all_subsets())
         assert len(COMPARE_GRID) == 36 and len(values) == 4 * 36
         # A sweep stack: a constant a and a 41-point b axis, one list a side.
         values.clear()
-        stack = [(0.7 + 0j, complex(b)) for b in axis_points(-1.0, 1.0, 0.05)]
-        list(_classes(stack, SubsystemDims(3, 3), (GptOpSet.from_code("rA,cB"),)))
+        stack = tuple((0.7 + 0j, complex(b)) for b in axis_points(-1.0, 1.0, 0.05))
+        _bound_table(stack, SubsystemDims(3, 3), (GptOpSet.from_code("rA,cB"),))
         assert values == [a for a, _ in stack] + [b for _, b in stack]
 
     def test_requested_rA_free_subset_is_its_member(self):
         subsets = all_subsets()
         # Counter order reversed: each class is first requested through its
         # member with rA, then through the one without.
-        for member, served, _ in _classes(COMPLEX_PARAMS, SubsystemDims(2, 3), subsets[::-1]):
-            assert member is subsets[15 - served[1]]
-        (member, _, _), = _classes(COMPLEX_PARAMS, SubsystemDims(2, 3), (GptOpSet.from_code("rA,cB"),))
-        assert member == GptOpSet.from_code("cA,rB")
+        codes, _, _, owner, _, _ = _bound_table(COMPLEX_PARAMS, SubsystemDims(2, 3), subsets[::-1])
+        for c, code in enumerate(codes.tolist()):
+            served = np.flatnonzero(owner == c).tolist()
+            assert subsets[code] is subsets[15 - served[1]]
+        (code,), *_ = _bound_table(COMPLEX_PARAMS, SubsystemDims(2, 3),
+                                   (GptOpSet.from_code("rA,cB"),))
+        assert subsets[code] == GptOpSet.from_code("cA,rB")
 
     def test_flag_rule(self):
         st_ = werner(3, -1.0).state
@@ -350,6 +345,31 @@ class TestCompareEarlyExit:
         assert maps.count(()) == 1 + 1
 
 
+# detected's trace-norm maps per state on compare's grid with all 16
+# subsets, a single matrix counting one, as this kernel takes them: upper
+# bounds, so a change that weakens a screen fails here, not only in the
+# benchmark.  Each corpus is built from its index i < 20.
+SVD_MAPS = {
+    "separable-k12-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 12, i).state,
+                          [7, 7, 3, 7, 9, 3, 3, 6, 5, 3, 9, 11, 9, 3, 3, 10, 7, 5, 3, 6]),
+    "separable-k1-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 1, i).state,
+                         [61, 101, 63, 61, 61, 61, 65, 61, 61, 75,
+                          61, 70, 65, 87, 73, 106, 104, 63, 61, 69]),
+    "horodecki": (lambda i: horodecki_3x3((i + 1) / 21).state,
+                  [21, 16, 14, 12, 12, 12, 12, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11]),
+}
+
+
+class TestSvdTripwire:
+    @pytest.mark.parametrize("corpus", sorted(SVD_MAPS))
+    def test_maps_per_state_at_most_pinned(self, corpus):
+        build, pinned = SVD_MAPS[corpus]
+        got = [sum(shape[0] if shape else 1 for shape in svd_shapes(build(i), COMPARE_GRID,
+                                                                    all_subsets()))
+               for i in range(len(pinned))]
+        assert [g <= p for g, p in zip(got, pinned)] == [True] * len(pinned), got
+
+
 class TestCompareMatchesReference:
     def test_separable(self, capsys):
         got = compare_grc_column(
@@ -450,6 +470,27 @@ def outcome(decide):
 
 def full_path(state, params, ysets):
     return any(any(block.entangled) for block in verdict_blocks(state, params, ysets))
+
+
+def split_product(state, a, b):
+    """||aI - rho_A||_F ||bI - rho_B||_F: the trace norm of the rank-one term
+    u v^T of the realigned map R(rho~) = u v^T + R(Delta)."""
+    (rho_a, rho_b), (m, n) = state.reductions, (state.dims.m, state.dims.n)
+    return np.linalg.norm(a * np.eye(m) - rho_a) * np.linalg.norm(b * np.eye(n) - rho_b)
+
+
+def zzzg(state):
+    """ZZZG's excess bound ||R(Delta)||_1 - sqrt((1 - q_A)(1 - q_B)), Delta =
+    rho - rho_A kron rho_B, q_X the purities; a product under 0 reads as 0."""
+    rho_a, rho_b = state.reductions
+    residual = trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))
+    q_a, q_b = (np.vdot(x, x).real for x in (rho_a, rho_b))
+    return residual - np.sqrt(max((1 - q_a) * (1 - q_b), 0.0))
+
+
+# No open pair: _split_settles returns True exactly where ZZZG's shortcut
+# settles the whole realignment class.
+NO_PAIRS = (np.empty((0, 2)), np.empty(0))
 
 
 class TestDetected:
@@ -659,7 +700,7 @@ class TestDetected:
         state = DensityState(SubsystemDims(2, 2), (1 - p) * np.eye(4) / 4 + p * np.outer(ket, ket))
         pair, realignment = ((0j, 0j),), (GptOpSet(cA=True, rB=True),)
         (block,) = verdict_blocks(state, pair, realignment)
-        (product,) = _split_products(state, pair)
+        product = split_product(state, 0, 0)
         delta = state.mat - kron(*state.reductions)
         residual = trace_norm(realign(delta, state.dims))
         bound = block.bound[0]
@@ -784,10 +825,7 @@ class TestCorners:
         for y in HERMITIAN_CLASSES:
             assert full_path(state, params, (y,))
             assert detected(state, params, (y,))
-        # The realignment class flags there too, while ZZZG's excess bound
-        # and the split's residual read about 0, so both screens would settle
-        # it.
-        assert _zzzg(state)[0] < 1e-14
+        # The realignment class flags there too, and goes to the SVD alike.
         assert full_path(state, params, (REALIGNMENT,))
         assert detected(state, params, (REALIGNMENT,))
         # A thousand times nearer, every mixed class is open and unflagged at
@@ -880,70 +918,68 @@ class TestZZZG:
             lambda ab: (complex(ab[0]) / 10, complex(ab[1]) / 10)), min_size=1, max_size=6),
     )
     def test_realignment_excess_within_zzzg(self, state, params):
-        # Every pair's realignment excess, at complex (a, b) up to 1e4, is
-        # at most ZZZG's ||R(Delta)||_1 - sqrt((1 - q_A)(1 - q_B)) plus
-        # rounding, and at most detected's class bound z * max(1, bound).
+        # Every pair's realignment statistic, at complex (a, b) up to 1e4, is
+        # at most the product bound sqrt(((h_a + delta)^2 - alpha)((h_b +
+        # delta)^2 - beta)) + ||R(Delta)||_1 plus rounding, and its excess
+        # at most the bound's supremum, ZZZG's ||R(Delta)||_1 - sqrt((1 -
+        # q_A)(1 - q_B)), plus rounding.
         rho_a, rho_b = state.reductions
         residual = trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))
-        q_a, q_b = (np.vdot(x, x).real for x in (rho_a, rho_b))
-        zzzg = residual - np.sqrt((1 - q_a) * (1 - q_b))
-        z, got = _zzzg(state)
-        assert got == residual and zzzg <= z
+        alpha, beta = (1 - np.vdot(x, x).real for x in (rho_a, rho_b))
+        delta = abs(np.trace(rho_a) - 1)
+        m, n, supremum = state.dims.m, state.dims.n, zzzg(state)
         (block,) = verdict_blocks(state, params, (REALIGNMENT,))
-        for statistic, bound in zip(block.statistic, block.bound):
-            assert statistic - bound <= zzzg + 1e-12 * max(1.0, bound)
-            assert statistic - bound <= z * max(1.0, bound) + 1e-12 * bound
+        for (a, b), statistic, bound in zip(params, block.statistic, block.bound):
+            h_a, h_b = h_factor(a, m, False, True), h_factor(b, n, True, False)
+            product = np.sqrt(((h_a + delta) ** 2 - alpha) * ((h_b + delta) ** 2 - beta))
+            assert statistic <= product + residual + 1e-12 * max(1.0, bound)
+            assert statistic - bound <= supremum + 1e-12 * max(1.0, bound)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 3), (4, 4)])
     def test_separable_states_pass(self, m, n):
         # Mixed reductions: a pure one has purity 1 to rounding, which may
-        # round past 1 and send the class to the split.
+        # round past 1 and send the class pair by pair.
         for seed in range(20):
             for k in (2, 5, 12):
                 state = random_separable(SubsystemDims(m, n), k, seed).state
-                assert _zzzg(state)[0] <= TOL_VERDICT / 2
+                assert _split_settles(state, *NO_PAIRS) is True
 
-    def test_separable_takes_no_split(self, monkeypatch, capsys):
-        import sepscope.criteria as criteria
+    def test_separable_takes_no_split(self):
+        # compare's three separable states: ZZZG settles every open
+        # realignment pair at once, and the class takes the residual's SVD
+        # alone, none of a map.
+        for seed in range(3):
+            state = random_separable(SubsystemDims(3, 3), 12, seed).state
+            assert _split_settles(state, *NO_PAIRS) is True
+            assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [()]
 
-        calls = []
-        monkeypatch.setattr(criteria, "_split_products",
-                            lambda rho, params: calls.append(rho) or _split_products(rho, params))
-        assert compare_grc_column(capsys, ["--family", "separable"], 3) == [False] * 3
-        assert calls == []
-
-    def test_violated_class_test_falls_back_to_the_split(self, monkeypatch):
+    def test_violated_class_test_falls_back_to_the_split(self):
         # horodecki c = 0.5 is bound entangled, and ZZZG detects it, so the
-        # class test fails and the per-pair split decides the open pairs.
-        import sepscope.criteria as criteria
-
+        # class test fails and the product bound decides the open pairs one
+        # by one: it settles 22 of the 32 that screen 1 leaves, and the SVD
+        # takes the other 10 and flags, whatever else is requested.
         state = horodecki_3x3(0.5).state
-        assert _zzzg(state)[0] > 1e-3
-        calls = []
-        monkeypatch.setattr(criteria, "_split_products",
-                            lambda rho, params: calls.append(rho) or _split_products(rho, params))
+        assert zzzg(state) > 1e-3
+        assert _split_settles(state, *NO_PAIRS) is not True
         for ysets in ((REALIGNMENT,), all_subsets()):
-            calls.clear()
-            assert detected(state, COMPARE_GRID, ysets) == full_path(state, COMPARE_GRID, ysets)
-            assert calls == [state]
+            assert svd_shapes(state, COMPARE_GRID, ysets) == [(), (10,)]
 
-    @pytest.mark.parametrize("excess,splits", [(0.45, 0), (0.55, 1)])
-    def test_class_edge(self, monkeypatch, excess, splits):
+    @pytest.mark.parametrize("excess,stacks", [(0.45, 0), (0.55, 1)])
+    def test_class_edge(self, excess, stacks):
         # (1-p) I/4 + p|Phi+><Phi+| with p = (1 + 2 excess)/3: ZZZG's excess
         # bound is excess to rounding, so the class test passes at 0.45
-        # TOL_VERDICT and leaves the pairs to the split at 0.55 TOL_VERDICT.
-        import sepscope.criteria as criteria
-
+        # TOL_VERDICT and leaves the pairs to the product bound at 0.55
+        # TOL_VERDICT.  Both reductions are I/2, so on the pairs with h_a =
+        # h_b the product bound reads ZZZG's excess, and the six of them
+        # that the column/row sums leave open take one stack of SVDs.
         p = (1 + 2 * excess * TOL_VERDICT) / 3
         ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
         state = DensityState(SubsystemDims(2, 2), (1 - p) * np.eye(4) / 4 + p * np.outer(ket, ket))
-        assert _zzzg(state)[0] == pytest.approx(excess * TOL_VERDICT, rel=1e-4)
-        calls = []
-        monkeypatch.setattr(criteria, "_split_products",
-                            lambda rho, params: calls.append(rho) or _split_products(rho, params))
-        assert not detected(state, COMPARE_GRID, (REALIGNMENT,))
+        assert zzzg(state) == pytest.approx(excess * TOL_VERDICT, rel=1e-4)
+        assert (_split_settles(state, *NO_PAIRS) is True) == (stacks == 0)
+        maps = svd_shapes(state, COMPARE_GRID, (REALIGNMENT,))
+        assert [shape for shape in maps if shape] == [(6,)] * stacks
         assert not full_path(state, COMPARE_GRID, (REALIGNMENT,))
-        assert len(calls) == splits
 
     def test_trace_term_keeps_the_flag(self):
         # Half a separable state, unchecked: its purities are a quarter, so
@@ -953,25 +989,36 @@ class TestZZZG:
         state = DensityState(SubsystemDims(3, 3),
                              0.5 * random_separable(SubsystemDims(3, 3), 12, 0).state.mat,
                              check=False)
-        rho_a, rho_b = state.reductions
-        q_a, q_b = (np.vdot(x, x).real for x in (rho_a, rho_b))
-        z, residual = _zzzg(state)
-        assert residual - np.sqrt((1 - q_a) * (1 - q_b)) < -0.5 and z > 1
+        assert zzzg(state) < -0.5
+        assert _split_settles(state, *NO_PAIRS) is not True
         params = [(complex(a), complex(b)) for a in (-1e3, 1.0, 1e5) for b in (-1e3, 0.5, 1e5)]
         assert full_path(state, params, (REALIGNMENT,))
         assert detected(state, params, (REALIGNMENT,))
 
-    def test_purity_above_one_goes_to_the_split(self):
+    def test_purity_above_one_takes_the_product_bound(self):
         # An unchecked product of two non-PSD unit-trace factors with purity
         # 2.5: Delta is 0, so ZZZG's residual is too, but sqrt((1 - q_A)(1 -
         # q_B)) no longer bounds the rank-one term, whose trace norm 2.5
-        # flags (0, 0) against bound 1.
+        # flags (0, 0) against bound 1.  alpha and beta are below 0, so the
+        # class goes pair by pair, and the product bound, 2.5, leaves the
+        # pair to the SVD.
         factor = np.array([[0.5, 1.0], [1.0, 0.5]])
         state = DensityState(SubsystemDims(2, 2), np.kron(factor, factor), check=False)
-        assert _zzzg(state)[0] == np.inf
+        assert _split_settles(state, *NO_PAIRS) is not True
         pair = ((0j, 0j),)
         assert full_path(state, pair, (REALIGNMENT,))
-        assert detected(state, pair, (REALIGNMENT,))
+        assert svd_shapes(state, pair, (REALIGNMENT,)) == [(), (1,)]
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4)])
+    def test_pure_products_take_no_svd(self, m, n):
+        # random_separable(k=1): both reductions are pure, so a purity may
+        # round past 1 and close ZZZG's shortcut; the product bound, tight on
+        # a product state, settles every open pair of compare's grid within
+        # its TOL_VERDICT/2 clearance.
+        for seed in range(20):
+            state = random_separable(SubsystemDims(m, n), 1, seed).state
+            maps = svd_shapes(state, COMPARE_GRID, (REALIGNMENT,))
+            assert [shape for shape in maps if shape] == []
 
 
 class TestBoundTable:
@@ -979,22 +1026,34 @@ class TestBoundTable:
                                        (GptOpSet.from_code("rA,cB"), GptOpSet())],
                              ids=["all", "reversed", "two"])
     def test_equals_classes_lists(self, ysets):
+        # Each class's bounds are the h_factor products, hex for hex, and its
+        # realignment roots the two factors; every request is served by its
+        # own subset or its complement.
         params = (*COMPARE_GRID, *COMPLEX_PARAMS, (1e200 + 0j, 3j), (1e300j, 1e10 + 0j))
         dims = SubsystemDims(3, 2)
-        codes, column, partner, limits = _bound_table(params, dims, ysets)
-        classes = list(_classes(params, dims, ysets))
-        assert limits.shape == (len(params), len(classes))
-        for c, (member, _, bound) in enumerate(classes):
-            assert all_subsets()[codes[c]] == member and column[c] == _norm_entry(member)
-            assert [x.hex() for x in limits[:, c].tolist()] == [x.hex() for x in bound]
-        assert not any(x.flags.writeable for x in (codes, column, partner, limits))
+        table = codes, column, partner, owner, limits, roots = _bound_table(params, dims, ysets)
+        assert limits.shape == (len(params), len(codes))
+        for c, member in enumerate(all_subsets()[code] for code in codes):
+            assert column[c] == _norm_entry(member) and not member.rA
+            want = [h_factor(a, 3, member.rA, member.cA) * h_factor(b, 2, member.rB, member.cB)
+                    for a, b in params]
+            assert [x.hex() for x in limits[:, c].tolist()] == [x.hex() for x in want]
+        for y, c in zip(ysets, owner.tolist()):
+            assert all_subsets()[codes[c]] in (y, all_subsets()[15 - all_subsets().index(y)])
+        if 6 in codes:
+            want = [[h_factor(a, 3, False, True), h_factor(b, 2, True, False)] for a, b in params]
+            assert [[x.hex() for x in row] for row in roots.tolist()] == [
+                [x.hex() for x in row] for row in want]
+        else:
+            assert roots.shape == (0, 2)
+        assert not any(x.flags.writeable for x in table)
 
     def test_partners_come_first(self):
         # Screen 3 pairs a mixed class only with a partner decided before it.
-        codes, _, partner, _ = _bound_table(tuple(COMPARE_GRID), SubsystemDims(3, 3), all_subsets())
+        codes, _, partner, *_ = _bound_table(COMPARE_GRID, SubsystemDims(3, 3), all_subsets())
         assert codes.tolist() == list(range(8))
         assert partner.tolist() == [-1, -1, 1, -1, -1, -1, -1, 4]
-        codes, _, partner, _ = _bound_table(tuple(COMPARE_GRID), SubsystemDims(3, 3),
+        codes, _, partner, *_ = _bound_table(tuple(COMPARE_GRID), SubsystemDims(3, 3),
                                             all_subsets()[7::-1])
         assert codes.tolist() == list(range(8))[::-1]
         assert partner.tolist() == [-1, -1, -1, 0, -1, -1, 5, -1]
@@ -1016,6 +1075,22 @@ class TestBoundTable:
         grid = [(complex(a), complex(b)) for a in AB_TEST_GRID for b in AB_TEST_GRID]
         assert not detected(states[0], grid, all_subsets())
         assert len(calls) == 4 * 36
+
+    def test_second_evaluate_takes_no_factor(self, monkeypatch):
+        # verdict_blocks reads the same cached table: a second evaluate with
+        # the same (a, b, y), on another state, calls no _factor.
+        import sepscope.criteria as criteria
+
+        calls = []
+        original = criteria._factor
+        monkeypatch.setattr(criteria, "_factor",
+                            lambda x, dim, same: calls.append(x) or original(x, dim, same))
+        _bound_table.cache_clear()
+        p, y = ReductionParams(0.3 - 0.7j, 1.2 + 0.4j), GptOpSet.from_code("rA,cB")
+        first = evaluate(random_state(3, 3, 1), p, y)
+        assert len(calls) == 2
+        second = evaluate(random_state(3, 3, 2), p, y)
+        assert len(calls) == 2 and second.bound == first.bound
 
 
 @st.composite
@@ -1049,8 +1124,60 @@ class TestSplit:
         # or not: the product is the exact trace norm of the rank-one term.
         residual = trace_norm(realign(state.mat - kron(*state.reductions), state.dims))
         statistic = np.array(trace_norm(realign(reduction_maps(state, params), state.dims)))
-        bound = _split_products(state, params) + residual
+        bound = np.array([split_product(state, a, b) for a, b in params]) + residual
         assert np.all(statistic <= bound + 1e-12 * np.maximum(1.0, bound))
+
+    @settings(max_examples=150)
+    @given(
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        a=real_or_complex_scalar().map(lambda x: complex(x) / 10),
+    )
+    def test_distance_identity(self, m, seed, scale, a):
+        # For any m x m matrix X and complex a, with the root factor h_a,
+        # alpha = 1 - ||X||_F^2 and delta = |tr X - 1|: ||aI - X||_F^2 = h_a^2
+        # - alpha - 2 Re(a^* (tr X - 1)), and for m >= 2, where |a| <= h_a,
+        # that is at most (h_a + delta)^2 - alpha.
+        rng = np.random.default_rng(seed)
+        x = scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        h = h_factor(a, m, False, True)
+        alpha, trace = 1 - np.linalg.norm(x) ** 2, np.trace(x)
+        distance = np.linalg.norm(a * np.eye(m) - x) ** 2
+        size = (h + abs(trace - 1)) ** 2 + abs(alpha)  # the terms' magnitude
+        assert distance == pytest.approx(h ** 2 - alpha - 2 * (np.conj(a) * (trace - 1)).real,
+                                         rel=0, abs=1e-14 * size)
+        if m >= 2:
+            assert distance <= (h + abs(trace - 1)) ** 2 - alpha + 1e-14 * size
+
+    @pytest.mark.parametrize("excess,stacks", [(0.45, 0), (0.55, 1)])
+    def test_product_bound_edge(self, excess, stacks):
+        # The unchecked X kron |0><0|, 2x2, X = diag(1 + s + t, -s): rho_A =
+        # X, rho_B = (1 + t)|0><0| and Delta = -t X kron |0><0|, so delta =
+        # t, alpha = 1 - ||X||_F^2 = -eps with eps about 2 (s + t), and beta
+        # about -2t: both below 0, which closes ZZZG's shortcut.  At (0, 0),
+        # bound 1, the statistic is ||X||_F, about 1 + eps/2, open after the
+        # column/row sums and unflagged, and the product bound reads about
+        # eps/2 + 4t over the bound.  With t = 0.05 TOL_VERDICT it settles
+        # the pair at 0.45 TOL_VERDICT and leaves it to the SVD at 0.55.  A
+        # clearance of TOL_VERDICT, a bound without delta or without alpha
+        # and beta, or the shortcut without its sign gate settles it at 0.55.
+        t = 0.05 * TOL_VERDICT
+        s = (excess - 0.25) * TOL_VERDICT
+        x = np.diag([1 + s + t, -s])
+        state = DensityState(SubsystemDims(2, 2), np.kron(x, np.diag([1.0, 0.0])), check=False)
+        rho_a, rho_b = state.reductions
+        alpha, beta = (1 - np.vdot(r, r).real for r in (rho_a, rho_b))
+        delta = abs(np.trace(rho_a) - 1)
+        residual = trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))
+        assert alpha < 0 and beta < 0 and delta == pytest.approx(t, rel=1e-6)
+        upper = np.sqrt(((1 + delta) ** 2 - alpha) * ((1 + delta) ** 2 - beta)) + residual
+        assert upper - 1 == pytest.approx(excess * TOL_VERDICT, rel=1e-6)
+        pair = ((0j, 0j),)
+        (block,) = verdict_blocks(state, pair, (REALIGNMENT,))
+        assert block.bound == [1.0] and block.entangled == [False]
+        assert 0 < block.statistic[0] - 1 < excess * TOL_VERDICT
+        assert svd_shapes(state, pair, (REALIGNMENT,)) == [()] + [(1,)] * stacks
 
     def test_residual_is_zzzg_statistic(self, monkeypatch):
         # The one matrix whose trace norm detected takes in screen 3 is

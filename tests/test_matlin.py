@@ -331,7 +331,7 @@ class TestConstantCache:
         "swap": (_swap, [(d,) for d in range(1, 17)], (17,)),
         "marginal maps": (_marginal_maps, [(m, n) for m in range(1, 8) for n in range(1, 8)],
                           (16, 16)),
-        # detected's bounds: at most 8 classes of bounds per parameter.
+        # The kernel's bounds: at most 8 classes of bounds and 2 root factors per parameter.
         "bound table": (_bound_table,
                         [(tuple((complex(a), complex(b)) for a in range(6)), SubsystemDims(3, 3),
                           all_subsets()) for b in range(10)],
