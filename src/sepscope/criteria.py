@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import ParamOutOfRange, SepscopeError
 from .gptops import (
-    PARTIAL_TRANSPOSE_Y,
     REALIGN_Y,
     GptOpSet,
     all_subsets,
@@ -237,21 +236,19 @@ def _split_settles(rho: DensityState, roots: np.ndarray, bound: np.ndarray) -> b
     return upper <= bound + TOL_VERDICT / 2 * np.maximum(bound, 1.0)
 
 
-def _corners_clear(rho: DensityState) -> list[bool]:
-    """Whether class none, and class rB,cB, clears its four corners (a, b) in
-    {0, 1}^2 by TOL_VERDICT/2 of their bounds: detected's screen 2."""
+def _corners_clear(rho: DensityState) -> bool:
+    """detected's screen 2: whether classes none and rB,cB both clear their
+    four corners by TOL_VERDICT/2 of their bounds, read off upper bounds on
+    ||rho||_1 and ||T_A rho||_1 and the trace defect that X(1, 1) carries."""
     m, n = rho.dims.m, rho.dims.n
-    try:
-        x = reduction_maps(rho, ((0j, 0j), (1 + 0j, 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j)))
-    except ParamOutOfRange:  # a corner past the float range: the SVD decides
-        return [False, False]
-    x = np.concatenate((x, gpt_transform(x, rho.dims, PARTIAL_TRANSPOSE_Y["B"])))
+    x = np.stack((rho.mat, partial_transpose(rho.mat, rho.dims, "A")))
     herm = (x + x.conj().swapaxes(-1, -2)) / 2
     skew = (x - herm).view(float)  # K = X - H, as real and imaginary parts
-    upper = (abs(np.linalg.eigvalsh(herm)).sum(-1)
-             + math.sqrt(m * n) * np.sqrt((skew * skew).sum((-2, -1))))
-    bound = np.array([1, m - 1, n - 1, (m - 1) * (n - 1)] * 2)
-    return (upper <= bound * (1 + TOL_VERDICT / 2)).reshape(2, 4).all(axis=1).tolist()
+    norm = float((abs(np.linalg.eigvalsh(herm)).sum(-1)
+                  + math.sqrt(m * n) * np.sqrt((skew * skew).sum((-2, -1)))).max())
+    corner = (m - 1) * (n - 1)  # X(1, 1)'s bound
+    defect = m * n * abs(complex(np.trace(rho.mat)) - 1.0)  # ||(1 - tr rho) I||_1
+    return norm <= 1 + TOL_VERDICT / 2 and corner * norm + defect <= corner * (1 + TOL_VERDICT / 2)
 
 
 @constant_cache(16, lambda m, n: m * n * (m + 1) * (n + 1))
@@ -379,22 +376,36 @@ def detected(
        settled where the smaller sum is at most its finite bound.  Only
        the classes left with an open pair go on, in order of first request.
 
-    2. Corners, classes none and rB,cB.  The map is bilinear: X(a, b) =
-       sum_c w'_c X_c over the corners c in {0, 1}^2, w' = (1-a, a) kron
-       (1-b, b).  Y is linear, so with w = |w'| = (|1-a|, |a|) kron (|1-b|,
-       |b|) the triangle inequality gives ||Y X(a, b)||_1 <= sum_c w_c ||Y
-       X_c||_1.  Both bound factors are linear, h(x) = |1-x| h(0) + |x|
-       h(1), so the bound splits alike: h_a h_b = sum_c w_c bound_c, with
-       bound_c = 1, m-1, n-1, (m-1)(n-1).  So if each corner has ||Y
-       X_c||_1 <= (1 + T/2) bound_c, every pair's exact excess is at most
-       T/2 * bound, at any complex (a, b), for any matrix.  The corners are
-       the classical tests: rho, the two reduction maps and X(1, 1) in
-       none, their partial transposes in rB,cB.  _corners_clear bounds each
-       corner's trace norm by sum |eig(H)| + sqrt(d) ||K||_F, H and K the
-       Hermitian and skew parts, with one eigvalsh of the 8 maps, once per
-       call; the skew term keeps unchecked non-Hermitian input sound.  A
-       class whose four corners clear settles every open pair with finite
-       sums and bound; any other goes to the SVD.
+    2. Trace norms, classes none and rB,cB together.  The map is
+       bilinear: X(a, b) = sum_c w'_c X_c over the corners c in {0, 1}^2,
+       w' = (1-a, a) kron (1-b, b).  Y is linear, so with w = |w'| =
+       (|1-a|, |a|) kron (|1-b|, |b|) the triangle inequality gives ||Y X(a,
+       b)||_1 <= sum_c w_c ||Y X_c||_1.  Both bound factors are linear, h(x)
+       = |1-x| h(0) + |x| h(1), so the bound splits alike: h_a h_b = sum_c
+       w_c bound_c, with bound_c = 1, m-1, n-1, (m-1)(n-1).  So if each
+       corner has ||Y X_c||_1 <= (1 + T/2) bound_c, every pair's exact
+       excess is at most T/2 * bound, at any complex (a, b), for any
+       matrix.  The reduction map R(Z) = tr(Z) I - Z is co-positive: R(Z)
+       = Phi(Z^T) with Phi(Z) = tr(Z) I - Z^T completely positive, Phi*(I)
+       = (dim - 1) I, and Phi commutes with the transpose.  So each corner is X_c = ±
+       Phi_c(Z_c) with Phi_c CP and Phi_c*(I) = bound_c I: in none, rho,
+       (Phi kron id) T_A rho, (id kron Phi) T_B rho and (Phi kron Phi)
+       rho^T; in rB,cB, their partial transposes on B, rho^{T_B}, (Phi kron
+       id) rho^T, (id kron Phi) rho and (Phi kron Phi) T_A rho.  X(1, 1)
+       adds (1 - tr rho) I, as its ab I is I, not tr(rho) I.  By Russo-Dye
+       a positive map's dual has norm ||Phi_c*(I)||, so ||Phi_c(Z)||_1 <=
+       bound_c ||Z||_1 for any matrix Z, and transposes keep trace norms.
+       So every corner of both classes is at most bound_c max(||rho||_1,
+       ||T_A rho||_1), plus d |tr rho - 1| at (1, 1).  _corners_clear
+       bounds each of the two trace norms by sum |eig(H)| + sqrt(d)
+       ||K||_F, H and K the Hermitian and skew parts, with one eigvalsh of
+       the 2 matrices, once per call; the skew term keeps unchecked
+       non-Hermitian input sound, and the trace term off-trace input.
+       Where the larger is at most 1 + T/2, and (m-1)(n-1) times it plus
+       the trace term at most (1 + T/2)(m-1)(n-1), both classes settle
+       every open pair with finite sums and bound; else both go to the
+       SVD.  On a unit-trace PSD state that is the trace-norm PPT test
+       ||T_A rho||_1 <= 1 + T/2.
 
     3. Hermitian partners, the mixed classes cB, rB, cA and cA,rB,cB.
        Conjugate transposition moves the entry at (i, mu; j, nu) to (j, nu;
@@ -466,16 +477,16 @@ def detected(
     order.  Squares that underflow lose under 1e-154 per entry.  For m, n >=
     2, h(x) >= max(1, |x|) for a linear factor and h(x) >= max(1/sqrt(2),
     |x|) for a root one, so a pair's bound is at least half the map's
-    coefficients 1, |a|, |b|, |ab|; clear corners hold rho, I kron rho_B and
-    rho_A kron I to norms of about 1, m and n.  So the computed map, its
-    SVD, a partner's SVD statistic or column/row sum, and the corners'
-    eigvalsh round by O(d^2 eps bound), about 1e-13 bound at d = 9 and
-    1e-11 bound at d = 100, far inside the T/2 * max(1, bound) that
-    screens 2 to 4 leave below the flag line.  So the full path would flag
-    no settled pair.  Nor would it raise on one: screens 2 to 4 see only
-    pairs whose column/row sums and bound are finite, so each squared entry
-    of the map is finite, and its statistic, below d**2 * sqrt(float max),
-    is too.
+    coefficients 1, |a|, |b|, |ab|; a state that clears screen 2 has rho,
+    I kron rho_B and rho_A kron I at norms of about 1, m and n.  So the
+    computed map, its SVD, a partner's SVD statistic or column/row sum, and
+    screen 2's eigvalsh and trace round by O(d^2 eps bound), about 1e-13
+    bound at d = 9 and 1e-11 bound at d = 100, far inside the T/2 * max(1,
+    bound) that screens 2 to 4 leave below the flag line.  So the full path
+    would flag no settled pair.  Nor would it raise on one: screens 2 to 4
+    see only pairs whose column/row sums and bound are finite, so each
+    squared entry of the map is finite, and its statistic, below d**2 *
+    sqrt(float max), is too.
 
     Every other parameter takes the full path's arithmetic: the SVD of its
     own map and _judge.  numpy's stacked SVD takes each matrix alone, so an
@@ -506,7 +517,7 @@ def detected(
                 unsettled = unsettled[~(screened & settles)]
             elif code in (0, 3):  # none and rB,cB
                 clear = _corners_clear(rho) if clear is None else clear
-                if clear[code == 3]:
+                if clear:
                     unsettled = unsettled[~screened]
             elif partner[c] >= 0:  # cB or rB, cA or cA,rB,cB, after its partner
                 if skew is None:

@@ -253,8 +253,8 @@ def compare_grc_column(capsys, argv, count):
 # compare's grid: every (a, b) of AB_TEST_GRID, a major.
 COMPARE_GRID = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
 
-# The corners (a, b) in {0, 1}^2, in the order of detected's screen 2, and the
-# two classes it decides there.
+# The corners (a, b) in {0, 1}^2, in the order of detected's screen 2's
+# bilinear carry, and the two classes it decides.
 CORNERS = ((0j, 0j), (1 + 0j, 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j))
 HERMITIAN_CLASSES = (GptOpSet(), GptOpSet(rB=True, cB=True))
 
@@ -289,17 +289,16 @@ class TestCompareEarlyExit:
         original = criteria.gpt_transform
         monkeypatch.setattr(criteria, "gpt_transform",
                             lambda rho, dims, y: transforms.append(y) or original(rho, dims, y))
-        # The state f = -1 on compare's grid.  The first class has open pairs,
-        # so the four corner maps are taken, with one T_B transform of the
-        # four; the state passes the reduction criterion, so class none
-        # clears its corners and settles its open pairs without an SVD.  The
-        # second and third classes, {cB} and {rB}, are settled by the norm
-        # bound without a transform.  The fourth, {rB,cB} and {rA,cA}, fails
-        # its corner (0, 0), the partial transpose, so its open pairs take one
-        # transform for the SVD, which detects it; the four classes after it
-        # are never computed.
+        # The state f = -1 on compare's grid.  It is NPT, ||T_A rho||_1 > 1,
+        # so screen 2 fails and the first class, none, takes its open pairs
+        # through one transform and an SVD, which flags none of them (the
+        # state passes the reduction criterion).  The second and third
+        # classes, {cB} and {rB}, are settled by the norm bound without a
+        # transform.  The fourth, {rB,cB} and {rA,cA}, takes its open pairs
+        # through one transform and the SVD, which detects it at (0, 0), the
+        # partial transpose; the four classes after it are never computed.
         assert detected(werner(3, -1.0).state, COMPARE_GRID, all_subsets())
-        assert [y.code for y in transforms] == ["rB,cB", "rB,cB"]
+        assert [y.code for y in transforms] == ["none", "rB,cB"]
 
     @pytest.mark.parametrize("argv,count,calls", [
         (["--family", "werner-3"], 1, 0),  # f = -1: NPT, so its PPT flag is grc's
@@ -337,7 +336,7 @@ class TestCompareEarlyExit:
         # The state of seed 0 (3x3, k = 12).  The realignment oracle and
         # ZZZG's residual take single matrices; the full path would take
         # stacks of 36 maps in each of the 8 classes, 288 maps in all.  The
-        # column/row screen alone left 80 maps open; the corners, the
+        # column/row screen alone left 80 maps open; screen 2, the
         # Hermitian partners and ZZZG leave 6, all in cB and cA.
         assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
         assert maps[0] == ()
@@ -580,8 +579,8 @@ class TestDetected:
 
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
-        # class none.  That pair is a corner, so the class fails its corner
-        # test, which leaves the pair open for the SVD.
+        # class none.  Screen 2 reads that trace norm, so it fails and leaves
+        # the pair open for the SVD.
         import sepscope.criteria as criteria
 
         state = near_psd_state(3, 3, 5)
@@ -600,8 +599,9 @@ class TestDetected:
     def test_reduction_flagged_state_takes_no_spectrum(self, monkeypatch, ysets):
         # Class none flags the random state of seed 3 at (1, 0) alone, where
         # the reduction criterion does: a corner.  The one eigvalsh detected
-        # takes is of the 8 corner maps, which leave the class to the SVD;
-        # no spectrum of a grid map is taken.
+        # takes is of rho and T_A rho, for screen 2, which leaves the class
+        # to the SVD, as a state that fails reduction is NPT; no spectrum of
+        # a grid map is taken.
         import sepscope.criteria as criteria
 
         state = random_state(3, 3, 3)
@@ -615,7 +615,7 @@ class TestDetected:
         monkeypatch.setattr(criteria, "trace_norm",
                             lambda mat: calls.append(("svd", np.shape(mat)[:-2])) or svd(mat))
         assert detected(state, COMPARE_GRID, ysets)
-        assert calls[0] == ("eigvalsh", (8, 9, 9))
+        assert calls[0] == ("eigvalsh", (2, 9, 9))
         assert [name for name, _ in calls] == ["eigvalsh", "svd"]
         assert full_path(state, COMPARE_GRID, ysets)
 
@@ -643,9 +643,9 @@ class TestDetected:
         # TOL_VERDICT.  It is diagonal, so both Hermitian classes see the same
         # maps, and its trace is 1, so X(1, 1) is rho with its diagonal
         # reversed.  Every corner is flagged, with excess 6 nu = 1.08
-        # TOL_VERDICT * bound.  A corner rule that cleared corners up to 1.08
-        # TOL_VERDICT of their bounds would settle (0, 0); at TOL_VERDICT/2
-        # the pair reaches the SVD.
+        # TOL_VERDICT * bound.  A screen 2 that cleared ||rho||_1 up to 1 +
+        # 1.08 TOL_VERDICT would settle (0, 0); at TOL_VERDICT/2 the pair
+        # reaches the SVD.
         nu = 0.18 * TOL_VERDICT
         mat = np.diag([1 + 3 * nu, -nu, -nu, -nu])
         state = DensityState(SubsystemDims(2, 2), mat, check=False)
@@ -660,8 +660,8 @@ class TestDetected:
         # diag(1 + 8e, -e, ..., -e), 3x3, e = 0.9e-9, passes validation.  Its
         # corners' excesses are 16e, 28e, 28e and 40e, that is 1.44, 1.26,
         # 1.26 and 0.90 TOL_VERDICT * bound, in both Hermitian classes, so
-        # the full path flags (0, 0).  A clearance of 2 TOL_VERDICT would clear
-        # all four corners and settle every pair of the class.
+        # the full path flags (0, 0).  A screen 2 clearance of 2 TOL_VERDICT
+        # would pass ||rho||_1 = 1 + 16e and settle every pair of the class.
         e = 0.9e-9
         state = DensityState(SubsystemDims(3, 3), np.diag([1 + 8 * e] + [-e] * 8))
         for y in HERMITIAN_CLASSES:
@@ -671,10 +671,46 @@ class TestDetected:
             assert full_path(state, COMPARE_GRID, (y,))
             assert detected(state, COMPARE_GRID, (y,))
 
+    @pytest.mark.parametrize("eps,excess,flags", [(1e-4, 2.0, True), (0.6e-4, 0.72, False)])
+    def test_skew_term_edge(self, eps, excess, flags):
+        # The unchecked diag(1, 0, 0, 0) + eps (E_01 - E_10), 2x2.  Its
+        # Hermitian part has trace norm exactly 1, while ||rho||_1 = sqrt(1 +
+        # 4 eps^2), and T_A rho = rho, so the full path's excess at (0, 0) is
+        # about 2 eps^2 in both Hermitian classes.  Only screen 2's skew term,
+        # sqrt(d) ||K||_F = 2 sqrt(2) eps, keeps it from settling that pair.
+        mat = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        mat[0, 1], mat[1, 0] = eps, -eps
+        state = DensityState(SubsystemDims(2, 2), mat, check=False)
+        pair = ((0j, 0j),)
+        for y in HERMITIAN_CLASSES:
+            (block,) = verdict_blocks(state, pair, (y,))
+            excess_t = (block.statistic[0] - block.bound[0]) / TOL_VERDICT
+            assert excess_t == pytest.approx(excess, rel=1e-6)
+            assert block.entangled == [flags]
+            assert detected(state, pair, (y,)) is flags
+
+    @pytest.mark.parametrize("t,flags", [(0.5, True), (1 / 6, False)])
+    def test_trace_defect_edge(self, t, flags):
+        # The unchecked (1 - t TOL_VERDICT) I/4, 2x2, has ||rho||_1 =
+        # ||T_A rho||_1 < 1, but X(1, 1) = (1 + 3 t TOL_VERDICT) I/4, so the
+        # full path's excess there is 3 t TOL_VERDICT in both Hermitian
+        # classes.  Only screen 2's trace term, d |tr rho - 1| = 4 t
+        # TOL_VERDICT, keeps it from settling that pair.
+        state = DensityState(SubsystemDims(2, 2), (1 - t * TOL_VERDICT) * np.eye(4) / 4, check=False)
+        pair = ((1 + 0j, 1 + 0j),)
+        for y in HERMITIAN_CLASSES:
+            (block,) = verdict_blocks(state, pair, (y,))
+            excess_t = (block.statistic[0] - block.bound[0]) / TOL_VERDICT
+            assert excess_t == pytest.approx(3 * t, rel=1e-6)
+            assert block.entangled == [flags]
+            assert detected(state, pair, (y,)) is flags
+
     def test_overflowing_corner_leaves_classes_to_the_svd(self):
         # An unchecked state with entries 8e307 that cancel in the map at
         # (1/2, 0), which is finite, open and flagged, while the corner X(1, 1)
-        # overflows.  detected answers as the full path, and raises nothing.
+        # overflows.  Screen 2 builds no corner map, but takes the spectrum,
+        # skew part and trace of these entries; detected answers as the full
+        # path, and raises nothing.
         mat = np.diag([8e307, 0.0, 8e307, 0.0])
         for i, j, x in ((0, 1, 0.7), (2, 3, -0.4), (1, 3, 0.9)):
             mat[i, j] = mat[j, i] = x
@@ -713,9 +749,9 @@ class TestDetected:
     @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-5, 1e-3])
     def test_unchecked_non_hermitian_as_full_path(self, scale):
         # A separable state plus a skew-Hermitian part, unchecked.  The
-        # Hermitian part of every corner map is the separable state's, which
-        # clears its corners, so only the corner test's skew term keeps it
-        # from settling the pairs the full path flags from 1e-5 on.
+        # Hermitian parts of rho and T_A rho are the separable state's, which
+        # clear screen 2, so only its skew term keeps it from settling the
+        # pairs the full path flags from 1e-5 on.
         rng = np.random.default_rng(7)
         g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         mat = random_separable(SubsystemDims(3, 3), 12, 3).state.mat + scale * (g - g.conj().T) / 2
@@ -796,31 +832,57 @@ class TestCorners:
                 assert bound == pytest.approx(w @ corner.bound, rel=1e-13, abs=0)
 
     @settings(max_examples=150)
+    @given(
+        m=st.integers(2, 4),
+        n=st.integers(2, 4),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_corners_within_trace_norms(self, m, n, seed, scale):
+        # Up to sign, and to the (1 - tr rho) I that X(1, 1) adds, each
+        # corner of a Hermitian class is a CP map Phi_c with Phi_c*(I) =
+        # bound_c I applied to rho, T_A rho, T_B rho or rho^T.  So by
+        # Russo-Dye, on any matrix, its trace norm is at most bound_c
+        # max(||rho||_1, ||T_A rho||_1), plus d |tr rho - 1| at (1, 1).
+        rng = np.random.default_rng(seed)
+        d = m * n
+        mat = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        state = DensityState(SubsystemDims(m, n), mat, check=False)
+        partial = gpt_transform(mat, state.dims, PARTIAL_TRANSPOSE_Y["A"])
+        norm = max(trace_norm(mat), trace_norm(partial))
+        defects = (0.0, 0.0, 0.0, d * abs(np.trace(mat) - 1))  # in CORNERS' order
+        for y in HERMITIAN_CLASSES:
+            (corner,) = verdict_blocks(state, CORNERS, (y,))
+            for statistic, bound, defect in zip(corner.statistic, corner.bound, defects):
+                assert statistic <= (bound * norm + defect) * (1 + 1e-11)
+
+    @settings(max_examples=150)
     @given(state=kernel_states(), params=st.lists(kernel_params(), min_size=1, max_size=6))
     def test_clear_corners_flag_nothing(self, state, params):
-        # On these Hermitian states the corner test reads the corners' trace
-        # norms against their bounds, and where it clears a class, no pair of
-        # the class flags.
-        for y, clear in zip(HERMITIAN_CLASSES, _corners_clear(state)):
+        # Where screen 2 clears one of these states, every corner of both
+        # Hermitian classes is within (1 + TOL_VERDICT/2) bound_c, up to
+        # rounding, and no pair of either class flags.
+        if not _corners_clear(state):
+            return
+        for y in HERMITIAN_CLASSES:
             (corner,) = verdict_blocks(state, CORNERS, (y,))
-            assert clear == all(s <= b * (1 + TOL_VERDICT / 2)
-                                for s, b in zip(corner.statistic, corner.bound))
-            if clear:
-                (block,) = verdict_blocks(state, params, (y,))
-                assert not any(block.entangled)
+            assert all(s <= b * (1 + TOL_VERDICT / 2 + 1e-13)
+                       for s, b in zip(corner.statistic, corner.bound))
+            (block,) = verdict_blocks(state, params, (y,))
+            assert not any(block.entangled)
 
     @pytest.mark.parametrize("m,n,x,pair", [
         (1, 2, 0.5094572997602054, (1.0000000002706941, 6336578001.821507)),
         (2, 1, 0.5087111075732265, (1028302355.92215, 1.0000000002778218)),
     ])
     def test_one_dimensional_factor_goes_to_the_svd(self, m, n, x, pair):
-        # diag(x, 1 - x) with a factor of dimension 1 clears its corners,
-        # two of which have bound 0.  Far out, next to a corner with bound 0,
-        # the pair's bound no longer dominates |a| and |b|, and the full
-        # path's own rounding flags it; detected leaves such classes to the
-        # SVD, so it agrees.
+        # diag(x, 1 - x) with a factor of dimension 1 clears screen 2, though
+        # two of its corners have bound 0.  Far out, next to a corner with
+        # bound 0, the pair's bound no longer dominates |a| and |b|, and the
+        # full path's own rounding flags it; detected leaves such classes to
+        # the SVD, so it agrees.
         state = DensityState(SubsystemDims(m, n), np.diag([x, 1 - x]))
-        assert _corners_clear(state) == [True, True]
+        assert _corners_clear(state) is True
         params = (tuple(map(complex, pair)),)
         for y in HERMITIAN_CLASSES:
             assert full_path(state, params, (y,))
