@@ -16,7 +16,6 @@ from .gptops import (
     GptOpSet,
     all_subsets,
     gpt_transform,
-    partial_transpose,
     realign,
     transform_digits,
 )
@@ -105,10 +104,24 @@ def flag_margin(verdict: CriterionVerdict) -> float:
     return excess - TOL_VERDICT * max(1.0, verdict.bound)
 
 
+@constant_cache(16, lambda params, d: len(params) * (d * d + 2))
+@np.errstate(over="ignore", invalid="ignore")  # found by reduction_maps, in the map it spoils
+def _map_coefficients(params: tuple, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """reduction_maps' coefficients of params on d x d maps, read-only: a
+    and b as (k, 1, 1) arrays and ab I as a (k, d, d) stack, built once per
+    (params, d), so compare's grid takes them once for every state.  Keys
+    equal as Python values share an entry, so a zero keeps the sign of the
+    first params that asked; that moves only the sign of a zero entry of a
+    map."""
+    a, b, ab = np.array([(x, y, x * y) for x, y in params]).T[:, :, None, None]
+    return a, b, ab * identity(d)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # found below, by the map it spoils
 def reduction_maps(rho: DensityState, params: Sequence[tuple[complex, complex]]) -> np.ndarray:
     """The maps of generalized_reduction_map for every entry of params, as
-    one (k, d, d) stack built from the state's one pair of reductions.
+    one (k, d, d) stack built from the state's one pair of reductions and
+    the cached coefficients of params.
 
     A map with an entry that is not finite raises ParamOutOfRange naming its
     (a, b), the first such in params, before any SVD sees it.  One isfinite
@@ -119,8 +132,8 @@ def reduction_maps(rho: DensityState, params: Sequence[tuple[complex, complex]])
     """
     m, n = rho.dims.m, rho.dims.n
     rho_a, rho_b = rho.reductions
-    a, b, ab = np.array([(x, y, x * y) for x, y in params]).T[:, :, None, None]
-    stack = (ab * identity(m * n) - a * kron(identity(m, complex), rho_b)
+    a, b, ab_identity = _map_coefficients(tuple(params), m * n)
+    stack = (ab_identity - a * kron(identity(m, complex), rho_b)
              - b * kron(rho_a, identity(n, complex)) + rho.mat)
     finite = np.isfinite(stack)
     if not finite.all():
@@ -239,15 +252,14 @@ def _split_settles(rho: DensityState, roots: np.ndarray, bound: np.ndarray) -> b
 def _corners_clear(rho: DensityState) -> bool:
     """detected's screen 2: whether classes none and rB,cB both clear their
     four corners by TOL_VERDICT/2 of their bounds, read off upper bounds on
-    ||rho||_1 and ||T_A rho||_1 and the trace defect that X(1, 1) carries."""
+    ||rho||_1 and ||T_A rho||_1 from the state's two cached spectra and the
+    trace defect that X(1, 1) carries."""
     m, n = rho.dims.m, rho.dims.n
-    x = np.stack((rho.mat, partial_transpose(rho.mat, rho.dims, "A")))
-    herm = (x + x.conj().swapaxes(-1, -2)) / 2
-    skew = (x - herm).view(float)  # K = X - H, as real and imaginary parts
-    norm = float((abs(np.linalg.eigvalsh(herm)).sum(-1)
-                  + math.sqrt(m * n) * np.sqrt((skew * skew).sum((-2, -1)))).max())
+    skew = rho.mat - rho.mat.conj().T  # T_A rho's entries, permuted: one norm serves both
+    norm = (max(float(abs(rho.spectrum).sum()), float(abs(rho.pt_spectrum).sum()))
+            + math.sqrt(m * n / 2 * float(np.vdot(skew, skew).real)))
     corner = (m - 1) * (n - 1)  # X(1, 1)'s bound
-    defect = m * n * abs(complex(np.trace(rho.mat)) - 1.0)  # ||(1 - tr rho) I||_1
+    defect = m * n * abs(complex(rho.mat.trace()) - 1.0)  # ||(1 - tr rho) I||_1
     return norm <= 1 + TOL_VERDICT / 2 and corner * norm + defect <= corner * (1 + TOL_VERDICT / 2)
 
 
@@ -397,11 +409,17 @@ def detected(
        bound_c ||Z||_1 for any matrix Z, and transposes keep trace norms.
        So every corner of both classes is at most bound_c max(||rho||_1,
        ||T_A rho||_1), plus d |tr rho - 1| at (1, 1).  _corners_clear
-       bounds each of the two trace norms by sum |eig(H)| + sqrt(d)
-       ||K||_F, H and K the Hermitian and skew parts, with one eigvalsh of
-       the 2 matrices, once per call; the skew term keeps unchecked
-       non-Hermitian input sound, and the trace term off-trace input.
-       Where the larger is at most 1 + T/2, and (m-1)(n-1) times it plus
+       reads both trace norms off the state's cached spectra, spectrum and
+       pt_spectrum, the eigvalsh of rho and T_A rho that validation and
+       ppt_check take anyway, so it takes no eigvalsh of its own where they
+       ran.  eigvalsh reads the lower triangle: its spectrum is that of
+       H_L = tril(X, -1) + tril(X, -1)^† + Re diag X, and E = X - H_L
+       holds X_ij - conj X_ji above the diagonal and i Im X_ii on it, so
+       ||E||_F^2 <= ||X - X^†||_F^2 / 2 and ||X||_1 <= sum |eig(H_L)| +
+       sqrt(d/2) ||X - X^†||_F.  T_A permutes entries and commutes with †,
+       so one skew term serves rho and T_A rho, and the bound is sound on
+       any input, checked or not; the trace term keeps off-trace input
+       sound.  Where the larger is at most 1 + T/2, and (m-1)(n-1) times it plus
        the trace term at most (1 + T/2)(m-1)(n-1), both classes settle
        every open pair with finite sums and bound; else both go to the
        SVD.  On a unit-trace PSD state that is the trace-norm PPT test
@@ -480,7 +498,7 @@ def detected(
     coefficients 1, |a|, |b|, |ab|; a state that clears screen 2 has rho,
     I kron rho_B and rho_A kron I at norms of about 1, m and n.  So the
     computed map, its SVD, a partner's SVD statistic or column/row sum, and
-    screen 2's eigvalsh and trace round by O(d^2 eps bound), about 1e-13
+    screen 2's spectra, skew term and trace round by O(d^2 eps bound), about 1e-13
     bound at d = 9 and 1e-11 bound at d = 100, far inside the T/2 * max(1,
     bound) that screens 2 to 4 leave below the flag line.  So the full path
     would flag no settled pair.  Nor would it raise on one: screens 2 to 4
@@ -580,12 +598,14 @@ def ppt_check(rho: DensityState) -> CriterionVerdict:
     """Positivity of the partial transpose, taken on subsystem A.
 
     The B-side transpose has the same spectrum for Hermitian rho (global
-    transpose similarity), so one side suffices.
+    transpose similarity), so one side suffices.  The statistic is the
+    least entry of rho.pt_spectrum, which detected's screen 2 shares; an
+    unchecked state is tested for Hermiticity first, whichever of the two
+    filled that cache.
     """
-    pt = partial_transpose(rho.mat, rho.dims, "A")
     if not rho.checked:  # T_A rho's defects are rho's, entry for entry
-        check_hermitian(pt)
-    statistic = float(np.linalg.eigvalsh(pt)[0])
+        check_hermitian(rho.mat)
+    statistic = float(rho.pt_spectrum[0])
     return _oracle("ppt", None, statistic, 0.0, -statistic)
 
 

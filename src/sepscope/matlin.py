@@ -91,10 +91,11 @@ class SubsystemDims:
         return self.m * self.n
 
 
-def validate_density(mat: np.ndarray) -> None:
+def validate_density(mat: np.ndarray) -> np.ndarray:
     """Raise InvariantViolation unless mat is Hermitian, unit-trace and PSD
-    within tolerance.  mat is a square complex ndarray, such as as_cmatrix
-    returns."""
+    within tolerance, else return mat's ascending spectrum, the eigvalsh
+    array the PSD test reads.  mat is a square complex ndarray, such as
+    as_cmatrix returns."""
     herm_defect = float(abs(mat - mat.conj().T).max())
     if herm_defect > TOL_HERM:
         raise InvariantViolation(
@@ -103,9 +104,11 @@ def validate_density(mat: np.ndarray) -> None:
     tr = complex(mat.trace())
     if abs(tr.real - 1.0) > 1e-12 or abs(tr.imag) > 1e-12:
         raise InvariantViolation(f"trace is {tr}, expected 1")
-    min_eig = float(np.linalg.eigvalsh(mat)[0])  # ascending
+    spectrum = np.linalg.eigvalsh(mat)  # ascending
+    min_eig = float(spectrum[0])
     if min_eig < TOL_PSD:
         raise InvariantViolation(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,10 @@ class DensityState:
     test that a validated state always passes.  The stored matrix is a
     read-only copy, safe to share across workers: mat may be any matrix
     as_cmatrix takes, and the state makes one complex copy of it, whatever
-    its type, so it never shares memory with the input.
+    its type, so it never shares memory with the input.  The state caches,
+    read-only and each taken at most once, its reductions and two spectra:
+    ``spectrum``, rho's, which validation takes anyway, and ``pt_spectrum``,
+    that of T_A rho.
     """
 
     dims: SubsystemDims
@@ -136,8 +142,10 @@ class DensityState:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        if check:
-            validate_density(mat)
+        if check:  # validation's spectrum is the one spectrum would take
+            spectrum = validate_density(mat)
+            spectrum.setflags(write=False)
+            object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "checked", check)
 
     @functools.cached_property
@@ -149,6 +157,28 @@ class DensityState:
         for reduced in pair:
             reduced.setflags(write=False)
         return pair
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """rho's ascending spectrum, np.linalg.eigvalsh(mat), read-only: the
+        array validation took, or taken on first use for an unchecked state.
+        eigvalsh reads the lower triangle only, so on a non-Hermitian mat
+        this is the spectrum of tril(mat, -1) + tril(mat, -1)^† + Re diag
+        mat."""
+        spectrum = np.linalg.eigvalsh(self.mat)
+        spectrum.setflags(write=False)
+        return spectrum
+
+    @functools.cached_property
+    def pt_spectrum(self) -> np.ndarray:
+        """T_A rho's ascending spectrum, np.linalg.eigvalsh of
+        gptops.partial_transpose(mat, dims, "A"), taken on first use and
+        read-only, with the same lower-triangle reading as spectrum."""
+        from .gptops import partial_transpose  # gptops imports this module
+
+        spectrum = np.linalg.eigvalsh(partial_transpose(self.mat, self.dims, "A"))
+        spectrum.setflags(write=False)
+        return spectrum
 
 
 def kron(a, b) -> np.ndarray:

@@ -150,6 +150,8 @@ def random_density(dim: int, seed: int) -> np.ndarray:
 
 def random_density_state(dims: SubsystemDims, seed: int) -> LabeledState:
     """random_density on dims, labeled "random-density" with m, n and seed."""
+    if dims.total < 2:
+        raise ParamOutOfRange(f"m*n must be >= 2, got m*n = {dims.total} (m={dims.m}, n={dims.n})")
     return LabeledState("random-density", {"m": dims.m, "n": dims.n, "seed": seed},
                         DensityState(dims, random_density(dims.total, seed)))
 

@@ -214,6 +214,17 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: seed must be a non-negative integer, got -3"]
 
+    @pytest.mark.parametrize("argv", [["check", "--builtin"], ["gen", "--out", "x.json"]],
+                             ids=["check", "gen"])
+    def test_one_dimensional_random_state_exits_two_naming_it(self, capsys, monkeypatch,
+                                                               tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "random", "--m", "1", "--n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: m*n must be >= 2, got m*n = 1 (m=1, n=1)"]
+        assert not (tmp_path / "x.json").exists()
+
     # Finite (a, b) whose map (ab overflows), bound (a squared factor
     # overflows) or statistic and bound (both overflow) are not finite.
     @pytest.mark.parametrize("a,b,yset", [
@@ -718,6 +729,22 @@ THRESHOLD_CASES = (
 
 
 class TestCheckBits:
+    @pytest.mark.parametrize("first", ["ppt", "detected"])
+    @pytest.mark.parametrize("case", sorted(CHECK_CASES))
+    def test_cached_spectra_bit_for_bit(self, case, first):
+        from sepscope.cli import _resolve_state
+        from sepscope.criteria import AB_TEST_GRID, detected
+        from sepscope.gptops import partial_transpose
+
+        state = _resolve_state(build_parser().parse_args(["check", *CHECK_CASES[case][0]])).state
+        assert state.spectrum.tobytes() == np.linalg.eigvalsh(state.mat).tobytes()
+        want = float(np.linalg.eigvalsh(partial_transpose(state.mat, state.dims))[0]).hex()
+        if first == "detected":
+            grid = [(complex(a), complex(b)) for a in AB_TEST_GRID for b in AB_TEST_GRID]
+            detected(state, grid, all_subsets())
+        assert ppt_check(state).statistic.hex() == want
+        assert not state.spectrum.flags.writeable and not state.pt_spectrum.flags.writeable
+
     @pytest.mark.parametrize("case", sorted(CHECK_CASES))
     def test_bytes_unchanged(self, capsys, case):
         argv, code, digest = CHECK_CASES[case]

@@ -4,6 +4,7 @@ separable states over many orders of magnitude of (a, b)."""
 
 import cmath
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from sepscope.criteria import (
     TOL_VERDICT,
     _bound_table,
     _corners_clear,
+    _map_coefficients,
     _norm_entry,
     _norm_sums,
     _split_settles,
@@ -42,8 +44,8 @@ from sepscope.criteria import (
     reduction_maps,
     verdict_blocks,
 )
-from sepscope.errors import ParamOutOfRange
-from sepscope.gptops import PARTIAL_TRANSPOSE_Y, gpt_transform, realign
+from sepscope.errors import NotHermitian, ParamOutOfRange
+from sepscope.gptops import PARTIAL_TRANSPOSE_Y, gpt_transform, partial_transpose, realign
 from sepscope.matlin import kron, partial_trace, trace_norm
 from sepscope.states import random_density_state
 
@@ -369,6 +371,35 @@ class TestSvdTripwire:
         assert [g <= p for g, p in zip(got, pinned)] == [True] * len(pinned), got
 
 
+class TestSpectrumTripwire:
+    def test_four_spectra_per_compare_state(self, monkeypatch, capsys):
+        # compare --family separable --k 12, seeds 0-19: each state takes
+        # eigvalsh of 4 matrices, validation's 1, the PPT oracle's 1 and the
+        # reduction oracle's batched 2, and detected, which runs on every
+        # one of these PPT states, reads the cached spectra and takes none.
+        import sepscope.cli as cli
+
+        calls, in_detected, states = [], [False], []
+        eigvalsh, original = np.linalg.eigvalsh, cli.detected
+
+        def counted(rho, params, ysets):
+            states.append(rho)
+            in_detected[0] = True
+            try:
+                return original(rho, params, ysets)
+            finally:
+                in_detected[0] = False
+
+        monkeypatch.setattr(cli, "detected", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(
+            (int(np.prod(mat.shape[:-2])), in_detected[0])) or eigvalsh(mat))
+        argv = ["--family", "separable", "--k", "12", "--seed", "0"]
+        assert compare_grc_column(capsys, argv, 20) == [False] * 20
+        assert len(states) == 20
+        assert sum(count for count, _ in calls) == 4 * 20
+        assert not any(inside for _, inside in calls)
+
+
 class TestCompareMatchesReference:
     def test_separable(self, capsys):
         got = compare_grc_column(
@@ -598,16 +629,19 @@ class TestDetected:
     @pytest.mark.parametrize("ysets", [(GptOpSet(),), all_subsets()], ids=["none", "all"])
     def test_reduction_flagged_state_takes_no_spectrum(self, monkeypatch, ysets):
         # Class none flags the random state of seed 3 at (1, 0) alone, where
-        # the reduction criterion does: a corner.  The one eigvalsh detected
-        # takes is of rho and T_A rho, for screen 2, which leaves the class
-        # to the SVD, as a state that fails reduction is NPT; no spectrum of
-        # a grid map is taken.
+        # the reduction criterion does: a corner.  Screen 2 reads rho's
+        # spectrum, cached by validation, and T_A rho's, which it takes as
+        # one (9, 9) eigvalsh unless ppt_check has filled the cache; the
+        # state is NPT, so the class goes to the SVD.  No spectrum of a grid
+        # map is taken.
         import sepscope.criteria as criteria
 
         state = random_state(3, 3, 3)
         (block,) = verdict_blocks(state, COMPARE_GRID, (GptOpSet(),))
         assert [p for p, flag in zip(COMPARE_GRID, block.entangled) if flag] == [
             ReductionParams(1.0, 0.0)]
+        after_ppt = random_state(3, 3, 3)
+        assert ppt_check(after_ppt).entangled
         calls = []
         eigvalsh, svd = np.linalg.eigvalsh, criteria.trace_norm
         monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -615,8 +649,11 @@ class TestDetected:
         monkeypatch.setattr(criteria, "trace_norm",
                             lambda mat: calls.append(("svd", np.shape(mat)[:-2])) or svd(mat))
         assert detected(state, COMPARE_GRID, ysets)
-        assert calls[0] == ("eigvalsh", (2, 9, 9))
+        assert calls[0] == ("eigvalsh", (9, 9))
         assert [name for name, _ in calls] == ["eigvalsh", "svd"]
+        calls.clear()
+        assert detected(after_ppt, COMPARE_GRID, ysets)
+        assert [name for name, _ in calls] == ["svd"]
         assert full_path(state, COMPARE_GRID, ysets)
 
     @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
@@ -673,14 +710,36 @@ class TestDetected:
 
     @pytest.mark.parametrize("eps,excess,flags", [(1e-4, 2.0, True), (0.6e-4, 0.72, False)])
     def test_skew_term_edge(self, eps, excess, flags):
-        # The unchecked diag(1, 0, 0, 0) + eps (E_01 - E_10), 2x2.  Its
-        # Hermitian part has trace norm exactly 1, while ||rho||_1 = sqrt(1 +
-        # 4 eps^2), and T_A rho = rho, so the full path's excess at (0, 0) is
-        # about 2 eps^2 in both Hermitian classes.  Only screen 2's skew term,
-        # sqrt(d) ||K||_F = 2 sqrt(2) eps, keeps it from settling that pair.
+        # The unchecked diag(1, 0, 0, 0) + eps (E_01 - E_10), 2x2.
+        # ||rho||_1 = sqrt(1 + 4 eps^2), and T_A rho = rho, so the full path's
+        # excess at (0, 0) is about 2 eps^2 in both Hermitian classes.
+        # eigvalsh reads the lower triangle, [[1, -eps], [-eps, 0]], of the
+        # same trace norm, which at eps = 1e-4 tops 1 + TOL_VERDICT/2 alone;
+        # screen 2's skew term, sqrt(d/2) ||rho - rho^†||_F = 4 eps, adds to
+        # it.  test_upper_skew_edge is the edge the skew term alone decides.
         mat = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         mat[0, 1], mat[1, 0] = eps, -eps
         state = DensityState(SubsystemDims(2, 2), mat, check=False)
+        pair = ((0j, 0j),)
+        for y in HERMITIAN_CLASSES:
+            (block,) = verdict_blocks(state, pair, (y,))
+            excess_t = (block.statistic[0] - block.bound[0]) / TOL_VERDICT
+            assert excess_t == pytest.approx(excess, rel=1e-6)
+            assert block.entangled == [flags]
+            assert detected(state, pair, (y,)) is flags
+
+    @pytest.mark.parametrize("eps,excess,flags", [(2e-4, 2.0, True), (1e-4, 0.5, False)])
+    def test_upper_skew_edge(self, eps, excess, flags):
+        # The unchecked diag(1, 0, 0, 0) + eps E_01, 2x2, has ||rho||_1 =
+        # sqrt(1 + eps^2), and T_A rho = rho, so the full path's excess at
+        # (0, 0) is about eps^2 / 2 in both Hermitian classes.  eigvalsh
+        # reads the lower triangle, diag(1, 0, 0, 0), whose spectrum sums to
+        # exactly 1, so only screen 2's skew term, sqrt(d/2) ||rho -
+        # rho^†||_F = 2 eps, keeps it from settling that pair.
+        mat = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        mat[0, 1] = eps
+        state = DensityState(SubsystemDims(2, 2), mat, check=False)
+        assert abs(state.spectrum).sum() == abs(state.pt_spectrum).sum() == 1.0
         pair = ((0j, 0j),)
         for y in HERMITIAN_CLASSES:
             (block,) = verdict_blocks(state, pair, (y,))
@@ -708,9 +767,9 @@ class TestDetected:
     def test_overflowing_corner_leaves_classes_to_the_svd(self):
         # An unchecked state with entries 8e307 that cancel in the map at
         # (1/2, 0), which is finite, open and flagged, while the corner X(1, 1)
-        # overflows.  Screen 2 builds no corner map, but takes the spectrum,
-        # skew part and trace of these entries; detected answers as the full
-        # path, and raises nothing.
+        # overflows.  Screen 2 builds no corner map, but reads the spectra
+        # and takes the skew term and trace of these entries; detected
+        # answers as the full path, and raises nothing.
         mat = np.diag([8e307, 0.0, 8e307, 0.0])
         for i, j, x in ((0, 1, 0.7), (2, 3, -0.4), (1, 3, 0.9)):
             mat[i, j] = mat[j, i] = x
@@ -748,10 +807,11 @@ class TestDetected:
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-5, 1e-3])
     def test_unchecked_non_hermitian_as_full_path(self, scale):
-        # A separable state plus a skew-Hermitian part, unchecked.  The
-        # Hermitian parts of rho and T_A rho are the separable state's, which
-        # clear screen 2, so only its skew term keeps it from settling the
-        # pairs the full path flags from 1e-5 on.
+        # A separable state plus a skew-Hermitian part, unchecked, which the
+        # full path flags from 1e-5 on.  The lower triangles that eigvalsh
+        # reads of rho and T_A rho are the separable state's plus a
+        # Hermitian matrix of trace 0 and size scale, so their spectra need
+        # not show the skew part; screen 2's skew term covers it.
         rng = np.random.default_rng(7)
         g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         mat = random_separable(SubsystemDims(3, 3), 12, 3).state.mat + scale * (g - g.conj().T) / 2
@@ -856,6 +916,54 @@ class TestCorners:
             for statistic, bound, defect in zip(corner.statistic, corner.bound, defects):
                 assert statistic <= (bound * norm + defect) * (1 + 1e-11)
 
+    @settings(max_examples=200)
+    @given(
+        dims=st.sampled_from([(m, n) for m in range(1, 7) for n in range(1, 7) if 2 <= m * n <= 6]),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+        kind=st.sampled_from(["hermitian", "near-hermitian", "arbitrary", "imaginary-diagonal"]),
+    )
+    def test_spectra_bound_trace_norms(self, dims, seed, scale, kind):
+        # eigvalsh reads the lower triangle: its spectrum is that of H_L =
+        # tril(X, -1) + tril(X, -1)^† + Re diag X.  E = X - H_L holds X_ij -
+        # conj X_ji above the diagonal and i Im X_ii on it, so ||E||_F^2 <=
+        # ||X - X^†||_F^2 / 2 and ||X||_1 <= sum |eig(H_L)| + sqrt(d/2) ||X
+        # - X^†||_F, on any matrix.  T_A permutes entries and commutes with
+        # †, so one skew term serves rho and T_A rho.
+        (m, n), d = dims, dims[0] * dims[1]
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mat = {"hermitian": g + g.conj().T,
+               "near-hermitian": g + g.conj().T + 1e-9 * g,
+               "arbitrary": g,
+               "imaginary-diagonal": g + g.conj().T + 1j * np.diag(rng.standard_normal(d))}[kind]
+        state = DensityState(SubsystemDims(m, n), scale * mat, check=False)
+        skew = np.linalg.norm(state.mat - state.mat.conj().T)
+        partial = gpt_transform(state.mat, state.dims, PARTIAL_TRANSPOSE_Y["A"])
+        for x, spectrum in ((state.mat, state.spectrum), (partial, state.pt_spectrum)):
+            assert trace_norm(x) <= (abs(spectrum).sum() + np.sqrt(d / 2) * skew) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("t,clears", [(1.35e-9, False), (1e-9, True)])
+    def test_screen_two_bound_edge(self, t, clears):
+        # The unchecked E_00 + t (E_12 + E_23 + E_34 + E_45), 2x3, of trace
+        # 1.  Its singular values are 1 and four t, so ||rho||_1 = 1 + 4t,
+        # while the lower triangle eigvalsh reads is E_00, of spectrum sum 1,
+        # and ||rho - rho^†||_F = sqrt(8) t; T_A rho's lower triangle adds t
+        # (E_50 + E_05), of spectrum sum 1 + O(t^2).  So screen 2's bound
+        # is 1 + sqrt(24) t = 1 + 4.90 t.  With sqrt(d/4) in place of
+        # sqrt(d/2) it would read 1 + 3.46 t, below ||rho||_1, and without
+        # the skew term 1.  At t = 1.35e-9, ||rho||_1 = 1 + 0.54
+        # TOL_VERDICT lies past the screen's 1 + TOL_VERDICT/2, which 1 +
+        # 0.47 TOL_VERDICT would pass; at t = 1e-9 the bound, 1 + 0.49
+        # TOL_VERDICT, clears.
+        mat = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)
+        for i in range(1, 5):
+            mat[i, i + 1] = t
+        state = DensityState(SubsystemDims(2, 3), mat, check=False)
+        assert trace_norm(mat) - 1 == pytest.approx(4 * t, rel=1e-6)
+        assert (trace_norm(mat) <= 1 + TOL_VERDICT / 2) is clears
+        assert _corners_clear(state) is clears
+
     @settings(max_examples=150)
     @given(state=kernel_states(), params=st.lists(kernel_params(), min_size=1, max_size=6))
     def test_clear_corners_flag_nothing(self, state, params):
@@ -897,6 +1005,87 @@ class TestCorners:
         for pair_classes in PARTNER_CLASSES:
             maps = svd_shapes(state, near, pair_classes)
             assert maps == [(1,), (1,)]
+
+
+class TestStateSpectra:
+    @settings(max_examples=100)
+    @given(state=kernel_states(), ppt_first=st.booleans())
+    def test_cached_spectra_as_eigvalsh(self, state, ppt_first):
+        # Bit for bit, whichever of ppt_check and detected's screen 2 takes
+        # T_A rho's spectrum first.
+        partial = partial_transpose(state.mat, state.dims, "A")
+        want = np.linalg.eigvalsh(partial)
+        if ppt_first:
+            statistic = ppt_check(state).statistic
+            _corners_clear(state)
+        else:
+            _corners_clear(state)
+            statistic = ppt_check(state).statistic
+        assert statistic.hex() == float(want[0]).hex()
+        assert state.pt_spectrum.tobytes() == want.tobytes()
+        assert state.spectrum.tobytes() == np.linalg.eigvalsh(state.mat).tobytes()
+        for spectrum in (state.spectrum, state.pt_spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                spectrum[0] = 0.0
+
+    def test_validation_keeps_its_spectrum(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda mat: calls.append(mat.shape) or eigvalsh(mat))
+        checked = random_state(3, 3, 5)
+        unchecked = DensityState(checked.dims, checked.mat, check=False)
+        assert calls == [(9, 9)]
+        assert checked.spectrum.tobytes() == unchecked.spectrum.tobytes()
+        assert calls == [(9, 9)] * 2  # the unchecked state's, on first use
+        assert checked.spectrum is checked.spectrum and unchecked.pt_spectrum is unchecked.pt_spectrum
+        assert calls == [(9, 9)] * 3
+
+    def test_unchecked_non_hermitian_after_detected(self):
+        # detected fills T_A rho's spectrum of an unchecked state with a
+        # Hermiticity defect of 1e-9; ppt_check still tests the state first.
+        mat = random_separable(SubsystemDims(3, 3), 12, 0).state.mat.copy()
+        mat[0, 1] += 0.5e-9j
+        mat[1, 0] += 0.5e-9j
+        state = DensityState(SubsystemDims(3, 3), mat, check=False)
+        detected(state, COMPARE_GRID, all_subsets())
+        assert "pt_spectrum" in vars(state)
+        message = "max |M_ij - conj(M_ji)| = 1.000e-09 exceeds 1e-12"
+        with pytest.raises(NotHermitian, match=f"^{re.escape(message)}$"):
+            ppt_check(state)
+
+
+class TestMapCoefficients:
+    @settings(max_examples=100)
+    @given(state=kernel_states(), params=st.lists(kernel_params(), min_size=1, max_size=6))
+    def test_maps_as_uncached_formula(self, state, params):
+        m, n = state.dims.m, state.dims.n
+        rho_a, rho_b = state.reductions
+        a, b, ab = np.array([(x, y, x * y) for x, y in params]).T[:, :, None, None]
+        want = (ab * np.eye(m * n) - a * kron(np.eye(m, dtype=complex), rho_b)
+                - b * kron(rho_a, np.eye(n, dtype=complex)) + state.mat)
+        _map_coefficients.cache_clear()
+        for _ in range(2):  # built, then read from the cache
+            assert reduction_maps(state, params).tobytes() == want.tobytes()
+        assert _map_coefficients.cache_info().hits == 1
+        for coefficient in _map_coefficients(tuple(params), m * n):
+            assert not coefficient.flags.writeable
+
+    @pytest.mark.parametrize("middle,name", [
+        ((1e200, 1e200), "a=1e+200, b=1e+200"),  # ab overflows
+        ((1.7e308, -1.0), "a=1.7e+308, b=-1"),  # ab is finite, ab - a (rho_B)_ii is not
+    ])
+    def test_overflow_named_from_the_cache(self, middle, name):
+        state = random_density_state(SubsystemDims(3, 3), 1).state
+        params = ((0.5 + 0j, -0.25 + 0j), tuple(map(complex, middle)), (0.2 + 0j, 1j))
+        message = f"the map, its trace norm or the bound is not finite at {name}"
+        _map_coefficients.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):  # built, then read from the cache
+                with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+                    reduction_maps(state, params)
+        assert _map_coefficients.cache_info().hits == 1
 
 
 class TestPartners:
