@@ -1,16 +1,23 @@
-"""Generalized partial-transposition engine: per-subsystem row/column
+"""Generalized partial-transposition engine: vec, per-subsystem row/column
 transpositions, composite transforms via index regrouping, realignment and
-the SVD-based Kronecker-sum decomposition."""
+the SVD-based Kronecker-sum decomposition.
+
+The package's lowest layer above errors: matlin, whose states take T_A rho's
+spectrum here, imports this module, so this one names matlin's SubsystemDims
+only in annotations."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matlin import SubsystemDims, vec
+
+if TYPE_CHECKING:
+    from .matlin import SubsystemDims
 
 # Singular values below this cutoff do not count toward the rank; inputs are
 # unit-trace scale.
@@ -61,6 +68,11 @@ def all_subsets() -> tuple[GptOpSet, ...]:
     """The 16 flag subsets in canonical counter order, rA the most
     significant bit and cB the least; the same tuple on every call."""
     return _ALL_SUBSETS
+
+
+def vec(a) -> np.ndarray:
+    """Stack the columns of a into one column vector, row index fastest."""
+    return np.asarray(a, dtype=complex).reshape(-1, 1, order="F")
 
 
 def row_transposition(a) -> np.ndarray:

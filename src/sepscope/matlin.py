@@ -1,5 +1,6 @@
-"""Dense complex matrix kernel: Kronecker products, vec, SVD, trace norm,
-Hermitian spectra and partial traces of bipartite density matrices."""
+"""Dense complex matrix kernel: Kronecker products, SVD, trace norm,
+Hermitian spectra and partial traces of bipartite density matrices.  vec
+lives in gptops and is re-exported here under its old name."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NotHermitian
+from .gptops import partial_transpose, vec  # noqa: F401
 
 # Everything here is at most ~100x100 dense, so double precision leaves a
 # wide margin around these tolerances.
@@ -82,9 +84,8 @@ class SubsystemDims:
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
-            raise DimensionMismatch(
-                f"subsystem dimensions must be >= 1, got ({self.m}, {self.n})"
-            )
+            raise DimensionMismatch(f"{'m' if self.m < 1 else 'n'}: subsystem dimensions"
+                                    f" must be >= 1, got ({self.m}, {self.n})")
 
     @property
     def total(self) -> int:
@@ -124,7 +125,8 @@ class DensityState:
     its type, so it never shares memory with the input.  The state caches,
     read-only and each taken at most once, its reductions and two spectra:
     ``spectrum``, rho's, which validation takes anyway, and ``pt_spectrum``,
-    that of T_A rho.
+    that of T_A rho, which gptops.partial_transpose forms: gptops sits below
+    this module, so the state calls it with no import of its own.
     """
 
     dims: SubsystemDims
@@ -172,10 +174,9 @@ class DensityState:
     @functools.cached_property
     def pt_spectrum(self) -> np.ndarray:
         """T_A rho's ascending spectrum, np.linalg.eigvalsh of
-        gptops.partial_transpose(mat, dims, "A"), taken on first use and
-        read-only, with the same lower-triangle reading as spectrum."""
-        from .gptops import partial_transpose  # gptops imports this module
-
+        partial_transpose(mat, dims, "A"), the gptops function this module
+        imports, taken on first use and read-only, with the same
+        lower-triangle reading as spectrum."""
         spectrum = np.linalg.eigvalsh(partial_transpose(self.mat, self.dims, "A"))
         spectrum.setflags(write=False)
         return spectrum
@@ -192,11 +193,6 @@ def kron(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     (ar, ac), (br, bc) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ar * br, ac * bc)
-
-
-def vec(a) -> np.ndarray:
-    """Stack the columns of a into one column vector, row index fastest."""
-    return np.asarray(a, dtype=complex).reshape(-1, 1, order="F")
 
 
 @np.errstate(over="ignore")

@@ -56,9 +56,9 @@ def werner(d: int, f: float) -> LabeledState:
     for -1 <= f < 0.
     """
     if d < 2:
-        raise ParamOutOfRange(f"Werner dimension must be >= 2, got {d}")
+        raise ParamOutOfRange(f"d: Werner dimension must be >= 2, got {d}")
     if not -1.0 <= f <= 1.0:
-        raise ParamOutOfRange(f"Werner parameter must lie in [-1, 1], got {f}")
+        raise ParamOutOfRange(f"f: Werner parameter must lie in [-1, 1], got {f}")
     mat = ((d - f) * identity(d * d) + (d * f - 1.0) * swap_operator(d)) / (d**3 - d)
     return LabeledState(
         name="werner",
@@ -74,7 +74,7 @@ def horodecki_3x3(c: float) -> LabeledState:
     under partial transposition for every permissible c.
     """
     if not 0.0 < c < 1.0:
-        raise ParamOutOfRange(f"parameter must lie strictly inside (0, 1), got {c}")
+        raise ParamOutOfRange(f"c: parameter must lie strictly inside (0, 1), got {c}")
     half_sum = (1.0 + c) / 2.0
     cross = np.sqrt(1.0 - c * c) / 2.0
     mat = np.zeros((9, 9))
@@ -119,7 +119,7 @@ def random_separable(dims: SubsystemDims, k: int, seed: int) -> LabeledState:
     draws, normalizes and adds one term at a time.
     """
     if k < 1:
-        raise ParamOutOfRange(f"term count must be >= 1, got {k}")
+        raise ParamOutOfRange(f"k: term count must be >= 1, got {k}")
     m, n = dims.m, dims.n
     rng = _rng(seed)
     weights = rng.exponential(size=k)

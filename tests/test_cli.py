@@ -225,6 +225,23 @@ class TestCheck:
         assert captured.err.splitlines() == ["error: m*n must be >= 2, got m*n = 1 (m=1, n=1)"]
         assert not (tmp_path / "x.json").exists()
 
+    # Each state constructor's range error leads with the option it blames;
+    # of m and n, the first bad one.
+    @pytest.mark.parametrize("argv,line", [
+        (["horodecki", "--c", "1.5"], "c: parameter must lie strictly inside (0, 1), got 1.5"),
+        (["werner", "--d", "1"], "d: Werner dimension must be >= 2, got 1"),
+        (["werner", "--f", "2"], "f: Werner parameter must lie in [-1, 1], got 2.0"),
+        (["separable", "--k", "0"], "k: term count must be >= 1, got 0"),
+        (["separable", "--m", "0"], "m: subsystem dimensions must be >= 1, got (0, 3)"),
+        (["separable", "--n", "0"], "n: subsystem dimensions must be >= 1, got (3, 0)"),
+        (["random", "--m", "0", "--n", "0"], "m: subsystem dimensions must be >= 1, got (0, 0)"),
+    ], ids=["c", "d", "f", "k", "m", "n", "m-and-n"])
+    def test_out_of_range_field_exits_two_naming_it(self, capsys, argv, line):
+        assert main(["check", "--builtin", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {line}"]
+
     # Finite (a, b) whose map (ab overflows), bound (a squared factor
     # overflows) or statistic and bound (both overflow) are not finite.
     @pytest.mark.parametrize("a,b,yset", [
