@@ -158,7 +158,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             # O(d eps) > TOL_VERDICT.  0.0 is in AB_TEST_GRID and {rA,cA} in
             # all_subsets(), so detected would flag it.  Otherwise detected
             # stops at the first detecting class, and takes the SVD only of
-            # the maps that none of its four trace-norm bounds settles.
+            # the maps that none of its four screens settles; on the PPT
+            # states that reach it, its PPT screen settles the four mixed
+            # classes at once.
             oracles["ppt"] or detected(state, grid, subsets),
         )
         flags.append(row)

@@ -17,7 +17,6 @@ from .gptops import (
     all_subsets,
     gpt_transform,
     realign,
-    transform_digits,
 )
 from .matlin import (
     DensityState,
@@ -212,7 +211,7 @@ def verdict_blocks(
     finite by the caller; a ReductionParams unpacks as one.
     """
     stack = reduction_maps(rho, params)
-    codes, _, _, owner, limits, _ = _bound_table(tuple(params), rho.dims, tuple(ysets))
+    codes, owner, limits, _ = _bound_table(tuple(params), rho.dims, tuple(ysets))
     owners = owner.tolist()
     for c, code in enumerate(codes.tolist()):
         bound = limits[:, c].tolist()
@@ -263,78 +262,43 @@ def _corners_clear(rho: DensityState) -> bool:
     return norm <= 1 + TOL_VERDICT / 2 and corner * norm + defect <= corner * (1 + TOL_VERDICT / 2)
 
 
-@constant_cache(16, lambda m, n: m * n * (m + 1) * (n + 1))
-def _marginal_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_norm_sums' 0/1 maps on the composite digits (i, mu) of an m x n
-    state: kron(E_m, E_n) with E_d = [I_d | 1_d], whose slot d sums an
-    axis, and kron(F_m, F_n), where F_d's column 0 picks slot d and its
-    column 1 sums slots 0..d-1."""
-    def marginal(d: int) -> np.ndarray:
-        return np.eye(d + 1)[:d] + np.eye(d + 1)[d]
-
-    def norm(d: int) -> np.ndarray:
-        return np.stack([np.eye(d + 1)[d], 1.0 - np.eye(d + 1)[d]], axis=1)
-
-    return np.kron(marginal(m), marginal(n)), np.kron(norm(m), norm(n))
-
-
-def _norm_sums(stack: np.ndarray, dims) -> np.ndarray:
-    """Every column- and row-norm sum of every transform of a (k, d, d)
-    stack of maps, as a (k, 16) table.
-
-    View the squared magnitudes as sq[i, mu, j, nu].  Entry 8 s_i + 4 s_mu +
-    2 s_j + s_nu sums, over the values of the digits with s = 1, the square
-    root of the sum of sq over the digits with s = 0.  A transform's
-    column-norm sum is the entry whose s marks its column digits
-    (_norm_entry), and its row-norm sum is the complementary entry, 15 minus
-    that.  The maps of _marginal_maps give all 16 marginals of sq as one
-    (k, (m+1)(n+1), (m+1)(n+1)) array in two matrix products, slot d of an
-    axis holding its sum; after one sqrt, two more products pick slot d or
-    sum the others.  Callers run it with overflow and invalid ignored: a
-    square or sum that is not finite makes inf or, through 0 * inf, NaN
-    entries.
-    """
-    marginal, norm = _marginal_maps(dims.m, dims.n)
-    sums = np.sqrt(marginal.T @ (stack.real ** 2 + stack.imag ** 2) @ marginal)
-    return (norm.T @ sums @ norm).reshape(len(stack), 16)
+def _ppt_clears(rho: DensityState) -> bool:
+    """detected's screen 3: whether every pair of the mixed classes cB, rB,
+    cA and cA,rB,cB clears its bound by TOL_VERDICT/2, read off the state's
+    two cached spectra, its skew norm s = ||rho - rho^†||_F and its trace
+    defect; e = d^2 eps covers eigvalsh's rounding."""
+    m, n = rho.dims.m, rho.dims.n
+    d = m * n
+    skew = rho.mat - rho.mat.conj().T
+    s = math.sqrt(float(np.vdot(skew, skew).real))
+    lam = max(0.0, s / 2 - float(rho.spectrum[0]), s / 2 - float(rho.pt_spectrum[0]))
+    e = d * d * float(np.finfo(float).eps)
+    defect = abs(complex(rho.mat.trace()) - 1.0)
+    return (2 * d * (lam + e) + (d + 1) * defect + math.sqrt(max(m, n) / 2) * (1 + m + n) * s
+            <= TOL_VERDICT / 2)
 
 
-def _norm_entry(member: GptOpSet) -> int:
-    """The entry of _norm_sums that holds the column-norm sum of member's
-    transform: bit 3 - axis set for each column digit, axes numbered
-    (i, mu, j, nu)."""
-    return sum(1 << (3 - axis) for axis, in_rows in transform_digits(member) if not in_rows)
-
-
-# A mixed class's Hermitian partner, by code: conjugate transposition swaps
-# each row flag with its column flag, so ||Y_rB X||_1 = ||Y_cB X^†||_1 and
-# ||Y_{cA,rB,cB} X||_1 = ||Y_cA X^†||_1 (detected's screen 3).
-_PARTNERS = {1: 2, 2: 1, 4: 7, 7: 4}
-
-
-@constant_cache(8, lambda params, dims, ysets: 10 * len(params) + len(ysets) + 24)
+@constant_cache(8, lambda params, dims, ysets: 10 * len(params) + len(ysets) + 8)
 def _bound_table(params: tuple, dims, ysets: tuple) -> tuple[np.ndarray, ...]:
     """The complement classes {y, complement of y} of ysets and their bounds
-    over params, read-only, as (codes, column, partner, owner, limits,
-    roots).
+    over params, read-only, as (codes, owner, limits, roots).
 
     The classes come in order of their first request, each as the code 4 cA
     + 2 rB + cB of its member without rA, the subset of all_subsets() at
     that index.  A subset and its complement have transposed transforms,
     hence the same statistic and bound; a subset with rA is served by its
     complement, whose code is 7 minus its own.  owner[j] is the class that
-    serves ysets[j].  column is each class's _norm_sums entry of its
-    column-norm sum, and partner the index of its Hermitian partner among
-    the classes before it, or -1.  limits is the (k, classes) table of the
-    bounds h_a * h_b, Python float products, so its entries have the bits
-    of scalar arithmetic.  A bound depends on the member's flags only
-    through (not cA, rB == cB), so each side's list of factors, keyed by
-    its flags being equal, is built once, with one _factor call per
-    parameter: compare's grid takes 144.  roots holds the realignment
-    class's two root-factor lists as (k, 2) columns h_a, h_b, or is empty,
-    (0, 2), where that class is not requested.  The table depends on nothing but its
-    arguments, so compare's grid builds it once for every state, and a
-    sweep once for every state with the same b stack.
+    serves ysets[j].  limits is the (k, classes) table of the bounds h_a *
+    h_b, Python float products, so its entries have the bits of scalar
+    arithmetic.  A bound depends on the member's flags only through (not
+    cA, rB == cB), so each side's list of factors, keyed by its flags being
+    equal, is built once, with one _factor call per parameter: compare's
+    grid takes 144.  roots holds the realignment class's two root-factor
+    lists as (k, 2) columns h_a, h_b, or is empty, (0, 2), where that class
+    is not requested.  The table depends on nothing but its arguments, so
+    compare's grid builds it once for every state, and a sweep once for
+    every state with the same b stack.  It holds at most 8 + len(ysets) +
+    8k + 2k entries, the count its cache keeps it by.
     """
     codes: list[int] = []
     owner = []
@@ -354,12 +318,9 @@ def _bound_table(params: tuple, dims, ysets: tuple) -> tuple[np.ndarray, ...]:
         if same_b not in h_b:
             h_b[same_b] = [_factor(b, dims.n, same_b) for _, b in params]
         bounds.append([x * y for x, y in zip(h_a[same_a], h_b[same_b])])
-    partner = [codes[:c].index(_PARTNERS[code]) if _PARTNERS.get(code) in codes[:c] else -1
-               for c, code in enumerate(codes)]
     roots = [h_a[False], h_b[False]] if 6 in codes else [[], []]
-    column = [_norm_entry(all_subsets()[code]) for code in codes]
-    return (np.array(codes, dtype=int), np.array(column), np.array(partner, dtype=int),
-            np.array(owner, dtype=int), np.array(bounds).T, np.array(roots).T)
+    return (np.array(codes, dtype=int), np.array(owner, dtype=int),
+            np.array(bounds).T, np.array(roots).T)
 
 
 def detected(
@@ -370,23 +331,19 @@ def detected(
     """Whether any pair (params[i], ysets[j]) is flagged: what
     ``any(any(b.entangled) for b in verdict_blocks(rho, params, ysets))``
     returns, raising what it raises, with an SVD only of the maps that four
-    upper bounds on the trace norm leave unsettled.  A pair flags where its
-    excess tops T * max(1, bound), T = TOL_VERDICT.  The classes, their
-    bounds and their partners come from _bound_table, built once per
-    (params, dims, ysets).
+    screens leave unsettled.  A pair flags where its excess tops T *
+    max(1, bound), T = TOL_VERDICT.  The classes and their bounds come from
+    _bound_table, built once per (params, dims, ysets), and are taken in
+    order of first request.
 
-    1. Column/row sums, every class in one pass.  Write a class member's
-       transform X by its columns, X = sum_j x_j e_j^†.  Each term has rank
-       one and trace norm ||x_j||_2, so ||X||_1 <= sum_j ||x_j||_2, and
-       likewise for the rows.  Every transform only permutes the entries of
-       its map, so a column-norm sum adds, over the column digits, square
-       roots of sums of squared magnitudes over the row digits, and a
-       row-norm sum swaps the two roles.  _norm_sums builds all 16 such
-       sums of every map as one (k, 16) table, from the 16 marginals of the
-       squared magnitudes, without a transposed copy; each class reads its
-       two entries, and the test runs over all classes at once.  A pair is
-       settled where the smaller sum is at most its finite bound.  Only
-       the classes left with an open pair go on, in order of first request.
+    1. Frobenius norms, one per map.  Every transform only permutes the
+       entries of its map, so ||X||_F is the same for all of them, and the
+       Frobenius class {cA,cB}, whose transform is the vector of X's
+       entries, has ||X||_F as its statistic.  That class settles a pair
+       where ||X||_F is at most its bound plus T/2 * max(1, bound).  The
+       SVD of a vector and ||X||_F round alike, by O(d eps) of the norm, so
+       the full path would not flag such a pair, for any m and n.
+       Screens 2 to 4 see only pairs whose ||X||_F and bound are finite.
 
     2. Trace norms, classes none and rB,cB together.  The map is
        bilinear: X(a, b) = sum_c w'_c X_c over the corners c in {0, 1}^2,
@@ -421,29 +378,50 @@ def detected(
        any input, checked or not; the trace term keeps off-trace input
        sound.  Where the larger is at most 1 + T/2, and (m-1)(n-1) times it plus
        the trace term at most (1 + T/2)(m-1)(n-1), both classes settle
-       every open pair with finite sums and bound; else both go to the
-       SVD.  On a unit-trace PSD state that is the trace-norm PPT test
+       every pair with finite norm and bound; else both go to the SVD.
+       On a unit-trace PSD state that is the trace-norm PPT test
        ||T_A rho||_1 <= 1 + T/2.
 
-    3. Hermitian partners, the mixed classes cB, rB, cA and cA,rB,cB.
-       Conjugate transposition moves the entry at (i, mu; j, nu) to (j, nu;
-       i, mu), so it swaps each row flag with its column flag: the
-       transform of X^† under a subset is, up to conjugation, a transpose
-       and an order of rows and columns, that of X under the subset with rA
-       and cA, and rB and cB, swapped.  Up to complements that maps cB to
-       rB and cA to cA,rB,cB, and each of the other four classes to itself.
-       Hence ||Y_rB X||_1 = ||Y_cB X^†||_1 and ||Y_{cA,rB,cB} X||_1 = ||Y_cA
-       X^†||_1, and two partners share their bounds, as their flags differ
-       only in rB and cB, which are unequal in both or equal in both.
-       By the triangle inequality and ||Z||_1 <= sqrt(r) ||Z||_F for a
-       matrix Z whose smaller side is r, ||Y_S X||_1 <= ||Y_P X||_1 +
-       sqrt(r) ||X - X^†||_F, for the member S and its partner P, with r = m
-       for cB and rB and n for the other two.  So the member decided second
-       settles an open pair where its partner's known upper bound, the
-       partner's smaller column/row sum or its SVD statistic, plus sqrt(r)
-       ||X - X^†||_F, is at most (1 + T/2) bound.  At real (a, b) on a
-       Hermitian state X is Hermitian, and the second member takes no SVD
-       the first did not need.
+    3. PPT, the mixed classes cB, rB, cA and cA,rB,cB, on a checked state.
+       On a PSD, PPT state with m, n >= 2, no mixed class exceeds its
+       bound at any complex (a, b).  Take cB, whose bound is (|1-a| +
+       (m-1)|a|) h_b with the root factor h_b.  X(a, b) = (1-a) X(0, b) +
+       a X(1, b), so it is enough that ||Y X(0, b)||_1 <= h_b and ||Y X(1,
+       b)||_1 <= (m-1) h_b.  The transform keeps only A's column digit
+       among its columns, so ||Y_cB X||_1 = tr sqrt(tr_B(X^† X)); at (0, b),
+       X = rho - b rho_A kron I, that is tr sqrt(tr_B rho^2 + (h_b^2 - 1)
+       rho_A^2).  Cauchy-Schwarz with weight rho_A bounds it by
+       sqrt(tr((rho_A^-1 kron I) rho^2) + h_b^2 - 1), and tr((rho_A^-1
+       kron I) rho^2) <= 1 wherever 0 <= rho <= rho_A kron I: the
+       reduction criterion, which PPT implies (Horodecki & Horodecki, PRA
+       59, 4206 (1999)).  X(1, b) = -(Phi kron id)(id kron Psi_b)(T_A rho),
+       with Phi as in screen 2, CP with Phi(I) = Phi*(I) = (m-1) I, and
+       Psi_b(Z) = Z - b tr(Z) I; T_A rho is PSD and PPT too, so the same
+       steps give the (m-1) h_b corner.  rB follows by conjugate
+       transposition, and cA and cA,rB,cB by swapping A and B.
+       The theorem reaches states that are only nearly PSD and PPT.  A
+       Hermitian H of trace 1 with lambda = max(0, -lambda_min(H),
+       -lambda_min(T_A H)) is (1 + t) rho' - t I/d, t = d lambda, with rho'
+       PSD and PPT and I/d separable, so every mixed class's excess is at
+       most 2 d lambda * bound.  On any matrix rho with m, n >= 2, take H
+       its Hermitian part, s = ||rho - rho^†||_F and delta = |tr rho - 1|.
+       The lower triangles eigvalsh reads lie within s/2 of H and T_A H in
+       norm (see screen 2), so by Weyl lambda <= max(0, s/2 - spectrum[0],
+       s/2 - pt_spectrum[0]).  A trace tau = Re tr rho other than 1 scales
+       H and adds (1 - tau) ab I, whose transform's trace norm is at most d
+       |ab| <= d * bound, so the excess gains at most (d + 1) delta *
+       bound.  The skew part K/2 = (rho - rho^†)/2 adds K/2 - a I kron
+       (K/2)_B - b (K/2)_A kron I, of Frobenius norm at most (1 + m|a| +
+       n|b|) s/2, and the bound is at least max(1, |a|) max(1, |b|)/sqrt(2),
+       so its transform adds at most sqrt(r/2) (1 + m + n) s * bound, r =
+       max(m, n) covering each transform's smaller side.  _ppt_clears
+       settles all four classes at once where 2 d (lambda + e) + (d + 1)
+       delta + sqrt(r/2) (1 + m + n) s <= T/2, e = d^2 eps covering
+       eigvalsh's rounding; else they go to the SVD.  On a unit-trace PSD
+       state that is the PPT test lambda_min(T_A rho) >= -T/(4d) less
+       rounding.  The screen runs on checked states only, whose rho
+       spectrum validation took and whose defects it bounds; an unchecked
+       state's mixed classes take the SVD.
 
     4. One product bound and its supremum, the realignment class {cA,rB}
        only.  The map is rho~ = (aI - rho_A) kron (bI - rho_B) + Delta,
@@ -466,17 +444,13 @@ def detected(
        plus delta (h_a + h_b + delta); as h >= 1/sqrt(2), that is at most z
        * max(1, bound), z = max(ZZZG, 0) + delta (2 sqrt(2) + 2 delta).
        So the class first tries the one scalar z <= T/2, which settles every
-       open pair with finite sums and bound at once, and goes pair by pair
+       pair with finite norm and bound at once, and goes pair by pair
        only where that fails or alpha or beta is below 0 (an entangled state
        that ZZZG detects, or a pure reduction whose purity rounds past 1).
        _split_settles rounds each term outward by e = d^2 eps, relative to
        (h + delta)^2 on each side, as that may be 1e10 at |a| = 1e5 while
        alpha is about 1: generous against the few roundings in each, so the
        computed bound is at least the exact one.
-       The Frobenius class {cA,cB} is a d^2-vector, which screen 1 already
-       decides exactly; the classes cA, cB, rB and cA,rB,cB keep a square
-       factor xI - rho_X on one side, so their product term is no rank-one
-       matrix.
 
     Screens 2 to 4 run only for m, n >= 2.  With a factor of dimension 1 a
     linear factor |1-a| vanishes at a = 1, so a pair's bound no longer
@@ -485,26 +459,18 @@ def detected(
 
     Rounding: the full path's statistic and each computed bound above round
     by O(d * eps * bound) (the statistic's worst measured excess is 0.67 eps
-    d ||rho~||_F).  Each entry of screen 1's table is a sum of non-negative
-    terms in whatever order the matrix products take: two rounds of at most
-    d terms each for a marginal, one sqrt, and two more such rounds, where
-    the zero terms of the 0/1 maps add exactly.  Any order of adding n
-    non-negative terms rounds by at most (n - 1) eps/2 relative, so an
-    entry is within about 1.5 d eps of its exact value, an O(d * eps *
-    bound) error wherever it settles a pair, as with axis sums in any other
-    order.  Squares that underflow lose under 1e-154 per entry.  For m, n >=
-    2, h(x) >= max(1, |x|) for a linear factor and h(x) >= max(1/sqrt(2),
-    |x|) for a root one, so a pair's bound is at least half the map's
-    coefficients 1, |a|, |b|, |ab|; a state that clears screen 2 has rho,
-    I kron rho_B and rho_A kron I at norms of about 1, m and n.  So the
-    computed map, its SVD, a partner's SVD statistic or column/row sum, and
-    screen 2's spectra, skew term and trace round by O(d^2 eps bound), about 1e-13
-    bound at d = 9 and 1e-11 bound at d = 100, far inside the T/2 * max(1,
-    bound) that screens 2 to 4 leave below the flag line.  So the full path
-    would flag no settled pair.  Nor would it raise on one: screens 2 to 4
-    see only pairs whose column/row sums and bound are finite, so each
-    squared entry of the map is finite, and its statistic, below d**2 *
-    sqrt(float max), is too.
+    d ||rho~||_F).  For m, n >= 2, h(x) >= max(1, |x|) for a linear factor
+    and h(x) >= max(1/sqrt(2), |x|) for a root one, so a pair's bound is at
+    least half the map's coefficients 1, |a|, |b|, |ab|; a state that
+    clears screen 2 or 3 has rho, I kron rho_B and rho_A kron I at norms of
+    about 1, m and n.  So the computed map, its SVD, and the spectra, skew
+    terms and traces of screens 2 and 3 round by O(d^2 eps bound), about
+    1e-13 bound at d = 9 and 1e-11 bound at d = 100, far inside the T/2 *
+    max(1, bound) that screens 2 to 4 leave below the flag line.  So the
+    full path would flag no settled pair.  Nor would it raise on one: every
+    screen sees only pairs whose bound and ||X||_F, the square root of a
+    sum of squares, are finite, so ||X||_F <= sqrt(float max), and the
+    statistic, at most sqrt(d) ||X||_F, is finite too.
 
     Every other parameter takes the full path's arithmetic: the SVD of its
     own map and _judge.  numpy's stacked SVD takes each matrix alone, so an
@@ -513,41 +479,30 @@ def detected(
     (a, b).  params are (a, b) pairs of complex the caller checked finite.
     """
     stack = reduction_maps(rho, params)
-    codes, column, partner, _, limits, roots = _bound_table(tuple(params), rho.dims, tuple(ysets))
-    if not len(codes):
-        return False
+    codes, _, limits, roots = _bound_table(tuple(params), rho.dims, tuple(ysets))
     m, n = rho.dims.m, rho.dims.n
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum or bound leaves a pair open
-        sums = _norm_sums(stack, rho.dims)
-        known = np.minimum(sums[:, column], sums[:, 15 - column])  # the row sum is the complement
-        finite = np.isfinite(known) & np.isfinite(limits)
-        settled = finite & (known <= limits)
-        clear = skew = None  # _corners_clear and ||X - X^†||_F, each on first use
-        for c in np.flatnonzero(~settled.all(axis=0)):  # classes with an open pair, in order
-            code, limit = int(codes[c]), limits[:, c]
-            member = all_subsets()[code]
-            unsettled = np.flatnonzero(~settled[:, c])
-            screened = finite[unsettled, c]  # screens 2 to 4 see finite sums and bounds only
-            if not screened.any() or m == 1 or n == 1:  # screens 2 to 4 need m, n >= 2
-                pass
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm or bound not finite leaves its pairs open
+        norm = np.linalg.norm(stack, axis=(1, 2))
+        finite = np.isfinite(norm)[:, None] & np.isfinite(limits)
+        clear = mixed = None  # screens 2 and 3, each on first use
+        for c, code in enumerate(codes.tolist()):
+            limit = limits[:, c]
+            if code == 5:  # the Frobenius class
+                settles = norm <= limit + TOL_VERDICT / 2 * np.maximum(limit, 1.0)
+            elif m == 1 or n == 1:  # screens 2 to 4 need m, n >= 2
+                settles = False
             elif code == 6:  # the realignment class
-                settles = _split_settles(rho, roots[unsettled], limit[unsettled])
-                unsettled = unsettled[~(screened & settles)]
+                settles = _split_settles(rho, roots, limit)
             elif code in (0, 3):  # none and rB,cB
                 clear = _corners_clear(rho) if clear is None else clear
-                if clear:
-                    unsettled = unsettled[~screened]
-            elif partner[c] >= 0:  # cB or rB, cA or cA,rB,cB, after its partner
-                if skew is None:
-                    skew = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
-                side = n if member.cA else m  # the transform's smaller side
-                upper = known[unsettled, partner[c]] + math.sqrt(side) * skew[unsettled]
-                cap = (1 + TOL_VERDICT / 2) * limit[unsettled]
-                unsettled = unsettled[~(screened & (upper <= cap))]
+                settles = clear
+            else:  # the mixed classes
+                mixed = (rho.checked and _ppt_clears(rho)) if mixed is None else mixed
+                settles = mixed
+            unsettled = np.flatnonzero(~(finite[:, c] & settles))
             if unsettled.size == 0:
                 continue
-            statistic = trace_norm(gpt_transform(stack[unsettled], rho.dims, member))
-            known[unsettled, c] = statistic
+            statistic = trace_norm(gpt_transform(stack[unsettled], rho.dims, all_subsets()[code]))
             _, entangled = _judged(statistic, limit[unsettled].tolist(),
                                    [params[i] for i in unsettled])
             if any(entangled):

@@ -32,7 +32,7 @@ def constant_cache(maxsize: int, entries: Callable[..., int]):
     maxsize results, each made read-only, that keeps only a result whose
     entries(*args) <= CACHE_ENTRIES and builds any larger one afresh.  So a
     cache holds at most maxsize * CACHE_ENTRIES entries.  The cache's
-    cache_info and cache_clear are the wrapper's."""
+    cache_info and cache_clear are the wrapper's, and so is entries."""
     def wrap(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
         @functools.wraps(build)
         def read_only(*args, **kwargs):
@@ -49,6 +49,7 @@ def constant_cache(maxsize: int, entries: Callable[..., int]):
             return (cached if keep else read_only)(*args, **kwargs)
 
         constant.cache_info, constant.cache_clear = cached.cache_info, cached.cache_clear
+        constant.entries = entries
         return constant
     return wrap
 

@@ -97,8 +97,17 @@ def _axis_size(start: float, stop: float, step: float) -> float:
 
 def axis_points(start: float, stop: float, step: float) -> list[float]:
     """Points start + k*step up to stop, with the final point clamped to
-    stop to avoid accumulation drift."""
-    points = [start + k * step for k in range(int(_axis_size(start, stop, step)))]
+    stop to avoid accumulation drift.  An axis with an entry that is not
+    finite, or of more than MAX_GRID_POINTS points, raises ParamOutOfRange
+    naming it."""
+    axis = (start, stop, step)
+    if not all(math.isfinite(x) for x in axis):
+        raise ParamOutOfRange(f"axis must be finite, got (start, stop, step) = {axis}")
+    size = _axis_size(*axis)
+    if size > MAX_GRID_POINTS:
+        raise ParamOutOfRange(f"axis (start, stop, step) = {axis} has {size:.10g} points,"
+                              f" more than {MAX_GRID_POINTS}")
+    points = [start + k * step for k in range(int(size))]
     if abs(points[-1] - stop) <= step * 1e-6:
         points[-1] = stop
     return points

@@ -36,8 +36,7 @@ from sepscope.criteria import (
     _bound_table,
     _corners_clear,
     _map_coefficients,
-    _norm_entry,
-    _norm_sums,
+    _ppt_clears,
     _split_settles,
     detected,
     ppt_check,
@@ -166,7 +165,7 @@ class TestBlocks:
         subsets = all_subsets()
         # Counter order reversed: each class is first requested through its
         # member with rA, then through the one without.
-        codes, _, _, owner, _, _ = _bound_table(COMPLEX_PARAMS, SubsystemDims(2, 3), subsets[::-1])
+        codes, owner, _, _ = _bound_table(COMPLEX_PARAMS, SubsystemDims(2, 3), subsets[::-1])
         for c, code in enumerate(codes.tolist()):
             served = np.flatnonzero(owner == c).tolist()
             assert subsets[code] is subsets[15 - served[1]]
@@ -260,10 +259,10 @@ COMPARE_GRID = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TES
 CORNERS = ((0j, 0j), (1 + 0j, 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j))
 HERMITIAN_CLASSES = (GptOpSet(), GptOpSet(rB=True, cB=True))
 
-# The mixed classes as (first, second) Hermitian partners, in the order
-# screen 3 decides them, and the realignment class of screen 4.
-PARTNER_CLASSES = ((GptOpSet(cB=True), GptOpSet(rB=True)),
-                   (GptOpSet(cA=True), GptOpSet(cA=True, rB=True, cB=True)))
+# The mixed classes, which screen 3 decides, and the realignment class of
+# screen 4.
+MIXED_CLASSES = (GptOpSet(cB=True), GptOpSet(rB=True), GptOpSet(cA=True),
+                 GptOpSet(cA=True, rB=True, cB=True))
 REALIGNMENT = GptOpSet(cA=True, rB=True)
 
 
@@ -292,15 +291,16 @@ class TestCompareEarlyExit:
         monkeypatch.setattr(criteria, "gpt_transform",
                             lambda rho, dims, y: transforms.append(y) or original(rho, dims, y))
         # The state f = -1 on compare's grid.  It is NPT, ||T_A rho||_1 > 1,
-        # so screen 2 fails and the first class, none, takes its open pairs
+        # so screen 2 fails and the first class, none, takes its pairs
         # through one transform and an SVD, which flags none of them (the
-        # state passes the reduction criterion).  The second and third
-        # classes, {cB} and {rB}, are settled by the norm bound without a
-        # transform.  The fourth, {rB,cB} and {rA,cA}, takes its open pairs
-        # through one transform and the SVD, which detects it at (0, 0), the
-        # partial transpose; the four classes after it are never computed.
+        # state passes the reduction criterion).  Screen 3 fails too, so the
+        # second and third classes, {cB} and {rB}, take one transform each
+        # and flag nothing.  The fourth, {rB,cB} and {rA,cA}, takes its
+        # pairs through one transform and the SVD, which detects it at (0,
+        # 0), the partial transpose; the four classes after it are never
+        # computed.
         assert detected(werner(3, -1.0).state, COMPARE_GRID, all_subsets())
-        assert [y.code for y in transforms] == ["none", "rB,cB"]
+        assert [y.code for y in transforms] == ["none", "cB", "rB", "rB,cB"]
 
     @pytest.mark.parametrize("argv,count,calls", [
         (["--family", "werner-3"], 1, 0),  # f = -1: NPT, so its PPT flag is grc's
@@ -338,12 +338,9 @@ class TestCompareEarlyExit:
         # The state of seed 0 (3x3, k = 12).  The realignment oracle and
         # ZZZG's residual take single matrices; the full path would take
         # stacks of 36 maps in each of the 8 classes, 288 maps in all.  The
-        # column/row screen alone left 80 maps open; screen 2, the
-        # Hermitian partners and ZZZG leave 6, all in cB and cA.
+        # Frobenius norms, screen 2, PPT and ZZZG leave none.
         assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
-        assert maps[0] == ()
-        assert sum(shape[0] for shape in maps if shape) == 6 < 80
-        assert maps.count(()) == 1 + 1
+        assert maps == [(), ()]
 
 
 # detected's trace-norm maps per state on compare's grid with all 16
@@ -351,13 +348,9 @@ class TestCompareEarlyExit:
 # bounds, so a change that weakens a screen fails here, not only in the
 # benchmark.  Each corpus is built from its index i < 20.
 SVD_MAPS = {
-    "separable-k12-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 12, i).state,
-                          [7, 7, 3, 7, 9, 3, 3, 6, 5, 3, 9, 11, 9, 3, 3, 10, 7, 5, 3, 6]),
-    "separable-k1-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 1, i).state,
-                         [61, 101, 63, 61, 61, 61, 65, 61, 61, 75,
-                          61, 70, 65, 87, 73, 106, 104, 63, 61, 69]),
-    "horodecki": (lambda i: horodecki_3x3((i + 1) / 21).state,
-                  [21, 16, 14, 12, 12, 12, 12, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11]),
+    "separable-k12-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 12, i).state, [1] * 20),
+    "separable-k1-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 1, i).state, [1] * 20),
+    "horodecki": (lambda i: horodecki_3x3((i + 1) / 21).state, [11] * 20),
 }
 
 
@@ -453,6 +446,14 @@ def real_or_complex_scalar():
     real = st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
                      st.floats(-3.0, 5.0), st.sampled_from([-1.0, 1.0]))
     return st.one_of(real, complex_scalar())
+
+
+def isotropic_state(q, check=True):
+    """q|Phi+><Phi+| + (1-q) I/4 on 2x2: PSD for -1/3 <= q <= 1, PPT for q
+    <= 1/3."""
+    ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    return DensityState(SubsystemDims(2, 2), q * np.outer(ket, ket) + (1 - q) * np.eye(4) / 4,
+                        check=check)
 
 
 def near_psd_state(m, n, seed, eigenvalue=-0.9e-9):
@@ -586,27 +587,21 @@ class TestDetected:
                 for y in all_subsets()[:8]:
                     assert detected(state, params, (y,)) == full_path(state, params, (y,))
 
-    def test_overflowing_square_stays_open(self, monkeypatch):
-        # The map's entries reach 1e160, so their squares overflow, and every
-        # column and row sum is inf, or NaN where a 0/1 map multiplies an inf
-        # by 0.
-        import sepscope.criteria as criteria
-
-        state = random_density_state(SubsystemDims(3, 3), 1).state
-        params = [(0.5 + 0j, 0.5 + 0j), (1e160 + 0j, 1e-10 + 0j)]
+    def test_overflowing_square_stays_open(self):
+        # The map's entries reach 1e200, so their squares overflow, and its
+        # Frobenius norm, screen 1's finiteness guard, is inf, while every
+        # bound is finite.  The state is separable, so screens 2 to 4 would
+        # settle the pair; the guard leaves it to the SVD in each of their
+        # classes instead, and the SVD flags nothing.
+        state = random_separable(SubsystemDims(3, 3), 12, 0).state
+        params = [(0.5 + 0j, 0.5 + 0j), (1e100 + 0j, -1e100j)]
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _norm_sums(reduction_maps(state, params), state.dims)
-        assert np.isfinite(sums[0]).all()
-        assert not np.isfinite(sums[1]).any()
-        # In class none its bound is finite and the full path's SVD leaves it
-        # unflagged; no screen may settle it first.
-        assert not full_path(state, params[1:], (GptOpSet(),))
-        maps = []
-        original = criteria.trace_norm
-        monkeypatch.setattr(criteria, "trace_norm",
-                            lambda mat: maps.append(np.shape(mat)) or original(mat))
-        assert not detected(state, params[1:], (GptOpSet(),))
-        assert maps == [(1, 9, 9)]
+            norms = np.linalg.norm(reduction_maps(state, params), axis=(1, 2))
+        assert np.isfinite(norms[0]) and norms[1] == np.inf
+        assert _corners_clear(state) and _ppt_clears(state) and _split_settles(state, *NO_PAIRS)
+        for y in (GptOpSet(), GptOpSet(cB=True), REALIGNMENT):
+            assert not full_path(state, params[1:], (y,))
+            assert svd_shapes(state, params[1:], (y,))[-1:] == [(1,)]
 
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
@@ -658,22 +653,35 @@ class TestDetected:
 
     @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
     def test_screen_one_edge_flags(self, p):
-        # (1-p)|00><00| + p|Phi+><Phi+| at (0, 0) in the realignment class
-        # alone, flagged with excess p.  The realigned map is rank one, so
-        # its smaller column/row sum equals its statistic to rounding, and a
-        # screen 1 that settled pairs with upper 0.1% below its value would
-        # drop the flag.
-        ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-        mat = (1 - p) * np.diag([1.0, 0.0, 0.0, 0.0]) + p * np.outer(ket, ket)
-        state = DensityState(SubsystemDims(2, 2), mat)
-        pair, realignment = ((0j, 0j),), (GptOpSet(cA=True, rB=True),)
-        (block,) = verdict_blocks(state, pair, realignment)
-        column = _norm_entry(realignment[0])
-        sums = _norm_sums(reduction_maps(state, pair), state.dims)[0]
-        upper = min(sums[column], sums[15 - column])
-        assert upper == pytest.approx(block.statistic[0], rel=1e-15)
+        # q|Phi+><Phi+| + (1-q) I/4 with q = (1 + 2p)/sqrt(3) at (1/2, 1/2)
+        # in the Frobenius class alone: the map is q(|Phi+><Phi+| - I/4), of
+        # Frobenius norm sqrt(3) q/2 = 1/2 + p, against the bound 1/2, so
+        # the pair is flagged with excess p.  The class's statistic is that
+        # norm to rounding, and a screen 1 that settled pairs up to 0.1% over
+        # the bound would drop the flag.
+        state = isotropic_state((1 + 2 * p) / np.sqrt(3))
+        pair, frobenius = ((0.5 + 0j, 0.5 + 0j),), (GptOpSet(cA=True, cB=True),)
+        (block,) = verdict_blocks(state, pair, frobenius)
+        norm = np.linalg.norm(reduction_maps(state, pair)[0])
+        assert norm == pytest.approx(block.statistic[0], rel=1e-15)
+        assert block.bound[0] == pytest.approx(0.5, rel=1e-15)
+        assert block.statistic[0] - 0.5 == pytest.approx(p, rel=1e-9)
         assert block.entangled == [True]
-        assert detected(state, pair, realignment) is True
+        assert detected(state, pair, frobenius) is True
+
+    @pytest.mark.parametrize("excess,svds", [(0.45, 0), (0.55, 1)])
+    def test_screen_one_margin_edge(self, excess, svds):
+        # The same pair and class, unflagged with an excess of 0.45 or 0.55
+        # TOL_VERDICT over the bound 1/2: screen 1 settles it within its
+        # TOL_VERDICT/2 * max(1, bound) clearance and leaves it to the SVD
+        # past that.  A clearance relative to the bound alone, or of
+        # TOL_VERDICT, changes the count.
+        state = isotropic_state((1 + 2 * excess * TOL_VERDICT) / np.sqrt(3))
+        pair, frobenius = ((0.5 + 0j, 0.5 + 0j),), (GptOpSet(cA=True, cB=True),)
+        (block,) = verdict_blocks(state, pair, frobenius)
+        assert block.statistic[0] - 0.5 == pytest.approx(excess * TOL_VERDICT, rel=1e-6)
+        assert block.entangled == [False]
+        assert svd_shapes(state, pair, frobenius) == [(1,)] * svds
 
     def test_screen_two_edge_flags(self):
         # The unchecked diag(1 + 3 nu, -nu, -nu, -nu), 2x2, nu = 0.18
@@ -836,36 +844,6 @@ class TestDetected:
         assert [detected(state, grid, (y,)) for y in all_subsets()] == flags
 
 
-class TestNormSums:
-    @settings(max_examples=150)
-    @given(state=kernel_states(), params=st.lists(kernel_params(), min_size=1, max_size=6))
-    def test_entries_are_column_and_row_norm_sums(self, state, params):
-        # Each class reads its column-norm sum at _norm_entry and its row-norm
-        # sum at the complement; both bound the SVD trace norm.
-        stack = reduction_maps(state, params)
-        sums = _norm_sums(stack, state.dims)
-        eps, d = np.finfo(float).eps, state.dims.total
-        for y in all_subsets():
-            x = gpt_transform(stack, state.dims, y)
-            sq = x.real ** 2 + x.imag ** 2
-            column, row = np.sqrt(sq.sum(-2)).sum(-1), np.sqrt(sq.sum(-1)).sum(-1)
-            entry = _norm_entry(y)
-            np.testing.assert_allclose(sums[:, entry], column, rtol=8 * eps, atol=0)
-            np.testing.assert_allclose(sums[:, 15 - entry], row, rtol=8 * eps, atol=0)
-            upper = np.minimum(sums[:, entry], sums[:, 15 - entry])
-            assert np.all(np.array(trace_norm(x)) <= upper * (1 + d * eps))
-
-    def test_entry_digits(self):
-        # Every member without rA keeps i among its row digits; the
-        # realignment class's columns are (mu, nu), the partial transpose's
-        # (i, nu) and the Frobenius vector has none.
-        codes = {y.code: _norm_entry(y) for y in all_subsets()}
-        assert codes["none"] == 0b0011 and codes["rA,cA,rB,cB"] == 0b1100
-        assert codes["cA,rB"] == 0b0101 and codes["rA,cA"] == 0b1001
-        assert codes["cA,cB"] == 0b0000 and codes["rA,rB"] == 0b1111
-        assert sorted(codes.values()) == list(range(16))
-
-
 class TestCorners:
     @settings(max_examples=150)
     @given(
@@ -998,13 +976,12 @@ class TestCorners:
         # The realignment class flags there too, and goes to the SVD alike.
         assert full_path(state, params, (REALIGNMENT,))
         assert detected(state, params, (REALIGNMENT,))
-        # A thousand times nearer, every mixed class is open and unflagged at
-        # under TOL_VERDICT/2 * bound, so a partner screen would settle the
-        # second member of each pair; both members reach the SVD instead.
+        # A thousand times nearer, every mixed class is unflagged, and the
+        # state is PSD and PPT, so screen 3 would settle all four; each
+        # reaches the SVD instead.
         near = (tuple(complex(x) * (1e-3 if abs(x) > 2 else 1) for x in pair),)
-        for pair_classes in PARTNER_CLASSES:
-            maps = svd_shapes(state, near, pair_classes)
-            assert maps == [(1,), (1,)]
+        assert _ppt_clears(state) is True
+        assert svd_shapes(state, near, MIXED_CLASSES) == [(1,)] * 4
 
 
 class TestStateSpectra:
@@ -1088,77 +1065,90 @@ class TestMapCoefficients:
         assert _map_coefficients.cache_info().hits == 1
 
 
-class TestPartners:
+def noisy_state(m, n, seed, f):
+    """p rho + (1 - p) I/d for a random rho, with p f times the weight at
+    which the mixture's T_A turns PSD, capped at 1: PPT for f <= 1, and
+    slightly NPT past it where rho is NPT."""
+    d, dims = m * n, SubsystemDims(m, n)
+    rho = random_density(d, seed)
+    low = np.linalg.eigvalsh(partial_transpose(rho, dims, "A"))[0]
+    p = min(1.0, f / (1 - d * low)) if low < 0 else 1.0
+    return DensityState(dims, p * rho + (1 - p) * np.eye(d) / d)
+
+
+class TestPptScreen:
     @settings(max_examples=150)
     @given(
-        m=st.integers(1, 4),
-        n=st.integers(1, 4),
+        m=st.integers(2, 4),
+        n=st.integers(2, 4),
         seed=st.integers(0, 2**31 - 1),
-        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        f=st.floats(0.97, 1.03),
+        c=st.one_of(st.none(), st.floats(0.05, 0.95)),
+        params=st.lists(st.tuples(complex_scalar(), complex_scalar()), min_size=1, max_size=6),
     )
-    def test_conjugate_transpose_swaps_partners(self, m, n, seed, scale):
-        # On any matrix, ||Y_rB X||_1 = ||Y_cB X^†||_1 and ||Y_{cA,rB,cB}
-        # X||_1 = ||Y_cA X^†||_1, each either way round.  So a member's trace
-        # norm is at most its partner's plus sqrt(r) ||X - X^†||_F, r the
-        # smaller side of the transform: m for cB and rB, n for cA and
-        # cA,rB,cB.
-        rng = np.random.default_rng(seed)
-        d, dims = m * n, SubsystemDims(m, n)
-        x = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        skew = np.linalg.norm(x - x.conj().T)
-        for first, second in PARTNER_CLASSES:
-            for y, partner in ((first, second), (second, first)):
-                transform = gpt_transform(x, dims, y)
-                side = min(transform.shape)
-                assert side == (n if y.cA else m)
-                statistic = trace_norm(transform)
-                assert statistic == pytest.approx(
-                    trace_norm(gpt_transform(x.conj().T, dims, partner)), rel=1e-12)
-                upper = trace_norm(gpt_transform(x, dims, partner)) + np.sqrt(side) * skew
-                assert statistic <= upper * (1 + 1e-12)
+    def test_mixed_excess_within_ppt_defect(self, m, n, seed, f, c, params):
+        # On a PSD, PPT state no mixed class tops its bound, at any complex
+        # (a, b); with lambda = max(0, -lambda_min(rho), -lambda_min(T_A
+        # rho)) the relative excess is at most 2 d lambda.  Random states
+        # mixed with noise to within 3% of the PPT boundary, either side,
+        # and horodecki_3x3 (PPT), at |a|, |b| up to 1e5.
+        state = noisy_state(m, n, seed, f) if c is None else horodecki_3x3(c).state
+        d = state.dims.total
+        lam = max(0.0, -state.spectrum[0], -state.pt_spectrum[0])
+        for block in verdict_blocks(state, params, MIXED_CLASSES):
+            for statistic, bound in zip(block.statistic, block.bound):
+                assert statistic - bound <= 2 * d * lam * bound + 1e-12 * max(1.0, bound)
 
-    @pytest.mark.parametrize("classes", PARTNER_CLASSES, ids=["cB-rB", "cA-cA,rB,cB"])
-    @pytest.mark.parametrize("excess,skew,svds", [(0.45, 0.0, 1), (0.55, 0.0, 2),
-                                                  (0.3, 0.08, 1), (0.3, 0.12, 2)])
-    def test_partner_edge(self, classes, excess, skew, svds):
-        # The unchecked diag(1 + 3 nu, -nu, -nu, -nu), 2x2, at (0, 0), where
-        # every mixed class has bound 1 and its transform's columns are
-        # orthogonal, so the first member reaches the SVD with excess (3 +
-        # sqrt 2) nu, unflagged.  With no skew the second member's statistic
-        # is the same: settled from its partner's at 0.45 TOL_VERDICT, left
-        # to its own SVD at 0.55.  An entry s at [0, 1] moves neither
-        # statistic by more than O(s^2), and ||X - X^†||_F = sqrt(2) s, so at
-        # 0.3 the partner screen reads 0.3 + 2 s: settled at s = 0.08, left
-        # at s = 0.12.  A clearance of TOL_VERDICT, a partner from the other
-        # pair, or a side other than the smaller one changes the count.
-        nu = excess * TOL_VERDICT / (3 + np.sqrt(2))
-        mat = np.diag([1 + 3 * nu, -nu, -nu, -nu])
-        mat[0, 1] = skew * TOL_VERDICT
-        state = DensityState(SubsystemDims(2, 2), mat, check=False)
-        pair = ((0j, 0j),)
-        for y in classes:
-            (block,) = verdict_blocks(state, pair, (y,))
-            assert block.bound == [1.0] and block.entangled == [False]
-            assert block.statistic[0] - 1 == pytest.approx(excess * TOL_VERDICT, rel=1e-6)
-        assert svd_shapes(state, pair, classes) == [(1,)] * svds
+    @pytest.mark.parametrize("margin,clears", [(0.9, True), (1.1, False)])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["rho", "T_A-rho"])
+    def test_margin_edge(self, side, margin, clears):
+        # The checked isotropic state at q = side (1/3 + eps).  At q = -1/3 -
+        # eps rho's least eigenvalue, (1 + 3q)/4, is -3 eps/4 and T_A rho is
+        # PSD; at q = 1/3 + eps T_A rho's, (1 - 3q)/4, is -3 eps/4 and rho
+        # is PSD.  So 2 d lambda = 6 eps, and eps = margin TOL_VERDICT/12
+        # puts screen 3's sum at 0.45 or 0.55 TOL_VERDICT, inside or outside
+        # its TOL_VERDICT/2.  No mixed class flags on compare's grid; inside,
+        # the screen settles all four, and outside each takes one stack of
+        # SVDs.  Without the factor d, or without either spectrum, the
+        # outside case would settle.
+        eps = margin * TOL_VERDICT / 12
+        state = isotropic_state(side * (1 / 3 + eps))
+        lam = max(-state.spectrum[0], -state.pt_spectrum[0])
+        assert lam == pytest.approx(3 * eps / 4, rel=1e-6)
+        assert (state.pt_spectrum if side == -1 else state.spectrum)[0] > 0
+        assert _ppt_clears(state) is clears
+        assert svd_shapes(state, COMPARE_GRID, MIXED_CLASSES) == ([] if clears else [(36,)] * 4)
 
-    @pytest.mark.parametrize("classes,entry", [(PARTNER_CLASSES[0], (2, 1)),
-                                               (PARTNER_CLASSES[1], (1, 2))],
-                             ids=["cB-rB", "cA-cA,rB,cB"])
-    def test_skew_term_keeps_the_flag(self, classes, entry):
-        # |00><00| plus c = 2 TOL_VERDICT at one entry, unchecked, at (0, 0).
-        # In the first member's transform the entry shares the column of
-        # the 1, so its statistic is sqrt(1 + c^2), unflagged; in the second
-        # member's it lies apart, so its statistic is 1 + c, flagged.  Only
-        # the sqrt(2) ||X - X^†||_F = 2c term keeps the partner screen from
-        # settling it: each member takes its SVD, and detected flags.
-        mat = np.diag([1.0, 0.0, 0.0, 0.0])
-        mat[entry] = 2 * TOL_VERDICT
-        state = DensityState(SubsystemDims(2, 2), mat, check=False)
-        pair = ((0j, 0j),)
-        flags = [next(verdict_blocks(state, pair, (y,))).entangled for y in classes]
-        assert flags == [[False], [True]]
-        assert svd_shapes(state, pair, classes) == [(1,), (1,)]
+    def test_unchecked_state_takes_the_svd(self):
+        # The same separable matrix, checked and unchecked.  Screen 3 clears
+        # it either way, but runs on checked states only, so only the
+        # unchecked state's mixed classes reach the SVD.
+        checked = random_separable(SubsystemDims(3, 3), 12, 0).state
+        unchecked = DensityState(checked.dims, checked.mat, check=False)
+        assert _ppt_clears(checked) is _ppt_clears(unchecked) is True
+        assert svd_shapes(checked, COMPARE_GRID, MIXED_CLASSES) == []
+        assert svd_shapes(unchecked, COMPARE_GRID, MIXED_CLASSES) == [(36,)] * 4
+
+    def test_skew_terms_keep_a_large_state_open(self):
+        # |0><0| kron I/8 on 8x8 plus c G, G skew-Hermitian with every
+        # off-diagonal entry of modulus 1, passes validation with a
+        # Hermiticity defect of 2c = 0.9e-12.  Its skew norm is s = 0.9e-12
+        # sqrt(64 * 63) = 5.7e-11, and both spectra reach down to about
+        # -6e-12, so lambda is about s/2 + 6e-12 and 2 d lambda 0.45
+        # TOL_VERDICT, while the skew part's own term, sqrt(r/2) (1 + m + n)
+        # s, adds 0.19 TOL_VERDICT: 0.64 together, past the screen's
+        # TOL_VERDICT/2, so the mixed classes take the SVD.  Without the
+        # skew term, or without s/2 in lambda, the screen would clear it.
+        rng = np.random.default_rng(3)
+        phases = np.exp(2j * np.pi * rng.random((64, 64)))
+        g = np.triu(phases, 1) - np.triu(phases, 1).conj().T
+        mat = np.kron(np.diag([1.0] + [0.0] * 7), np.eye(8) / 8) + 0.45e-12 * g
+        state = DensityState(SubsystemDims(8, 8), mat)
+        assert abs(state.mat - state.mat.conj().T).max() == pytest.approx(0.9e-12, rel=1e-9)
+        assert -1e-11 < min(state.spectrum[0], state.pt_spectrum[0]) < 0
+        assert _ppt_clears(state) is False
+        pairs = ((0.5 + 0j, 2j), (-3.0 + 0j, 0.25 + 0j))
+        assert svd_shapes(state, pairs, MIXED_CLASSES) == [(2,)] * 4
 
 
 class TestZZZG:
@@ -1207,8 +1197,8 @@ class TestZZZG:
     def test_violated_class_test_falls_back_to_the_split(self):
         # horodecki c = 0.5 is bound entangled, and ZZZG detects it, so the
         # class test fails and the product bound decides the open pairs one
-        # by one: it settles 22 of the 32 that screen 1 leaves, and the SVD
-        # takes the other 10 and flags, whatever else is requested.
+        # by one: it settles 26 of the 36, and the SVD takes the other 10
+        # and flags, whatever else is requested.
         state = horodecki_3x3(0.5).state
         assert zzzg(state) > 1e-3
         assert _split_settles(state, *NO_PAIRS) is not True
@@ -1221,8 +1211,8 @@ class TestZZZG:
         # bound is excess to rounding, so the class test passes at 0.45
         # TOL_VERDICT and leaves the pairs to the product bound at 0.55
         # TOL_VERDICT.  Both reductions are I/2, so on the pairs with h_a =
-        # h_b the product bound reads ZZZG's excess, and the six of them
-        # that the column/row sums leave open take one stack of SVDs.
+        # h_b the product bound reads ZZZG's excess, and those six take one
+        # stack of SVDs.
         p = (1 + 2 * excess * TOL_VERDICT) / 3
         ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
         state = DensityState(SubsystemDims(2, 2), (1 - p) * np.eye(4) / 4 + p * np.outer(ket, ket))
@@ -1282,10 +1272,10 @@ class TestBoundTable:
         # own subset or its complement.
         params = (*COMPARE_GRID, *COMPLEX_PARAMS, (1e200 + 0j, 3j), (1e300j, 1e10 + 0j))
         dims = SubsystemDims(3, 2)
-        table = codes, column, partner, owner, limits, roots = _bound_table(params, dims, ysets)
+        table = codes, owner, limits, roots = _bound_table(params, dims, ysets)
         assert limits.shape == (len(params), len(codes))
         for c, member in enumerate(all_subsets()[code] for code in codes):
-            assert column[c] == _norm_entry(member) and not member.rA
+            assert not member.rA
             want = [h_factor(a, 3, member.rA, member.cA) * h_factor(b, 2, member.rB, member.cB)
                     for a, b in params]
             assert [x.hex() for x in limits[:, c].tolist()] == [x.hex() for x in want]
@@ -1299,15 +1289,12 @@ class TestBoundTable:
             assert roots.shape == (0, 2)
         assert not any(x.flags.writeable for x in table)
 
-    def test_partners_come_first(self):
-        # Screen 3 pairs a mixed class only with a partner decided before it.
-        codes, _, partner, *_ = _bound_table(COMPARE_GRID, SubsystemDims(3, 3), all_subsets())
-        assert codes.tolist() == list(range(8))
-        assert partner.tolist() == [-1, -1, 1, -1, -1, -1, -1, 4]
-        codes, _, partner, *_ = _bound_table(tuple(COMPARE_GRID), SubsystemDims(3, 3),
-                                            all_subsets()[7::-1])
-        assert codes.tolist() == list(range(8))[::-1]
-        assert partner.tolist() == [-1, -1, -1, 0, -1, -1, 5, -1]
+    def test_entry_count_is_the_table_size(self):
+        # The cache keeps the table by its entry count, the table's own size
+        # where every class and the realignment roots are requested.
+        table = _bound_table(COMPARE_GRID, SubsystemDims(3, 3), all_subsets())
+        assert _bound_table.entries(COMPARE_GRID, SubsystemDims(3, 3), all_subsets()) == sum(
+            a.size for a in table)
 
     def test_second_state_takes_no_factor(self, monkeypatch):
         import sepscope.criteria as criteria
@@ -1407,11 +1394,10 @@ class TestSplit:
         # X, rho_B = (1 + t)|0><0| and Delta = -t X kron |0><0|, so delta =
         # t, alpha = 1 - ||X||_F^2 = -eps with eps about 2 (s + t), and beta
         # about -2t: both below 0, which closes ZZZG's shortcut.  At (0, 0),
-        # bound 1, the statistic is ||X||_F, about 1 + eps/2, open after the
-        # column/row sums and unflagged, and the product bound reads about
-        # eps/2 + 4t over the bound.  With t = 0.05 TOL_VERDICT it settles
-        # the pair at 0.45 TOL_VERDICT and leaves it to the SVD at 0.55.  A
-        # clearance of TOL_VERDICT, a bound without delta or without alpha
+        # bound 1, the statistic is ||X||_F, about 1 + eps/2, unflagged, and
+        # the product bound reads about eps/2 + 4t over the bound.  With t =
+        # 0.05 TOL_VERDICT it settles the pair at 0.45 TOL_VERDICT and
+        # leaves it to the SVD at 0.55.  A clearance of TOL_VERDICT, a bound without delta or without alpha
         # and beta, or the shortcut without its sign gate settles it at 0.55.
         t = 0.05 * TOL_VERDICT
         s = (excess - 0.25) * TOL_VERDICT
@@ -1431,7 +1417,7 @@ class TestSplit:
         assert svd_shapes(state, pair, (REALIGNMENT,)) == [()] + [(1,)] * stacks
 
     def test_residual_is_zzzg_statistic(self, monkeypatch):
-        # The one matrix whose trace norm detected takes in screen 3 is
+        # The one matrix whose trace norm detected takes in screen 4 is
         # R(rho - rho_A kron rho_B), and its trace norm, on this bound
         # entangled state, exceeds ZZZG's separable bound sqrt((1 - tr
         # rho_A^2)(1 - tr rho_B^2)).

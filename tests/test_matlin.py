@@ -20,7 +20,7 @@ from sepscope import (
     vec,
     werner,
 )
-from sepscope.criteria import _bound_table, _marginal_maps
+from sepscope.criteria import _bound_table
 from sepscope.gptops import partial_transpose
 from sepscope.matlin import CACHE_ENTRIES, identity
 from sepscope.states import _swap, horodecki_3x3, swap_operator
@@ -329,8 +329,6 @@ class TestConstantCache:
         "identity": (identity, [(d, t) for t in (float, complex) for d in range(1, 20)],
                      (257, complex)),
         "swap": (_swap, [(d,) for d in range(1, 17)], (17,)),
-        "marginal maps": (_marginal_maps, [(m, n) for m in range(1, 8) for n in range(1, 8)],
-                          (16, 16)),
         # The kernel's bounds: at most 8 classes of bounds and 2 root factors per parameter.
         "bound table": (_bound_table,
                         [(tuple((complex(a), complex(b)) for a in range(6)), SubsystemDims(3, 3),

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -53,6 +54,17 @@ class TestAxisPoints:
             axis_points(0.0, 1.0, 0.0)
         with pytest.raises(ParamOutOfRange):
             axis_points(1.0, 0.0, 0.1)
+
+    @pytest.mark.parametrize("axis,message", [
+        ((0.0, float("inf"), 1.0), "axis must be finite, got (start, stop, step) = (0.0, inf, 1.0)"),
+        ((0.0, 1.0, float("nan")), "axis must be finite, got (start, stop, step) = (0.0, 1.0, nan)"),
+        ((0.0, 1e308, 1e-300), "axis (start, stop, step) = (0.0, 1e+308, 1e-300) has inf points,"
+                               " more than 1000000"),
+    ], ids=["infinite-stop", "nan-step", "past-float-range"])
+    def test_unbuildable_axis_named(self, axis, message):
+        # Each once raised a bare OverflowError from int(inf).
+        with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+            axis_points(*axis)
 
 
 class TestRunSweep:
