@@ -36,6 +36,11 @@ TOL_VERDICT = 1e-8
 # (a, b) values exercised by soundness tests and the compare workflow.
 AB_TEST_GRID = (-1.0, -1.0 / 3.0, 0.0, 0.5, 2.0 / 3.0, 1.0)
 
+# The largest bound that lets detected settle a checked state's classes with
+# no map built: below it every map, norm and trace norm is finite (see the
+# rounding paragraph of detected's docstring).
+_SCALAR_BOUND = 1e100
+
 
 @dataclass(frozen=True)
 class ReductionParams:
@@ -251,12 +256,11 @@ def _split_settles(rho: DensityState, roots: np.ndarray, bound: np.ndarray) -> b
 def _corners_clear(rho: DensityState) -> bool:
     """detected's screen 2: whether classes none and rB,cB both clear their
     four corners by TOL_VERDICT/2 of their bounds, read off upper bounds on
-    ||rho||_1 and ||T_A rho||_1 from the state's two cached spectra and the
-    trace defect that X(1, 1) carries."""
+    ||rho||_1 and ||T_A rho||_1 from the state's two cached spectra, its
+    cached skew norm and the trace defect that X(1, 1) carries."""
     m, n = rho.dims.m, rho.dims.n
-    skew = rho.mat - rho.mat.conj().T  # T_A rho's entries, permuted: one norm serves both
     norm = (max(float(abs(rho.spectrum).sum()), float(abs(rho.pt_spectrum).sum()))
-            + math.sqrt(m * n / 2 * float(np.vdot(skew, skew).real)))
+            + math.sqrt(m * n / 2) * rho.skew_norm)
     corner = (m - 1) * (n - 1)  # X(1, 1)'s bound
     defect = m * n * abs(complex(rho.mat.trace()) - 1.0)  # ||(1 - tr rho) I||_1
     return norm <= 1 + TOL_VERDICT / 2 and corner * norm + defect <= corner * (1 + TOL_VERDICT / 2)
@@ -265,12 +269,11 @@ def _corners_clear(rho: DensityState) -> bool:
 def _ppt_clears(rho: DensityState) -> bool:
     """detected's screen 3: whether every pair of the mixed classes cB, rB,
     cA and cA,rB,cB clears its bound by TOL_VERDICT/2, read off the state's
-    two cached spectra, its skew norm s = ||rho - rho^†||_F and its trace
-    defect; e = d^2 eps covers eigvalsh's rounding."""
+    two cached spectra, its cached skew norm s = ||rho - rho^†||_F and its
+    trace defect; e = d^2 eps covers eigvalsh's rounding."""
     m, n = rho.dims.m, rho.dims.n
     d = m * n
-    skew = rho.mat - rho.mat.conj().T
-    s = math.sqrt(float(np.vdot(skew, skew).real))
+    s = rho.skew_norm
     lam = max(0.0, s / 2 - float(rho.spectrum[0]), s / 2 - float(rho.pt_spectrum[0]))
     e = d * d * float(np.finfo(float).eps)
     defect = abs(complex(rho.mat.trace()) - 1.0)
@@ -323,6 +326,16 @@ def _bound_table(params: tuple, dims, ysets: tuple) -> tuple[np.ndarray, ...]:
             np.array(bounds).T, np.array(roots).T)
 
 
+def _open_maps(rho: DensityState, params: Sequence[tuple[complex, complex]],
+               limits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """detected's maps once a class is left open: reduction_maps' stack,
+    each map's Frobenius norm, and where that norm and the bound of each
+    (pair, class) of limits are both finite."""
+    stack = reduction_maps(rho, params)
+    norm = np.linalg.norm(stack, axis=(1, 2))
+    return stack, norm, np.isfinite(norm)[:, None] & np.isfinite(limits)
+
+
 def detected(
     rho: DensityState,
     params: Sequence[tuple[complex, complex]],
@@ -330,20 +343,33 @@ def detected(
 ) -> bool:
     """Whether any pair (params[i], ysets[j]) is flagged: what
     ``any(any(b.entangled) for b in verdict_blocks(rho, params, ysets))``
-    returns, raising what it raises, with an SVD only of the maps that four
+    returns, raising what it raises, with an SVD only of the maps that its
     screens leave unsettled.  A pair flags where its excess tops T *
     max(1, bound), T = TOL_VERDICT.  The classes and their bounds come from
     _bound_table, built once per (params, dims, ysets), and are taken in
     order of first request.
 
-    1. Frobenius norms, one per map.  Every transform only permutes the
-       entries of its map, so ||X||_F is the same for all of them, and the
-       Frobenius class {cA,cB}, whose transform is the vector of X's
-       entries, has ||X||_F as its statistic.  That class settles a pair
-       where ||X||_F is at most its bound plus T/2 * max(1, bound).  The
-       SVD of a vector and ||X||_F round alike, by O(d eps) of the norm, so
-       the full path would not flag such a pair, for any m and n.
-       Screens 2 to 4 see only pairs whose ||X||_F and bound are finite.
+    1. State-level scalars first, then the maps.  Each class first takes
+       the scalar that settles it whole: screen 2's for none and rB,cB,
+       screen 3's for the mixed classes, and screen 4's for the realignment
+       class {cA,rB} and the Frobenius class {cA,cB}.  Every transform only
+       permutes the entries of its map, so the Frobenius class, whose
+       transform is the vector of X's entries, has statistic ||X||_F =
+       ||R(X)||_F <= ||R(X)||_1, at most the realignment class's pair by
+       pair, and the two share the root-root bound; so where screen 4
+       settles the whole realignment class, it settles the Frobenius class
+       too.  The Frobenius class asks that only where the realignment class
+       is requested, on the scalar route, so asked alone it takes no SVD of
+       the residual.  On the scalar route, a checked state with m, n >= 2
+       whose largest bound is at most _SCALAR_BOUND, a class so settled
+       needs no map, and reduction_maps' stack and its Frobenius norms are
+       built only when a class is left open.  Off that route they are built
+       first, as the full path builds them, and every screen sees only
+       pairs whose ||X||_F and bound are finite.  Where the maps are built,
+       the Frobenius class settles a pair where ||X||_F is at most its
+       bound plus T/2 * max(1, bound).  The SVD of a vector and ||X||_F
+       round alike, by O(d eps) of the norm, so the full path would not
+       flag such a pair, for any m and n.
 
     2. Trace norms, classes none and rB,cB together.  The map is
        bilinear: X(a, b) = sum_c w'_c X_c over the corners c in {0, 1}^2,
@@ -447,6 +473,8 @@ def detected(
        pair with finite norm and bound at once, and goes pair by pair
        only where that fails or alpha or beta is below 0 (an entangled state
        that ZZZG detects, or a pure reduction whose purity rounds past 1).
+       On screen 1's scalar route, a product bound that settles every pair
+       settles the class whole, as the shortcut does.
        _split_settles rounds each term outward by e = d^2 eps, relative to
        (h + delta)^2 on each side, as that may be 1e10 at |a| = 1e5 while
        alpha is about 1: generous against the few roundings in each, so the
@@ -460,17 +488,22 @@ def detected(
     Rounding: the full path's statistic and each computed bound above round
     by O(d * eps * bound) (the statistic's worst measured excess is 0.67 eps
     d ||rho~||_F).  For m, n >= 2, h(x) >= max(1, |x|) for a linear factor
-    and h(x) >= max(1/sqrt(2), |x|) for a root one, so a pair's bound is at
-    least half the map's coefficients 1, |a|, |b|, |ab|; a state that
-    clears screen 2 or 3 has rho, I kron rho_B and rho_A kron I at norms of
-    about 1, m and n.  So the computed map, its SVD, and the spectra, skew
-    terms and traces of screens 2 and 3 round by O(d^2 eps bound), about
-    1e-13 bound at d = 9 and 1e-11 bound at d = 100, far inside the T/2 *
-    max(1, bound) that screens 2 to 4 leave below the flag line.  So the
-    full path would flag no settled pair.  Nor would it raise on one: every
-    screen sees only pairs whose bound and ||X||_F, the square root of a
-    sum of squares, are finite, so ||X||_F <= sqrt(float max), and the
-    statistic, at most sqrt(d) ||X||_F, is finite too.
+    and h(x) >= max(1/sqrt(2), |x|) for a root one, so a pair's bound in any
+    class is at least max(1, |a|) max(1, |b|)/2, half the map's
+    coefficients 1, |a|, |b|, |ab|; a state that clears screen 2 or 3 has
+    rho, I kron rho_B and rho_A kron I at norms of about 1, m and n.  So the
+    computed map, its SVD, and the spectra, skew terms and traces of screens
+    2 and 3 round by O(d^2 eps bound), about 1e-13 bound at d = 9 and 1e-11
+    bound at d = 100, far inside the T/2 * max(1, bound) that screens 2 to
+    4 leave below the flag line.  So the full path would flag no settled
+    pair.  Nor would it raise on one.  Off the scalar route every screen
+    sees only pairs whose bound and ||X||_F, the square root of a sum of
+    squares, are finite, so ||X||_F <= sqrt(float max), and the statistic,
+    at most sqrt(d) ||X||_F, is finite too.  On it, the largest bound L <=
+    _SCALAR_BOUND certifies the same for every pair of params: a checked
+    state's rho, rho_A and rho_B have entries of modulus at most about 1,
+    so each map entry is at most about (1 + |a|)(1 + |b|) <= 8 bound <= 8L,
+    no map overflows, and ||X||_F <= 8 d L and the statistic are finite.
 
     Every other parameter takes the full path's arithmetic: the SVD of its
     own map and _judge.  numpy's stacked SVD takes each matrix alone, so an
@@ -478,27 +511,39 @@ def detected(
     a ParamOutOfRange comes from the same first class and names the same
     (a, b).  params are (a, b) pairs of complex the caller checked finite.
     """
-    stack = reduction_maps(rho, params)
     codes, _, limits, roots = _bound_table(tuple(params), rho.dims, tuple(ysets))
+    codes = codes.tolist()
     m, n = rho.dims.m, rho.dims.n
+    screens = m >= 2 and n >= 2  # screens 2 to 4
+    scalar = screens and rho.checked and limits.size > 0 and limits.max() <= _SCALAR_BOUND
     with np.errstate(over="ignore", invalid="ignore"):  # a norm or bound not finite leaves its pairs open
-        norm = np.linalg.norm(stack, axis=(1, 2))
-        finite = np.isfinite(norm)[:, None] & np.isfinite(limits)
-        clear = mixed = None  # screens 2 and 3, each on first use
-        for c, code in enumerate(codes.tolist()):
-            limit = limits[:, c]
-            if code == 5:  # the Frobenius class
-                settles = norm <= limit + TOL_VERDICT / 2 * np.maximum(limit, 1.0)
-            elif m == 1 or n == 1:  # screens 2 to 4 need m, n >= 2
+        # Off the scalar route the maps come first, as verdict_blocks builds
+        # them, so a map that is not finite raises before any class.
+        maps = None if scalar else _open_maps(rho, params, limits)
+        clear = mixed = split = None  # screens 2 to 4, each on first use
+        for c, code in enumerate(codes):
+            if split is None and screens and (code == 6 or code == 5 and scalar and 6 in codes):
+                split = _split_settles(rho, roots, limits[:, codes.index(6)])  # one residual SVD
+                if scalar and split is not True and split.all():  # certified finite: the whole class
+                    split = True
+            if code == 5:  # the Frobenius class: below the realignment class, else its norms
+                settles = scalar and split is True
+            elif not screens:
                 settles = False
             elif code == 6:  # the realignment class
-                settles = _split_settles(rho, roots, limit)
+                settles = split
             elif code in (0, 3):  # none and rB,cB
                 clear = _corners_clear(rho) if clear is None else clear
                 settles = clear
             else:  # the mixed classes
                 mixed = (rho.checked and _ppt_clears(rho)) if mixed is None else mixed
                 settles = mixed
+            if scalar and settles is True:
+                continue
+            stack, norm, finite = maps = maps or _open_maps(rho, params, limits)
+            limit = limits[:, c]
+            if code == 5:
+                settles = norm <= limit + TOL_VERDICT / 2 * np.maximum(limit, 1.0)
             unsettled = np.flatnonzero(~(finite[:, c] & settles))
             if unsettled.size == 0:
                 continue

@@ -32,6 +32,7 @@ from sepscope import (
 )
 from sepscope.cli import main
 from sepscope.criteria import (
+    _SCALAR_BOUND,
     TOL_VERDICT,
     _bound_table,
     _corners_clear,
@@ -264,6 +265,7 @@ HERMITIAN_CLASSES = (GptOpSet(), GptOpSet(rB=True, cB=True))
 MIXED_CLASSES = (GptOpSet(cB=True), GptOpSet(rB=True), GptOpSet(cA=True),
                  GptOpSet(cA=True, rB=True, cB=True))
 REALIGNMENT = GptOpSet(cA=True, rB=True)
+FROBENIUS = GptOpSet(cA=True, cB=True)
 
 
 def svd_shapes(state, params, ysets):
@@ -280,6 +282,22 @@ def svd_shapes(state, params, ysets):
         criteria.trace_norm = original
     assert flagged == full_path(state, params, ysets)
     return maps
+
+
+def stacks_built(state, params, ysets):
+    """How many reduction_maps stacks detected builds, asserting that it
+    answers as the full path."""
+    import sepscope.criteria as criteria
+
+    stacks = []
+    original = criteria.reduction_maps
+    criteria.reduction_maps = lambda rho, pairs: stacks.append(rho) or original(rho, pairs)
+    try:
+        flagged = detected(state, params, ysets)
+    finally:
+        criteria.reduction_maps = original
+    assert flagged == full_path(state, params, ysets)
+    return len(stacks)
 
 
 class TestCompareEarlyExit:
@@ -337,8 +355,9 @@ class TestCompareEarlyExit:
                             lambda mat: maps.append(np.shape(mat)[:-2]) or original(mat))
         # The state of seed 0 (3x3, k = 12).  The realignment oracle and
         # ZZZG's residual take single matrices; the full path would take
-        # stacks of 36 maps in each of the 8 classes, 288 maps in all.  The
-        # Frobenius norms, screen 2, PPT and ZZZG leave none.
+        # stacks of 36 maps in each of the 8 classes, 288 maps in all.
+        # Screen 2, PPT and ZZZG, which settles the Frobenius class too,
+        # leave none, and no map is built.
         assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
         assert maps == [(), ()]
 
@@ -362,6 +381,21 @@ class TestSvdTripwire:
                                                                     all_subsets()))
                for i in range(len(pinned))]
         assert [g <= p for g, p in zip(got, pinned)] == [True] * len(pinned), got
+
+
+# reduction_maps stacks per detected call on the same corpora and grid: a
+# checked separable state settles every class from its state-level scalars
+# and builds none, a Horodecki state one, for the realignment pairs that
+# ZZZG leaves open.  A change that builds the maps again fails here.
+STACKS = {"separable-k12-3x3": 0, "separable-k1-3x3": 0, "horodecki": 1}
+
+
+class TestStackTripwire:
+    @pytest.mark.parametrize("corpus", sorted(SVD_MAPS))
+    def test_stacks_per_state_at_most_pinned(self, corpus):
+        build, pinned = SVD_MAPS[corpus]
+        got = [stacks_built(build(i), COMPARE_GRID, all_subsets()) for i in range(len(pinned))]
+        assert max(got) <= STACKS[corpus], got
 
 
 class TestSpectrumTripwire:
@@ -590,7 +624,8 @@ class TestDetected:
     def test_overflowing_square_stays_open(self):
         # The map's entries reach 1e200, so their squares overflow, and its
         # Frobenius norm, screen 1's finiteness guard, is inf, while every
-        # bound is finite.  The state is separable, so screens 2 to 4 would
+        # bound is finite, though far past _SCALAR_BOUND, so the maps are
+        # built first.  The state is separable, so screens 2 to 4 would
         # settle the pair; the guard leaves it to the SVD in each of their
         # classes instead, and the SVD flags nothing.
         state = random_separable(SubsystemDims(3, 3), 12, 0).state
@@ -602,6 +637,54 @@ class TestDetected:
         for y in (GptOpSet(), GptOpSet(cB=True), REALIGNMENT):
             assert not full_path(state, params[1:], (y,))
             assert svd_shapes(state, params[1:], (y,))[-1:] == [(1,)]
+
+    @pytest.mark.parametrize("lead", [(), ((0.5 + 0j, 0.5 + 0j),)], ids=["alone", "second"])
+    @pytest.mark.parametrize("a,b,stacks", [
+        (_SCALAR_BOUND / 3 * (1 - 1e-12), 0.0, 0),
+        (_SCALAR_BOUND / 3 * (1 + 1e-12), 0.0, 1),
+        (1e308, 1e-300, 1), (1e200, 1e-100, 1), (1e160, 1e-10, 1),
+    ], ids=["inside", "outside", "1e308", "1e200", "1e160"])
+    def test_certificate_edge_as_full_path(self, a, b, stacks, lead):
+        # A checked separable state, whose classes all settle from its
+        # state-level scalars.  At (a, 0), a > 1, the largest bound is class
+        # none's (|a - 1| + 2|a|) * 1, so the first two pairs put it just
+        # inside and just outside _SCALAR_BOUND: inside, no map is built;
+        # outside, the maps are built first, and every map and statistic
+        # is still finite.  The last three overflow the map or its bound,
+        # and detected raises what the full path raises, naming the same
+        # pair; without the certificate it would settle them and return
+        # False.
+        state = random_separable(SubsystemDims(3, 3), 12, 0).state
+        params = (*lead, (complex(a), complex(b)))
+        limits = _bound_table(params, state.dims, tuple(all_subsets()))[2]
+        assert (limits.max() <= _SCALAR_BOUND) == (stacks == 0)
+        want = outcome(lambda: full_path(state, params, all_subsets()))
+        assert outcome(lambda: detected(state, params, all_subsets())) == want
+        if b == 0.0:
+            assert want is False
+            assert stacks_built(state, params, all_subsets()) == stacks
+        else:
+            assert want == (ParamOutOfRange, "the map, its trace norm or the bound is not finite"
+                            f" at a={a:g}, b={b:g}")
+
+    def test_unchecked_state_and_frobenius_request_build_the_maps(self):
+        # Off the scalar route the maps are built first, as the full path
+        # builds them: the unchecked copy of a separable state takes the
+        # SVD in its mixed classes and ZZZG's residual, from one stack, and
+        # builds it even where only classes screen 2 settles are asked.  A
+        # Frobenius class asked alone is decided by its norms, with no
+        # residual SVD of its own; asked with the realignment class, it
+        # takes ZZZG's shortcut, and no map is built.
+        checked = random_separable(SubsystemDims(3, 3), 12, 0).state
+        unchecked = DensityState(checked.dims, checked.mat, check=False)
+        assert svd_shapes(unchecked, COMPARE_GRID, all_subsets()) == [(36,)] * 3 + [()] + [(36,)]
+        assert stacks_built(unchecked, COMPARE_GRID, all_subsets()) == 1
+        assert [stacks_built(state, COMPARE_GRID, HERMITIAN_CLASSES)
+                for state in (unchecked, checked)] == [1, 0]
+        assert svd_shapes(checked, COMPARE_GRID, (FROBENIUS,)) == []
+        assert stacks_built(checked, COMPARE_GRID, (FROBENIUS,)) == 1
+        assert svd_shapes(checked, COMPARE_GRID, (FROBENIUS, REALIGNMENT)) == [()]
+        assert stacks_built(checked, COMPARE_GRID, (FROBENIUS, REALIGNMENT)) == 0
 
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
@@ -1018,6 +1101,18 @@ class TestStateSpectra:
         assert checked.spectrum is checked.spectrum and unchecked.pt_spectrum is unchecked.pt_spectrum
         assert calls == [(9, 9)] * 3
 
+    def test_skew_norm_taken_once(self, monkeypatch):
+        # Screens 2 and 3 read one cached ||rho - rho^†||_F.
+        mat = random_separable(SubsystemDims(3, 3), 12, 0).state.mat.copy()
+        mat[0, 1] += 0.3e-12j
+        state = DensityState(SubsystemDims(3, 3), mat)
+        calls = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda x, y: calls.append(x.shape) or vdot(x, y))
+        assert _corners_clear(state) and _ppt_clears(state)
+        assert calls == [(9, 9)]
+        assert state.skew_norm == pytest.approx(np.linalg.norm(mat - mat.conj().T), rel=1e-15)
+
     def test_unchecked_non_hermitian_after_detected(self):
         # detected fills T_A rho's spectrum of an unchecked state with a
         # Hermiticity defect of 1e-9; ppt_check still tests the state first.
@@ -1175,6 +1270,24 @@ class TestZZZG:
             product = np.sqrt(((h_a + delta) ** 2 - alpha) * ((h_b + delta) ** 2 - beta))
             assert statistic <= product + residual + 1e-12 * max(1.0, bound)
             assert statistic - bound <= supremum + 1e-12 * max(1.0, bound)
+
+    @settings(max_examples=150)
+    @given(state=kernel_states(), params=st.lists(kernel_params(), min_size=1, max_size=6))
+    def test_frobenius_within_realignment(self, state, params):
+        # ||X||_F = ||R(X)||_F <= ||R(X)||_1 at every pair, and the two
+        # classes share the root-root bound: the computed Frobenius
+        # statistic is at most the computed realignment statistic plus 4 d
+        # eps of it, and no Frobenius pair flags where screen 4 settles the
+        # realignment pair, or the whole class (True, ZZZG's shortcut).
+        d, eps = state.dims.total, np.finfo(float).eps
+        frobenius, realignment = verdict_blocks(state, params, (FROBENIUS, REALIGNMENT))
+        assert frobenius.bound == realignment.bound
+        for f, r in zip(frobenius.statistic, realignment.statistic):
+            assert f <= r * (1 + 4 * d * eps)
+        _, _, limits, roots = _bound_table(tuple(params), state.dims, (REALIGNMENT,))
+        settles = _split_settles(state, roots, limits[:, 0])
+        settled = [True] * len(params) if settles is True else settles.tolist()
+        assert not any(flag and s for flag, s in zip(frobenius.entangled, settled))
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 3), (4, 4)])
     def test_separable_states_pass(self, m, n):
