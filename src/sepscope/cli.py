@@ -156,12 +156,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             # sum |lambda_i| >= tr rho + 2v, and a validated state has tr rho
             # >= 1 - 1e-12, so that pair's excess is at least 2v - 1e-12 -
             # O(d eps) > TOL_VERDICT.  0.0 is in AB_TEST_GRID and {rA,cA} in
-            # all_subsets(), so detected would flag it.  Otherwise detected
-            # stops at the first detecting class, settles each class first
-            # from the state's own scalars (two trace norms, PPT, ZZZG), and
-            # builds the maps and takes their SVDs only for the classes
-            # those leave open; on a separable state that reaches it, it
-            # builds no map.
+            # all_subsets(), so detected would flag it.
             oracles["ppt"] or detected(state, grid, subsets),
         )
         flags.append(row)

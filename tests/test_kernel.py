@@ -268,18 +268,23 @@ REALIGNMENT = GptOpSet(cA=True, rB=True)
 FROBENIUS = GptOpSet(cA=True, cB=True)
 
 
+def trace_norm_shapes(decide):
+    """decide()'s outcome and the stack shapes it takes trace norms of."""
+    import sepscope.criteria as criteria
+
+    shapes = []
+    original = criteria.trace_norm
+    criteria.trace_norm = lambda mat: shapes.append(np.shape(mat)[:-2]) or original(mat)
+    try:
+        return outcome(decide), shapes
+    finally:
+        criteria.trace_norm = original
+
+
 def svd_shapes(state, params, ysets):
     """The stack shapes detected takes trace norms of, asserting that it
     answers as the full path."""
-    import sepscope.criteria as criteria
-
-    maps = []
-    original = criteria.trace_norm
-    criteria.trace_norm = lambda mat: maps.append(np.shape(mat)[:-2]) or original(mat)
-    try:
-        flagged = detected(state, params, ysets)
-    finally:
-        criteria.trace_norm = original
+    flagged, maps = trace_norm_shapes(lambda: detected(state, params, ysets))
     assert flagged == full_path(state, params, ysets)
     return maps
 
@@ -533,6 +538,31 @@ def outcome(decide):
         return type(exc), str(exc)
 
 
+@st.composite
+def off_route(draw):
+    """A state and params off detected's scalar route: an unchecked copy of
+    a kernel_states() draw, a state with a factor of dimension 1, or params
+    with a pair whose every bound is past _SCALAR_BOUND."""
+    kind = draw(st.sampled_from(["unchecked", "one-dimensional", "past-bound"]))
+    params = draw(st.lists(kernel_params(), min_size=1, max_size=4))
+    if kind == "unchecked":
+        state = draw(kernel_states())
+        return DensityState(state.dims, state.mat, check=False), params
+    if kind == "one-dimensional":
+        n, seed = draw(st.integers(1, 4)), draw(st.integers(0, 2**31 - 1))
+        dims = draw(st.sampled_from([SubsystemDims(1, n), SubsystemDims(n, 1)]))
+        if n == 1 or draw(st.booleans()):
+            mat = random_separable(dims, draw(st.integers(1, 4)), seed).state.mat
+        else:
+            mat = random_density(n, seed)
+        return DensityState(dims, mat, check=draw(st.booleans())), params
+    # Every bound is at least |a| / sqrt(2) > 7e100.
+    far = draw(st.builds(lambda exponent, sign: complex(sign * 10.0 ** exponent),
+                         st.floats(101.0, 308.0), st.sampled_from([-1.0, 1.0, 1j])))
+    params.insert(draw(st.integers(0, len(params))), (far, complex(draw(real_or_complex_scalar()))))
+    return draw(kernel_states()), params
+
+
 def full_path(state, params, ysets):
     return any(any(block.entangled) for block in verdict_blocks(state, params, ysets))
 
@@ -567,6 +597,20 @@ class TestDetected:
     )
     def test_equals_full_path(self, state, params, ysets):
         assert detected(state, params, ysets) == full_path(state, params, ysets)
+
+    @settings(max_examples=150)
+    @given(case=off_route(),
+           ysets=st.lists(st.sampled_from(all_subsets()), min_size=1, max_size=16))
+    def test_off_route_takes_the_full_path(self, case, ysets):
+        # Off the scalar route detected takes the full path's trace norms,
+        # stack for stack, up to and including its first flagging block, and
+        # raises what it raises.
+        state, params = case
+        limits = _bound_table(tuple(params), state.dims, tuple(ysets))[2]
+        assert not (state.checked and min(state.dims.m, state.dims.n) >= 2
+                    and limits.max() <= _SCALAR_BOUND)
+        assert trace_norm_shapes(lambda: detected(state, params, ysets)) == trace_norm_shapes(
+            lambda: full_path(state, params, ysets))
 
     @pytest.mark.parametrize("lead", [(), (ReductionParams(0.5, 0.5),)], ids=["alone", "second"])
     @pytest.mark.parametrize("a,b", [(1e308, 1e-300), (1e200, 1e-100), (1e160, 1e-10)])
@@ -623,11 +667,10 @@ class TestDetected:
 
     def test_overflowing_square_stays_open(self):
         # The map's entries reach 1e200, so their squares overflow, and its
-        # Frobenius norm, screen 1's finiteness guard, is inf, while every
-        # bound is finite, though far past _SCALAR_BOUND, so the maps are
-        # built first.  The state is separable, so screens 2 to 4 would
-        # settle the pair; the guard leaves it to the SVD in each of their
-        # classes instead, and the SVD flags nothing.
+        # Frobenius norm is inf, while every bound is finite, though far past
+        # _SCALAR_BOUND, so detected takes the full path.  The state is
+        # separable, so screens 2 to 4 would settle the pair; the full path
+        # takes its SVD in each of their classes instead, and flags nothing.
         state = random_separable(SubsystemDims(3, 3), 12, 0).state
         params = [(0.5 + 0j, 0.5 + 0j), (1e100 + 0j, -1e100j)]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -668,16 +711,16 @@ class TestDetected:
                             f" at a={a:g}, b={b:g}")
 
     def test_unchecked_state_and_frobenius_request_build_the_maps(self):
-        # Off the scalar route the maps are built first, as the full path
-        # builds them: the unchecked copy of a separable state takes the
-        # SVD in its mixed classes and ZZZG's residual, from one stack, and
-        # builds it even where only classes screen 2 settles are asked.  A
+        # An unchecked state is off the scalar route and takes the full
+        # path: the unchecked copy of a separable state takes the SVD of
+        # every class's maps, from one stack, and builds it even where only
+        # classes screen 2 would settle are asked.  On the route, a
         # Frobenius class asked alone is decided by its norms, with no
         # residual SVD of its own; asked with the realignment class, it
         # takes ZZZG's shortcut, and no map is built.
         checked = random_separable(SubsystemDims(3, 3), 12, 0).state
         unchecked = DensityState(checked.dims, checked.mat, check=False)
-        assert svd_shapes(unchecked, COMPARE_GRID, all_subsets()) == [(36,)] * 3 + [()] + [(36,)]
+        assert svd_shapes(unchecked, COMPARE_GRID, all_subsets()) == [(36,)] * 8
         assert stacks_built(unchecked, COMPARE_GRID, all_subsets()) == 1
         assert [stacks_built(state, COMPARE_GRID, HERMITIAN_CLASSES)
                 for state in (unchecked, checked)] == [1, 0]
@@ -1114,13 +1157,15 @@ class TestStateSpectra:
         assert state.skew_norm == pytest.approx(np.linalg.norm(mat - mat.conj().T), rel=1e-15)
 
     def test_unchecked_non_hermitian_after_detected(self):
-        # detected fills T_A rho's spectrum of an unchecked state with a
-        # Hermiticity defect of 1e-9; ppt_check still tests the state first.
+        # An unchecked state with a Hermiticity defect of 1e-9, after
+        # detected and with T_A rho's spectrum already cached: ppt_check
+        # still tests the state first.
         mat = random_separable(SubsystemDims(3, 3), 12, 0).state.mat.copy()
         mat[0, 1] += 0.5e-9j
         mat[1, 0] += 0.5e-9j
         state = DensityState(SubsystemDims(3, 3), mat, check=False)
         detected(state, COMPARE_GRID, all_subsets())
+        state.pt_spectrum
         assert "pt_spectrum" in vars(state)
         message = "max |M_ij - conj(M_ji)| = 1.000e-09 exceeds 1e-12"
         with pytest.raises(NotHermitian, match=f"^{re.escape(message)}$"):
@@ -1355,13 +1400,16 @@ class TestZZZG:
         # q_B)) no longer bounds the rank-one term, whose trace norm 2.5
         # flags (0, 0) against bound 1.  alpha and beta are below 0, so the
         # class goes pair by pair, and the product bound, 2.5, leaves the
-        # pair to the SVD.
+        # pair open.  The state is unchecked, so detected takes the full
+        # path, and the pair's one SVD.
         factor = np.array([[0.5, 1.0], [1.0, 0.5]])
         state = DensityState(SubsystemDims(2, 2), np.kron(factor, factor), check=False)
         assert _split_settles(state, *NO_PAIRS) is not True
         pair = ((0j, 0j),)
+        _, _, limits, roots = _bound_table(pair, state.dims, (REALIGNMENT,))
+        assert _split_settles(state, roots, limits[:, 0]).tolist() == [False]
         assert full_path(state, pair, (REALIGNMENT,))
-        assert svd_shapes(state, pair, (REALIGNMENT,)) == [(), (1,)]
+        assert svd_shapes(state, pair, (REALIGNMENT,)) == [(1,)]
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4)])
     def test_pure_products_take_no_svd(self, m, n):
@@ -1501,8 +1549,8 @@ class TestSplit:
         if m >= 2:
             assert distance <= (h + abs(trace - 1)) ** 2 - alpha + 1e-14 * size
 
-    @pytest.mark.parametrize("excess,stacks", [(0.45, 0), (0.55, 1)])
-    def test_product_bound_edge(self, excess, stacks):
+    @pytest.mark.parametrize("excess,open_pairs", [(0.45, 0), (0.55, 1)])
+    def test_product_bound_edge(self, excess, open_pairs):
         # The unchecked X kron |0><0|, 2x2, X = diag(1 + s + t, -s): rho_A =
         # X, rho_B = (1 + t)|0><0| and Delta = -t X kron |0><0|, so delta =
         # t, alpha = 1 - ||X||_F^2 = -eps with eps about 2 (s + t), and beta
@@ -1510,8 +1558,10 @@ class TestSplit:
         # bound 1, the statistic is ||X||_F, about 1 + eps/2, unflagged, and
         # the product bound reads about eps/2 + 4t over the bound.  With t =
         # 0.05 TOL_VERDICT it settles the pair at 0.45 TOL_VERDICT and
-        # leaves it to the SVD at 0.55.  A clearance of TOL_VERDICT, a bound without delta or without alpha
-        # and beta, or the shortcut without its sign gate settles it at 0.55.
+        # leaves it open at 0.55.  A clearance of TOL_VERDICT, a bound
+        # without delta or without alpha and beta, or the shortcut without
+        # its sign gate settles it at 0.55.  The state is unchecked, so
+        # detected takes the full path, and the pair's one SVD.
         t = 0.05 * TOL_VERDICT
         s = (excess - 0.25) * TOL_VERDICT
         x = np.diag([1 + s + t, -s])
@@ -1527,7 +1577,9 @@ class TestSplit:
         (block,) = verdict_blocks(state, pair, (REALIGNMENT,))
         assert block.bound == [1.0] and block.entangled == [False]
         assert 0 < block.statistic[0] - 1 < excess * TOL_VERDICT
-        assert svd_shapes(state, pair, (REALIGNMENT,)) == [()] + [(1,)] * stacks
+        _, _, limits, roots = _bound_table(pair, state.dims, (REALIGNMENT,))
+        assert _split_settles(state, roots, limits[:, 0]).tolist() == [open_pairs == 0]
+        assert svd_shapes(state, pair, (REALIGNMENT,)) == [(1,)]
 
     def test_residual_is_zzzg_statistic(self, monkeypatch):
         # The one matrix whose trace norm detected takes in screen 4 is
