@@ -117,7 +117,8 @@ def _map_coefficients(params: tuple, d: int) -> tuple[np.ndarray, np.ndarray, np
     equal as Python values share an entry, so a zero keeps the sign of the
     first params that asked; that moves only the sign of a zero entry of a
     map."""
-    a, b, ab = np.array([(x, y, x * y) for x, y in params]).T[:, :, None, None]
+    rows = np.array([(x, y, x * y) for x, y in params], dtype=complex).reshape(-1, 3)
+    a, b, ab = rows.T[:, :, None, None]  # (k, 1, 1) each, k = 0 included
     return a, b, ab * identity(d)
 
 
@@ -226,15 +227,15 @@ def verdict_blocks(
                            statistic, bound, violation, entangled)
 
 
-def _split_settles(rho: DensityState, roots: np.ndarray, bound: np.ndarray) -> bool | np.ndarray:
+def _split_settles(rho: DensityState, roots: np.ndarray) -> bool | np.ndarray:
     """detected's screen 4, Theorem 3, on realignment-class pairs with root
-    factors roots, a (k, 2) array of columns h_a, h_b, and bounds bound:
-    True where ZZZG settles every pair at once, else which pairs the product
-    bound settles.  With e = d^2 eps, the residual ||R(Delta)||_1, Delta =
-    rho - rho_A kron rho_B, is raised by e times itself plus e, alpha = 1 -
-    ||rho_A||_F^2 and beta = 1 - ||rho_B||_F^2 are lowered by e, delta =
-    |tr rho_A - 1| is raised by e, and each side's (h + delta)^2 by e times
-    itself."""
+    factors roots, a (k, 2) array of columns h_a, h_b, whose products are
+    the class's bounds: True where ZZZG settles every pair at once, else
+    which pairs the product bound settles.  With e = d^2 eps, the residual
+    ||R(Delta)||_1, Delta = rho - rho_A kron rho_B, is raised by e times
+    itself plus e, alpha = 1 - ||rho_A||_F^2 and beta = 1 - ||rho_B||_F^2
+    are lowered by e, delta = |tr rho_A - 1| is raised by e, and each
+    side's (h + delta)^2 by e times itself."""
     e = rho.dims.total ** 2 * np.finfo(float).eps
     rho_a, rho_b = rho.reductions
     residual = trace_norm(realign(rho.mat - kron(rho_a, rho_b), rho.dims)) * (1.0 + e) + e
@@ -245,34 +246,22 @@ def _split_settles(rho: DensityState, roots: np.ndarray, bound: np.ndarray) -> b
                                          <= TOL_VERDICT / 2):
         return True
     h_a, h_b = roots.T
+    bound = h_a * h_b  # float64 products, so the bits of _bound_table's column
     upper = np.sqrt(((h_a + trace) ** 2 * (1.0 + e) - alpha)
                     * ((h_b + trace) ** 2 * (1.0 + e) - beta)) + residual
     return upper <= bound + TOL_VERDICT / 2 * np.maximum(bound, 1.0)
 
 
-def _corners_clear(rho: DensityState) -> bool:
-    """detected's screen 2, Theorem 1: whether classes none and rB,cB both
-    clear their four corners by TOL_VERDICT/2 of their bounds, read off
-    upper bounds on ||rho||_1 and ||T_A rho||_1 from the state's two cached
-    spectra, its cached skew norm and the trace defect that X(1, 1)
-    carries."""
-    m, n = rho.dims.m, rho.dims.n
-    norm = (max(float(abs(rho.spectrum).sum()), float(abs(rho.pt_spectrum).sum()))
-            + math.sqrt(m * n / 2) * rho.skew_norm)
-    corner = (m - 1) * (n - 1)  # X(1, 1)'s bound
-    defect = m * n * abs(complex(rho.mat.trace()) - 1.0)  # ||(1 - tr rho) I||_1
-    return norm <= 1 + TOL_VERDICT / 2 and corner * norm + defect <= corner * (1 + TOL_VERDICT / 2)
-
-
 def _ppt_clears(rho: DensityState) -> bool:
-    """detected's screen 3, Theorem 2: whether every pair of the mixed
-    classes cB, rB, cA and cA,rB,cB clears its bound by TOL_VERDICT/2, read
-    off the state's two cached spectra, its cached skew norm s = ||rho -
+    """detected's screen 3, Theorems 1 and 2: whether every pair of the six
+    classes other than cA,rB and cA,cB clears its bound by TOL_VERDICT/2,
+    read off the state's two cached spectra, its skew norm s = ||rho -
     rho^†||_F and its trace defect; e = d^2 eps covers eigvalsh's
     rounding."""
     m, n = rho.dims.m, rho.dims.n
     d = m * n
-    s = rho.skew_norm
+    skew = rho.mat - rho.mat.conj().T
+    s = math.sqrt(float(np.vdot(skew, skew).real))
     lam = max(0.0, s / 2 - float(rho.spectrum[0]), s / 2 - float(rho.pt_spectrum[0]))
     e = d * d * float(np.finfo(float).eps)
     defect = abs(complex(rho.mat.trace()) - 1.0)
@@ -346,10 +335,9 @@ def detected(
     takes the state-level scalar that settles it whole, each computed once,
     on first use:
 
-    - none and rB,cB: _corners_clear, the state's trace norms read off its
-      two cached spectra (screen 2, Theorem 1);
-    - the mixed classes cB, rB, cA and cA,rB,cB: _ppt_clears, PPT read off
-      the same spectra (screen 3, Theorem 2);
+    - the Hermitian classes none and rB,cB and the mixed classes cB, rB,
+      cA and cA,rB,cB: _ppt_clears, PPT read off the state's two cached
+      spectra (screen 3, Theorems 1 and 2);
     - the realignment class cA,rB: _split_settles, ZZZG's bound, one SVD of
       the residual (screen 4, Theorem 3), then its product bound pair by
       pair; where that settles every pair, the class is settled whole;
@@ -370,22 +358,17 @@ def detected(
             and limits.size > 0 and limits.max() <= _SCALAR_BOUND):
         return any(any(block.entangled) for block in verdict_blocks(rho, params, ysets))
     codes = codes.tolist()
-    stack = clear = mixed = split = None  # the maps and screens 2 to 4, each on first use
+    stack = ppt = split = None  # the maps and screens 3 and 4, each on first use
     for c, code in enumerate(codes):
-        if split is None and (code == 6 or code == 5 and 6 in codes):
-            split = _split_settles(rho, roots, limits[:, codes.index(6)])  # one residual SVD
-            if split is not True and split.all():
-                split = True
-        if code == 5:  # the Frobenius class: below the realignment class, else its norms
-            settles = split is True
-        elif code == 6:  # the realignment class
-            settles = split
-        elif code in (0, 3):  # none and rB,cB
-            clear = _corners_clear(rho) if clear is None else clear
-            settles = clear
-        else:  # the mixed classes
-            mixed = _ppt_clears(rho) if mixed is None else mixed
-            settles = mixed
+        if code in (5, 6):  # the root classes: Frobenius below realignment, else its norms
+            if split is None and 6 in codes:
+                split = _split_settles(rho, roots)  # one residual SVD
+                if split is not True and split.all():
+                    split = True
+            settles = split if code == 6 else split is True
+        else:  # the Hermitian and mixed classes
+            ppt = _ppt_clears(rho) if ppt is None else ppt
+            settles = ppt
         if settles is True:
             continue
         stack = reduction_maps(rho, params) if stack is None else stack
@@ -447,7 +430,7 @@ def ppt_check(rho: DensityState) -> CriterionVerdict:
 
     The B-side transpose has the same spectrum for Hermitian rho (global
     transpose similarity), so one side suffices.  The statistic is the
-    least entry of rho.pt_spectrum, which detected's screen 2 shares; an
+    least entry of rho.pt_spectrum, which detected's screen 3 shares; an
     unchecked state is tested for Hermiticity first, even where that cache
     is already filled.
     """

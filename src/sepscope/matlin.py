@@ -124,11 +124,11 @@ class DensityState:
     read-only copy, safe to share across workers: mat may be any matrix
     as_cmatrix takes, and the state makes one complex copy of it, whatever
     its type, so it never shares memory with the input.  The state caches,
-    read-only and each taken at most once, its reductions, two spectra and
-    one skew norm: ``spectrum``, rho's, which validation takes anyway,
+    read-only and each taken at most once, its reductions and two spectra:
+    ``spectrum``, rho's, which validation takes anyway, and
     ``pt_spectrum``, that of T_A rho, which gptops.partial_transpose forms
     (gptops sits below this module, so the state calls it with no import of
-    its own), and ``skew_norm``, ||rho - rho^†||_F.
+    its own).
     """
 
     dims: SubsystemDims
@@ -182,14 +182,6 @@ class DensityState:
         spectrum = np.linalg.eigvalsh(partial_transpose(self.mat, self.dims, "A"))
         spectrum.setflags(write=False)
         return spectrum
-
-    @functools.cached_property
-    def skew_norm(self) -> float:
-        """||rho - rho^†||_F, as a float taken on first use: the Hermiticity
-        defect that both spectra's lower-triangle reading leaves out, and
-        that of T_A rho too, as T_A permutes entries and commutes with †."""
-        skew = self.mat - self.mat.conj().T
-        return math.sqrt(float(np.vdot(skew, skew).real))
 
 
 def kron(a, b) -> np.ndarray:

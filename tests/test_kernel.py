@@ -35,7 +35,6 @@ from sepscope.criteria import (
     _SCALAR_BOUND,
     TOL_VERDICT,
     _bound_table,
-    _corners_clear,
     _map_coefficients,
     _ppt_clears,
     _split_settles,
@@ -255,8 +254,8 @@ def compare_grc_column(capsys, argv, count):
 # compare's grid: every (a, b) of AB_TEST_GRID, a major.
 COMPARE_GRID = tuple(ReductionParams(a, b) for a in AB_TEST_GRID for b in AB_TEST_GRID)
 
-# The corners (a, b) in {0, 1}^2, in the order of detected's screen 2's
-# bilinear carry, and the two classes it decides.
+# The corners (a, b) in {0, 1}^2, in the order of Theorem 1's bilinear
+# split, and the two Hermitian classes whose pairs they bound.
 CORNERS = ((0j, 0j), (1 + 0j, 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j))
 HERMITIAN_CLASSES = (GptOpSet(), GptOpSet(rB=True, cB=True))
 
@@ -313,15 +312,14 @@ class TestCompareEarlyExit:
         original = criteria.gpt_transform
         monkeypatch.setattr(criteria, "gpt_transform",
                             lambda rho, dims, y: transforms.append(y) or original(rho, dims, y))
-        # The state f = -1 on compare's grid.  It is NPT, ||T_A rho||_1 > 1,
-        # so screen 2 fails and the first class, none, takes its pairs
-        # through one transform and an SVD, which flags none of them (the
-        # state passes the reduction criterion).  Screen 3 fails too, so the
-        # second and third classes, {cB} and {rB}, take one transform each
-        # and flag nothing.  The fourth, {rB,cB} and {rA,cA}, takes its
-        # pairs through one transform and the SVD, which detects it at (0,
-        # 0), the partial transpose; the four classes after it are never
-        # computed.
+        # The state f = -1 on compare's grid.  It is NPT, so screen 3 fails
+        # and the first class, none, takes its pairs through one transform
+        # and an SVD, which flags none of them (the state passes the
+        # reduction criterion).  The second and third classes, {cB} and
+        # {rB}, take one transform each and flag nothing.  The fourth,
+        # {rB,cB} and {rA,cA}, takes its pairs through one transform and the
+        # SVD, which detects it at (0, 0), the partial transpose; the four
+        # classes after it are never computed.
         assert detected(werner(3, -1.0).state, COMPARE_GRID, all_subsets())
         assert [y.code for y in transforms] == ["none", "cB", "rB", "rB,cB"]
 
@@ -361,8 +359,8 @@ class TestCompareEarlyExit:
         # The state of seed 0 (3x3, k = 12).  The realignment oracle and
         # ZZZG's residual take single matrices; the full path would take
         # stacks of 36 maps in each of the 8 classes, 288 maps in all.
-        # Screen 2, PPT and ZZZG, which settles the Frobenius class too,
-        # leave none, and no map is built.
+        # Screen 3, PPT, and screen 4, ZZZG, which settles the Frobenius
+        # class too, leave none, and no map is built.
         assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
         assert maps == [(), ()]
 
@@ -507,6 +505,17 @@ def near_psd_state(m, n, seed, eigenvalue=-0.9e-9):
     return DensityState(SubsystemDims(m, n), (mat + mat.conj().T) / 2)
 
 
+def noisy_state(m, n, seed, f):
+    """p rho + (1 - p) I/d for a random rho, with p f times the weight at
+    which the mixture's T_A turns PSD, capped at 1: PPT for f <= 1, and
+    slightly NPT past it where rho is NPT."""
+    d, dims = m * n, SubsystemDims(m, n)
+    rho = random_density(d, seed)
+    low = np.linalg.eigvalsh(partial_transpose(rho, dims, "A"))[0]
+    p = min(1.0, f / (1 - d * low)) if low < 0 else 1.0
+    return DensityState(dims, p * rho + (1 - p) * np.eye(d) / d)
+
+
 @st.composite
 def kernel_states(draw):
     m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
@@ -585,7 +594,7 @@ def zzzg(state):
 
 # No open pair: _split_settles returns True exactly where ZZZG's shortcut
 # settles the whole realignment class.
-NO_PAIRS = (np.empty((0, 2)), np.empty(0))
+NO_PAIRS = np.empty((0, 2))
 
 
 class TestDetected:
@@ -669,14 +678,14 @@ class TestDetected:
         # The map's entries reach 1e200, so their squares overflow, and its
         # Frobenius norm is inf, while every bound is finite, though far past
         # _SCALAR_BOUND, so detected takes the full path.  The state is
-        # separable, so screens 2 to 4 would settle the pair; the full path
+        # separable, so screens 3 and 4 would settle the pair; the full path
         # takes its SVD in each of their classes instead, and flags nothing.
         state = random_separable(SubsystemDims(3, 3), 12, 0).state
         params = [(0.5 + 0j, 0.5 + 0j), (1e100 + 0j, -1e100j)]
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.linalg.norm(reduction_maps(state, params), axis=(1, 2))
         assert np.isfinite(norms[0]) and norms[1] == np.inf
-        assert _corners_clear(state) and _ppt_clears(state) and _split_settles(state, *NO_PAIRS)
+        assert _ppt_clears(state) and _split_settles(state, NO_PAIRS)
         for y in (GptOpSet(), GptOpSet(cB=True), REALIGNMENT):
             assert not full_path(state, params[1:], (y,))
             assert svd_shapes(state, params[1:], (y,))[-1:] == [(1,)]
@@ -714,10 +723,11 @@ class TestDetected:
         # An unchecked state is off the scalar route and takes the full
         # path: the unchecked copy of a separable state takes the SVD of
         # every class's maps, from one stack, and builds it even where only
-        # classes screen 2 would settle are asked.  On the route, a
-        # Frobenius class asked alone is decided by its norms, with no
-        # residual SVD of its own; asked with the realignment class, it
-        # takes ZZZG's shortcut, and no map is built.
+        # the Hermitian classes are asked, which screen 3 settles on the
+        # checked copy.  On the route, a Frobenius class asked alone is
+        # decided by its norms, with no residual SVD of its own; asked with
+        # the realignment class, it takes ZZZG's shortcut, and no map is
+        # built.
         checked = random_separable(SubsystemDims(3, 3), 12, 0).state
         unchecked = DensityState(checked.dims, checked.mat, check=False)
         assert svd_shapes(unchecked, COMPARE_GRID, all_subsets()) == [(36,)] * 8
@@ -731,8 +741,9 @@ class TestDetected:
 
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
-        # class none.  Screen 2 reads that trace norm, so it fails and leaves
-        # the pair open for the SVD.
+        # class none.  Screen 3 reads rho's least eigenvalue, -0.9e-9, so its
+        # 2 d lambda, 1.62 TOL_VERDICT, tops TOL_VERDICT/2; it fails and
+        # leaves the pair open for the SVD.
         import sepscope.criteria as criteria
 
         state = near_psd_state(3, 3, 5)
@@ -750,7 +761,7 @@ class TestDetected:
     @pytest.mark.parametrize("ysets", [(GptOpSet(),), all_subsets()], ids=["none", "all"])
     def test_reduction_flagged_state_takes_no_spectrum(self, monkeypatch, ysets):
         # Class none flags the random state of seed 3 at (1, 0) alone, where
-        # the reduction criterion does: a corner.  Screen 2 reads rho's
+        # the reduction criterion does: a corner.  Screen 3 reads rho's
         # spectrum, cached by validation, and T_A rho's, which it takes as
         # one (9, 9) eigvalsh unless ppt_check has filled the cache; the
         # state is NPT, so the class goes to the SVD.  No spectrum of a grid
@@ -814,9 +825,8 @@ class TestDetected:
         # TOL_VERDICT.  It is diagonal, so both Hermitian classes see the same
         # maps, and its trace is 1, so X(1, 1) is rho with its diagonal
         # reversed.  Every corner is flagged, with excess 6 nu = 1.08
-        # TOL_VERDICT * bound.  A screen 2 that cleared ||rho||_1 up to 1 +
-        # 1.08 TOL_VERDICT would settle (0, 0); at TOL_VERDICT/2 the pair
-        # reaches the SVD.
+        # TOL_VERDICT * bound, just past the flag line.  The state is
+        # unchecked, so detected takes the full path, whose SVD flags (0, 0).
         nu = 0.18 * TOL_VERDICT
         mat = np.diag([1 + 3 * nu, -nu, -nu, -nu])
         state = DensityState(SubsystemDims(2, 2), mat, check=False)
@@ -831,8 +841,9 @@ class TestDetected:
         # diag(1 + 8e, -e, ..., -e), 3x3, e = 0.9e-9, passes validation.  Its
         # corners' excesses are 16e, 28e, 28e and 40e, that is 1.44, 1.26,
         # 1.26 and 0.90 TOL_VERDICT * bound, in both Hermitian classes, so
-        # the full path flags (0, 0).  A screen 2 clearance of 2 TOL_VERDICT
-        # would pass ||rho||_1 = 1 + 16e and settle every pair of the class.
+        # the full path flags (0, 0).  Screen 3 reads lambda = e, and its 2 d
+        # lambda, 1.62 TOL_VERDICT, tops TOL_VERDICT/2, so both classes go
+        # to the SVD; a screen that cleared 2 TOL_VERDICT would settle them.
         e = 0.9e-9
         state = DensityState(SubsystemDims(3, 3), np.diag([1 + 8 * e] + [-e] * 8))
         for y in HERMITIAN_CLASSES:
@@ -848,9 +859,9 @@ class TestDetected:
         # ||rho||_1 = sqrt(1 + 4 eps^2), and T_A rho = rho, so the full path's
         # excess at (0, 0) is about 2 eps^2 in both Hermitian classes.
         # eigvalsh reads the lower triangle, [[1, -eps], [-eps, 0]], of the
-        # same trace norm, which at eps = 1e-4 tops 1 + TOL_VERDICT/2 alone;
-        # screen 2's skew term, sqrt(d/2) ||rho - rho^†||_F = 4 eps, adds to
-        # it.  test_upper_skew_edge is the edge the skew term alone decides.
+        # same trace norm.  The state is unchecked, so detected takes the
+        # full path, and its SVD decides both sides of the edge;
+        # test_upper_skew_edge is the edge the lower triangle does not show.
         mat = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         mat[0, 1], mat[1, 0] = eps, -eps
         state = DensityState(SubsystemDims(2, 2), mat, check=False)
@@ -868,8 +879,8 @@ class TestDetected:
         # sqrt(1 + eps^2), and T_A rho = rho, so the full path's excess at
         # (0, 0) is about eps^2 / 2 in both Hermitian classes.  eigvalsh
         # reads the lower triangle, diag(1, 0, 0, 0), whose spectrum sums to
-        # exactly 1, so only screen 2's skew term, sqrt(d/2) ||rho -
-        # rho^†||_F = 2 eps, keeps it from settling that pair.
+        # exactly 1, so the spectra alone would settle that pair.  The state
+        # is unchecked, so detected takes the full path, whose SVD decides.
         mat = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         mat[0, 1] = eps
         state = DensityState(SubsystemDims(2, 2), mat, check=False)
@@ -887,8 +898,8 @@ class TestDetected:
         # The unchecked (1 - t TOL_VERDICT) I/4, 2x2, has ||rho||_1 =
         # ||T_A rho||_1 < 1, but X(1, 1) = (1 + 3 t TOL_VERDICT) I/4, so the
         # full path's excess there is 3 t TOL_VERDICT in both Hermitian
-        # classes.  Only screen 2's trace term, d |tr rho - 1| = 4 t
-        # TOL_VERDICT, keeps it from settling that pair.
+        # classes, which the trace norms alone do not show.  The state is
+        # unchecked, so detected takes the full path, whose SVD decides.
         state = DensityState(SubsystemDims(2, 2), (1 - t * TOL_VERDICT) * np.eye(4) / 4, check=False)
         pair = ((1 + 0j, 1 + 0j),)
         for y in HERMITIAN_CLASSES:
@@ -901,9 +912,9 @@ class TestDetected:
     def test_overflowing_corner_leaves_classes_to_the_svd(self):
         # An unchecked state with entries 8e307 that cancel in the map at
         # (1/2, 0), which is finite, open and flagged, while the corner X(1, 1)
-        # overflows.  Screen 2 builds no corner map, but reads the spectra
-        # and takes the skew term and trace of these entries; detected
-        # answers as the full path, and raises nothing.
+        # overflows.  The state is unchecked, so detected takes the full
+        # path, which builds no corner map; it answers as the full path, and
+        # raises nothing.
         mat = np.diag([8e307, 0.0, 8e307, 0.0])
         for i, j, x in ((0, 1, 0.7), (2, 3, -0.4), (1, 3, 0.9)):
             mat[i, j] = mat[j, i] = x
@@ -945,7 +956,8 @@ class TestDetected:
         # full path flags from 1e-5 on.  The lower triangles that eigvalsh
         # reads of rho and T_A rho are the separable state's plus a
         # Hermitian matrix of trace 0 and size scale, so their spectra need
-        # not show the skew part; screen 2's skew term covers it.
+        # not show the skew part; the state is unchecked, so detected takes
+        # the full path.
         rng = np.random.default_rng(7)
         g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         mat = random_separable(SubsystemDims(3, 3), 12, 3).state.mat + scale * (g - g.conj().T) / 2
@@ -1047,34 +1059,19 @@ class TestCorners:
         for x, spectrum in ((state.mat, state.spectrum), (partial, state.pt_spectrum)):
             assert trace_norm(x) <= (abs(spectrum).sum() + np.sqrt(d / 2) * skew) * (1 + 1e-12)
 
-    @pytest.mark.parametrize("t,clears", [(1.35e-9, False), (1e-9, True)])
-    def test_screen_two_bound_edge(self, t, clears):
-        # The unchecked E_00 + t (E_12 + E_23 + E_34 + E_45), 2x3, of trace
-        # 1.  Its singular values are 1 and four t, so ||rho||_1 = 1 + 4t,
-        # while the lower triangle eigvalsh reads is E_00, of spectrum sum 1,
-        # and ||rho - rho^†||_F = sqrt(8) t; T_A rho's lower triangle adds t
-        # (E_50 + E_05), of spectrum sum 1 + O(t^2).  So screen 2's bound
-        # is 1 + sqrt(24) t = 1 + 4.90 t.  With sqrt(d/4) in place of
-        # sqrt(d/2) it would read 1 + 3.46 t, below ||rho||_1, and without
-        # the skew term 1.  At t = 1.35e-9, ||rho||_1 = 1 + 0.54
-        # TOL_VERDICT lies past the screen's 1 + TOL_VERDICT/2, which 1 +
-        # 0.47 TOL_VERDICT would pass; at t = 1e-9 the bound, 1 + 0.49
-        # TOL_VERDICT, clears.
-        mat = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)
-        for i in range(1, 5):
-            mat[i, i + 1] = t
-        state = DensityState(SubsystemDims(2, 3), mat, check=False)
-        assert trace_norm(mat) - 1 == pytest.approx(4 * t, rel=1e-6)
-        assert (trace_norm(mat) <= 1 + TOL_VERDICT / 2) is clears
-        assert _corners_clear(state) is clears
-
     @settings(max_examples=150)
-    @given(state=kernel_states(), params=st.lists(kernel_params(), min_size=1, max_size=6))
+    @given(
+        state=st.one_of(kernel_states(), st.builds(noisy_state, st.integers(2, 4), st.integers(2, 4),
+                                                   st.integers(0, 2**31 - 1), st.floats(0.97, 1.03))),
+        params=st.lists(kernel_params(), min_size=1, max_size=6),
+    )
     def test_clear_corners_flag_nothing(self, state, params):
-        # Where screen 2 clears one of these states, every corner of both
+        # Where screen 3 clears one of these states, every corner of both
         # Hermitian classes is within (1 + TOL_VERDICT/2) bound_c, up to
-        # rounding, and no pair of either class flags.
-        if not _corners_clear(state):
+        # rounding, and no pair of either class flags: README's corollary to
+        # Theorems 1 and 2.  The noise mixtures lie within 3% of the PPT
+        # boundary, either side, so the screen both clears and fails.
+        if not _ppt_clears(state):
             return
         for y in HERMITIAN_CLASSES:
             (corner,) = verdict_blocks(state, CORNERS, (y,))
@@ -1088,13 +1085,13 @@ class TestCorners:
         (2, 1, 0.5087111075732265, (1028302355.92215, 1.0000000002778218)),
     ])
     def test_one_dimensional_factor_goes_to_the_svd(self, m, n, x, pair):
-        # diag(x, 1 - x) with a factor of dimension 1 clears screen 2, though
-        # two of its corners have bound 0.  Far out, next to a corner with
-        # bound 0, the pair's bound no longer dominates |a| and |b|, and the
-        # full path's own rounding flags it; detected leaves such classes to
-        # the SVD, so it agrees.
+        # diag(x, 1 - x) with a factor of dimension 1 is PSD and PPT, so it
+        # clears screen 3, though two of its corners have bound 0.  Far out,
+        # next to a corner with bound 0, the pair's bound no longer dominates
+        # |a| and |b|, and the full path's own rounding flags it; detected
+        # leaves such classes to the SVD, so it agrees.
         state = DensityState(SubsystemDims(m, n), np.diag([x, 1 - x]))
-        assert _corners_clear(state) is True
+        assert _ppt_clears(state) is True
         params = (tuple(map(complex, pair)),)
         for y in HERMITIAN_CLASSES:
             assert full_path(state, params, (y,))
@@ -1102,11 +1099,9 @@ class TestCorners:
         # The realignment class flags there too, and goes to the SVD alike.
         assert full_path(state, params, (REALIGNMENT,))
         assert detected(state, params, (REALIGNMENT,))
-        # A thousand times nearer, every mixed class is unflagged, and the
-        # state is PSD and PPT, so screen 3 would settle all four; each
-        # reaches the SVD instead.
+        # A thousand times nearer, every mixed class is unflagged, and
+        # screen 3 would settle all four; each reaches the SVD instead.
         near = (tuple(complex(x) * (1e-3 if abs(x) > 2 else 1) for x in pair),)
-        assert _ppt_clears(state) is True
         assert svd_shapes(state, near, MIXED_CLASSES) == [(1,)] * 4
 
 
@@ -1114,15 +1109,15 @@ class TestStateSpectra:
     @settings(max_examples=100)
     @given(state=kernel_states(), ppt_first=st.booleans())
     def test_cached_spectra_as_eigvalsh(self, state, ppt_first):
-        # Bit for bit, whichever of ppt_check and detected's screen 2 takes
+        # Bit for bit, whichever of ppt_check and detected's screen 3 takes
         # T_A rho's spectrum first.
         partial = partial_transpose(state.mat, state.dims, "A")
         want = np.linalg.eigvalsh(partial)
         if ppt_first:
             statistic = ppt_check(state).statistic
-            _corners_clear(state)
+            _ppt_clears(state)
         else:
-            _corners_clear(state)
+            _ppt_clears(state)
             statistic = ppt_check(state).statistic
         assert statistic.hex() == float(want[0]).hex()
         assert state.pt_spectrum.tobytes() == want.tobytes()
@@ -1143,18 +1138,6 @@ class TestStateSpectra:
         assert calls == [(9, 9)] * 2  # the unchecked state's, on first use
         assert checked.spectrum is checked.spectrum and unchecked.pt_spectrum is unchecked.pt_spectrum
         assert calls == [(9, 9)] * 3
-
-    def test_skew_norm_taken_once(self, monkeypatch):
-        # Screens 2 and 3 read one cached ||rho - rho^†||_F.
-        mat = random_separable(SubsystemDims(3, 3), 12, 0).state.mat.copy()
-        mat[0, 1] += 0.3e-12j
-        state = DensityState(SubsystemDims(3, 3), mat)
-        calls = []
-        vdot = np.vdot
-        monkeypatch.setattr(np, "vdot", lambda x, y: calls.append(x.shape) or vdot(x, y))
-        assert _corners_clear(state) and _ppt_clears(state)
-        assert calls == [(9, 9)]
-        assert state.skew_norm == pytest.approx(np.linalg.norm(mat - mat.conj().T), rel=1e-15)
 
     def test_unchecked_non_hermitian_after_detected(self):
         # An unchecked state with a Hermiticity defect of 1e-9, after
@@ -1205,15 +1188,14 @@ class TestMapCoefficients:
         assert _map_coefficients.cache_info().hits == 1
 
 
-def noisy_state(m, n, seed, f):
-    """p rho + (1 - p) I/d for a random rho, with p f times the weight at
-    which the mixture's T_A turns PSD, capped at 1: PPT for f <= 1, and
-    slightly NPT past it where rho is NPT."""
-    d, dims = m * n, SubsystemDims(m, n)
-    rho = random_density(d, seed)
-    low = np.linalg.eigvalsh(partial_transpose(rho, dims, "A"))[0]
-    p = min(1.0, f / (1 - d * low)) if low < 0 else 1.0
-    return DensityState(dims, p * rho + (1 - p) * np.eye(d) / d)
+    def test_empty_params(self):
+        # No pair: an empty (0, d, d) stack, one block of empty lists per
+        # class, and no flag.
+        state = werner(3, 0.5).state
+        assert reduction_maps(state, ()).shape == (0, 9, 9)
+        blocks = list(verdict_blocks(state, (), all_subsets()))
+        assert [block[1:] for block in blocks] == [([], [], [], [])] * 8
+        assert detected(state, (), all_subsets()) is False
 
 
 class TestPptScreen:
@@ -1247,10 +1229,10 @@ class TestPptScreen:
         # PSD; at q = 1/3 + eps T_A rho's, (1 - 3q)/4, is -3 eps/4 and rho
         # is PSD.  So 2 d lambda = 6 eps, and eps = margin TOL_VERDICT/12
         # puts screen 3's sum at 0.45 or 0.55 TOL_VERDICT, inside or outside
-        # its TOL_VERDICT/2.  No mixed class flags on compare's grid; inside,
-        # the screen settles all four, and outside each takes one stack of
-        # SVDs.  Without the factor d, or without either spectrum, the
-        # outside case would settle.
+        # its TOL_VERDICT/2.  No mixed or Hermitian class flags on compare's
+        # grid; inside, the screen settles all six, and outside each takes
+        # one stack of SVDs.  Without the factor d, or without either
+        # spectrum, the outside case would settle.
         eps = margin * TOL_VERDICT / 12
         state = isotropic_state(side * (1 / 3 + eps))
         lam = max(-state.spectrum[0], -state.pt_spectrum[0])
@@ -1258,6 +1240,21 @@ class TestPptScreen:
         assert (state.pt_spectrum if side == -1 else state.spectrum)[0] > 0
         assert _ppt_clears(state) is clears
         assert svd_shapes(state, COMPARE_GRID, MIXED_CLASSES) == ([] if clears else [(36,)] * 4)
+        assert svd_shapes(state, COMPARE_GRID, HERMITIAN_CLASSES) == ([] if clears else [(36,)] * 2)
+
+    @pytest.mark.parametrize("t,clears", [(0.5, False), (0.08, True)])
+    def test_trace_defect_edge(self, t, clears):
+        # The unchecked (1 - t TOL_VERDICT) I/4, 2x2, is PSD and PPT with no
+        # skew part, but X(1, 1) = (1 + 3 t TOL_VERDICT) I/4, so the full
+        # path's excess there is 3 t TOL_VERDICT in both Hermitian classes:
+        # flagged at t = 0.5.  Screen 3's sum bounds the six classes on any
+        # matrix (Theorem 2 and Theorem 1's corollary), and only its trace
+        # term, (d + 1) delta = 5 t TOL_VERDICT, keeps the screen from
+        # clearing that state; at t = 0.08 the screen clears, and no pair of
+        # the six classes flags at a corner.
+        state = DensityState(SubsystemDims(2, 2), (1 - t * TOL_VERDICT) * np.eye(4) / 4, check=False)
+        assert _ppt_clears(state) is clears
+        assert full_path(state, CORNERS, HERMITIAN_CLASSES + MIXED_CLASSES) is not clears
 
     def test_unchecked_state_takes_the_svd(self):
         # The same separable matrix, checked and unchecked.  Screen 3 clears
@@ -1329,8 +1326,8 @@ class TestZZZG:
         assert frobenius.bound == realignment.bound
         for f, r in zip(frobenius.statistic, realignment.statistic):
             assert f <= r * (1 + 4 * d * eps)
-        _, _, limits, roots = _bound_table(tuple(params), state.dims, (REALIGNMENT,))
-        settles = _split_settles(state, roots, limits[:, 0])
+        roots = _bound_table(tuple(params), state.dims, (REALIGNMENT,))[3]
+        settles = _split_settles(state, roots)
         settled = [True] * len(params) if settles is True else settles.tolist()
         assert not any(flag and s for flag, s in zip(frobenius.entangled, settled))
 
@@ -1341,7 +1338,7 @@ class TestZZZG:
         for seed in range(20):
             for k in (2, 5, 12):
                 state = random_separable(SubsystemDims(m, n), k, seed).state
-                assert _split_settles(state, *NO_PAIRS) is True
+                assert _split_settles(state, NO_PAIRS) is True
 
     def test_separable_takes_no_split(self):
         # compare's three separable states: ZZZG settles every open
@@ -1349,7 +1346,7 @@ class TestZZZG:
         # alone, none of a map.
         for seed in range(3):
             state = random_separable(SubsystemDims(3, 3), 12, seed).state
-            assert _split_settles(state, *NO_PAIRS) is True
+            assert _split_settles(state, NO_PAIRS) is True
             assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [()]
 
     def test_violated_class_test_falls_back_to_the_split(self):
@@ -1359,7 +1356,7 @@ class TestZZZG:
         # and flags, whatever else is requested.
         state = horodecki_3x3(0.5).state
         assert zzzg(state) > 1e-3
-        assert _split_settles(state, *NO_PAIRS) is not True
+        assert _split_settles(state, NO_PAIRS) is not True
         for ysets in ((REALIGNMENT,), all_subsets()):
             assert svd_shapes(state, COMPARE_GRID, ysets) == [(), (10,)]
 
@@ -1375,7 +1372,7 @@ class TestZZZG:
         ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
         state = DensityState(SubsystemDims(2, 2), (1 - p) * np.eye(4) / 4 + p * np.outer(ket, ket))
         assert zzzg(state) == pytest.approx(excess * TOL_VERDICT, rel=1e-4)
-        assert (_split_settles(state, *NO_PAIRS) is True) == (stacks == 0)
+        assert (_split_settles(state, NO_PAIRS) is True) == (stacks == 0)
         maps = svd_shapes(state, COMPARE_GRID, (REALIGNMENT,))
         assert [shape for shape in maps if shape] == [(6,)] * stacks
         assert not full_path(state, COMPARE_GRID, (REALIGNMENT,))
@@ -1389,7 +1386,7 @@ class TestZZZG:
                              0.5 * random_separable(SubsystemDims(3, 3), 12, 0).state.mat,
                              check=False)
         assert zzzg(state) < -0.5
-        assert _split_settles(state, *NO_PAIRS) is not True
+        assert _split_settles(state, NO_PAIRS) is not True
         params = [(complex(a), complex(b)) for a in (-1e3, 1.0, 1e5) for b in (-1e3, 0.5, 1e5)]
         assert full_path(state, params, (REALIGNMENT,))
         assert detected(state, params, (REALIGNMENT,))
@@ -1404,10 +1401,10 @@ class TestZZZG:
         # path, and the pair's one SVD.
         factor = np.array([[0.5, 1.0], [1.0, 0.5]])
         state = DensityState(SubsystemDims(2, 2), np.kron(factor, factor), check=False)
-        assert _split_settles(state, *NO_PAIRS) is not True
+        assert _split_settles(state, NO_PAIRS) is not True
         pair = ((0j, 0j),)
-        _, _, limits, roots = _bound_table(pair, state.dims, (REALIGNMENT,))
-        assert _split_settles(state, roots, limits[:, 0]).tolist() == [False]
+        roots = _bound_table(pair, state.dims, (REALIGNMENT,))[3]
+        assert _split_settles(state, roots).tolist() == [False]
         assert full_path(state, pair, (REALIGNMENT,))
         assert svd_shapes(state, pair, (REALIGNMENT,)) == [(1,)]
 
@@ -1577,8 +1574,8 @@ class TestSplit:
         (block,) = verdict_blocks(state, pair, (REALIGNMENT,))
         assert block.bound == [1.0] and block.entangled == [False]
         assert 0 < block.statistic[0] - 1 < excess * TOL_VERDICT
-        _, _, limits, roots = _bound_table(pair, state.dims, (REALIGNMENT,))
-        assert _split_settles(state, roots, limits[:, 0]).tolist() == [open_pairs == 0]
+        roots = _bound_table(pair, state.dims, (REALIGNMENT,))[3]
+        assert _split_settles(state, roots).tolist() == [open_pairs == 0]
         assert svd_shapes(state, pair, (REALIGNMENT,)) == [(1,)]
 
     def test_residual_is_zzzg_statistic(self, monkeypatch):
