@@ -16,11 +16,13 @@ import sys
 from .criteria import (
     AB_TEST_GRID,
     ORACLES,
+    TOL_VERDICT,
     CriterionVerdict,
     ReductionParams,
     detected,
     evaluate,
     evaluate_all_Y,
+    flag_margin,
 )
 from .errors import ParamOutOfRange, SepscopeError
 from .gptops import GptOpSet, all_subsets
@@ -148,16 +150,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(COMPARE_ROW.format("state", "params", *names))
     for idx, labeled in enumerate(itertools.chain((first,), members)):
         state = labeled.state
-        oracles = {name: check(state).entangled for name, check in ORACLES.items()}
+        oracles = {name: check(state) for name, check in ORACLES.items()}
         row = (
-            *oracles.values(),
+            *(verdict.entangled for verdict in oracles.values()),
             # A PPT flag is grc's pair (0, 0), {rA,cA}, whose bound is exactly
             # 1: with v = -lambda_min(T_A rho) > TOL_VERDICT, ||T_B rho||_1 =
             # sum |lambda_i| >= tr rho + 2v, and a validated state has tr rho
             # >= 1 - 1e-12, so that pair's excess is at least 2v - 1e-12 -
-            # O(d eps) > TOL_VERDICT.  0.0 is in AB_TEST_GRID and {rA,cA} in
-            # all_subsets(), so detected would flag it.
-            oracles["ppt"] or detected(state, grid, subsets),
+            # O(d eps) > TOL_VERDICT.  The realignment statistic is grc's at
+            # (0, 0), {cA,rB}, bound 1, up to the signs of zero entries and
+            # the SVD's O(d eps) rounding, so a flag TOL_VERDICT past its
+            # line is grc's too.  0.0 is in AB_TEST_GRID and both subsets in
+            # all_subsets(), so detected would flag either.
+            oracles["ppt"].entangled or flag_margin(oracles["realignment"]) > TOL_VERDICT
+            or detected(state, grid, subsets),
         )
         flags.append(row)
         param_text = " ".join(f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"

@@ -100,7 +100,8 @@ def flag_margin(verdict: CriterionVerdict) -> float:
     """How far the verdict's excess lies past _judge's flag line: excess -
     TOL_VERDICT * max(1, bound), with the excess of CriterionVerdict.  It
     is > 0 exactly where the verdict is entangled, as a float difference
-    has the sign of the exact one."""
+    has the sign of the exact one, save on a state with a factor of
+    dimension 1, which verdict_blocks never flags."""
     if verdict.criterion in ("ppt", "reduction"):  # minimum eigenvalues against 0
         excess = -verdict.statistic
     else:
@@ -191,14 +192,6 @@ class VerdictBlock(NamedTuple):
     entangled: list[bool]
 
 
-def _judged(statistic: list[float], bound: list[float], params: Sequence[tuple[complex, complex]]
-            ) -> tuple[list[float], list[bool]]:
-    """_judge on trace norms against their bounds; a pair whose excess is not
-    finite raises ParamOutOfRange naming its (a, b)."""
-    excess = [s - b for s, b in zip(statistic, bound)]  # finite iff both are: s, b >= 0
-    return _judge(excess, bound, lambda i: _overflow(params[i]))
-
-
 def verdict_blocks(
     rho: DensityState,
     params: Sequence[tuple[complex, complex]],
@@ -213,43 +206,44 @@ def verdict_blocks(
     requested.  Classes come in order of their first request, each only
     when the consumer asks for its block, so a consumer may stop early.  A
     map, statistic or bound that is not finite raises ParamOutOfRange
-    naming its (a, b).  params are (a, b) pairs of Python complex, checked
-    finite by the caller; a ReductionParams unpacks as one.
+    naming its (a, b).  A state with a factor of dimension 1 is a product,
+    so no pair of it is flagged, whatever its violation; near a bound of 0
+    the statistic's rounding may top the flag line there.  params are (a,
+    b) pairs of Python complex, checked finite by the caller; a
+    ReductionParams unpacks as one.
     """
     stack = reduction_maps(rho, params)
-    codes, owner, limits, _ = _bound_table(tuple(params), rho.dims, tuple(ysets))
+    codes, owner, limits = _bound_table(tuple(params), rho.dims, tuple(ysets))
     owners = owner.tolist()
+    product = 1 in (rho.dims.m, rho.dims.n)
     for c, code in enumerate(codes.tolist()):
         bound = limits[:, c].tolist()
         statistic = trace_norm(gpt_transform(stack, rho.dims, all_subsets()[code]))
-        violation, entangled = _judged(statistic, bound, params)
+        excess = [s - b for s, b in zip(statistic, bound)]  # finite iff both are: s, b >= 0
+        violation, entangled = _judge(excess, bound, lambda i: _overflow(params[i]))
+        if product:
+            entangled = [False] * len(entangled)
         yield VerdictBlock([j for j, o in enumerate(owners) if o == c],
                            statistic, bound, violation, entangled)
 
 
-def _split_settles(rho: DensityState, roots: np.ndarray) -> bool | np.ndarray:
-    """detected's screen 4, Theorem 3, on realignment-class pairs with root
-    factors roots, a (k, 2) array of columns h_a, h_b, whose products are
-    the class's bounds: True where ZZZG settles every pair at once, else
-    which pairs the product bound settles.  With e = d^2 eps, the residual
-    ||R(Delta)||_1, Delta = rho - rho_A kron rho_B, is raised by e times
-    itself plus e, alpha = 1 - ||rho_A||_F^2 and beta = 1 - ||rho_B||_F^2
-    are lowered by e, delta = |tr rho_A - 1| is raised by e, and each
-    side's (h + delta)^2 by e times itself."""
-    e = rho.dims.total ** 2 * np.finfo(float).eps
+def _split_settles(rho: DensityState) -> bool:
+    """detected's screen 4, Theorem 3: whether ZZZG's bound settles every
+    pair of the realignment class, and with it the Frobenius class (Theorem
+    4), at any (a, b).  With e = d^2 eps, the residual ||R(Delta)||_1, Delta
+    = rho - rho_A kron rho_B, is raised by e times itself plus e, alpha = 1
+    - ||rho_A||_F^2 and beta = 1 - ||rho_B||_F^2 are lowered by e, and
+    delta = |tr rho_A - 1| is raised by e.  A purity past 1, as a pure
+    reduction's may round, moves into the trace term: delta gains max(0,
+    -alpha, -beta)/sqrt(2), and alpha and beta are clamped at 0."""
+    e = rho.dims.total ** 2 * float(np.finfo(float).eps)
     rho_a, rho_b = rho.reductions
-    residual = trace_norm(realign(rho.mat - kron(rho_a, rho_b), rho.dims)) * (1.0 + e) + e
+    residual = float(trace_norm(realign(rho.mat - kron(rho_a, rho_b), rho.dims))) * (1.0 + e) + e
     alpha, beta = (1.0 - float(np.vdot(x, x).real) - e for x in (rho_a, rho_b))
-    trace = max(abs(complex(np.trace(x)) - 1.0) for x in (rho_a, rho_b)) + e
-    if alpha >= 0.0 and beta >= 0.0 and (max(residual - math.sqrt(alpha * beta), 0.0)
-                                         + trace * (2.0 * math.sqrt(2.0) + 2.0 * trace)
-                                         <= TOL_VERDICT / 2):
-        return True
-    h_a, h_b = roots.T
-    bound = h_a * h_b  # float64 products, so the bits of _bound_table's column
-    upper = np.sqrt(((h_a + trace) ** 2 * (1.0 + e) - alpha)
-                    * ((h_b + trace) ** 2 * (1.0 + e) - beta)) + residual
-    return upper <= bound + TOL_VERDICT / 2 * np.maximum(bound, 1.0)
+    trace = (max(abs(complex(np.trace(x)) - 1.0) for x in (rho_a, rho_b)) + e
+             + max(0.0, -alpha, -beta) / math.sqrt(2.0))
+    return (max(residual - math.sqrt(max(alpha, 0.0) * max(beta, 0.0)), 0.0)
+            + trace * (2.0 * math.sqrt(2.0) + 2.0 * trace) <= TOL_VERDICT / 2)
 
 
 def _ppt_clears(rho: DensityState) -> bool:
@@ -269,10 +263,10 @@ def _ppt_clears(rho: DensityState) -> bool:
             <= TOL_VERDICT / 2)
 
 
-@constant_cache(8, lambda params, dims, ysets: 10 * len(params) + len(ysets) + 8)
+@constant_cache(8, lambda params, dims, ysets: 8 * len(params) + len(ysets) + 8)
 def _bound_table(params: tuple, dims, ysets: tuple) -> tuple[np.ndarray, ...]:
     """The complement classes {y, complement of y} of ysets and their bounds
-    over params, read-only, as (codes, owner, limits, roots).
+    over params, read-only, as (codes, owner, limits).
 
     The classes come in order of their first request, each as the code 4 cA
     + 2 rB + cB of its member without rA, the subset of all_subsets() at
@@ -284,12 +278,10 @@ def _bound_table(params: tuple, dims, ysets: tuple) -> tuple[np.ndarray, ...]:
     arithmetic.  A bound depends on the member's flags only through (not
     cA, rB == cB), so each side's list of factors, keyed by its flags being
     equal, is built once, with one _factor call per parameter: compare's
-    grid takes 144.  roots holds the realignment class's two root-factor
-    lists as (k, 2) columns h_a, h_b, or is empty, (0, 2), where that class
-    is not requested.  The table depends on nothing but its arguments, so
+    grid takes 144.  The table depends on nothing but its arguments, so
     compare's grid builds it once for every state, and a sweep once for
     every state with the same b stack.  It holds at most 8 + len(ysets) +
-    8k + 2k entries, the count its cache keeps it by.
+    8k entries, the count its cache keeps it by.
     """
     codes: list[int] = []
     owner = []
@@ -309,9 +301,7 @@ def _bound_table(params: tuple, dims, ysets: tuple) -> tuple[np.ndarray, ...]:
         if same_b not in h_b:
             h_b[same_b] = [_factor(b, dims.n, same_b) for _, b in params]
         bounds.append([x * y for x, y in zip(h_a[same_a], h_b[same_b])])
-    roots = [h_a[False], h_b[False]] if 6 in codes else [[], []]
-    return (np.array(codes, dtype=int), np.array(owner, dtype=int),
-            np.array(bounds).T, np.array(roots).T)
+    return np.array(codes, dtype=int), np.array(owner, dtype=int), np.array(bounds).T
 
 
 def detected(
@@ -321,69 +311,40 @@ def detected(
 ) -> bool:
     """Whether any pair (params[i], ysets[j]) is flagged: what
     ``any(any(b.entangled) for b in verdict_blocks(rho, params, ysets))``
-    returns, raising what it raises, with an SVD only of the maps that its
-    screens leave unsettled.  The proofs are the theorems of README's
-    Theory section.
+    returns, raising what it raises, with verdict_blocks run only on the
+    classes that two state-level screens leave open.  The proofs are the
+    theorems of README's Theory section.
 
-    The scalar route is a checked state with m, n >= 2 whose largest bound
-    over params and ysets is at most _SCALAR_BOUND; every other input takes
-    verdict_blocks itself, so its flags and raises are the full path's by
-    construction.  On the route, no map, norm or bound can overflow, and
-    the T/2 * max(1, bound) that the screens leave below the flag line, T =
-    TOL_VERDICT, covers the full path's rounding (Theorem 5).  The classes,
-    from _bound_table, are taken in order of first request.  Each first
-    takes the state-level scalar that settles it whole, each computed once,
-    on first use:
+    The screens run on the scalar route, a checked state with m, n >= 2
+    whose largest bound over params and ysets is at most _SCALAR_BOUND.
+    There no map, norm or bound can overflow, and the T/2 * max(1, bound)
+    that a screen leaves below the flag line, T = TOL_VERDICT, covers the
+    full path's rounding (Theorem 5).  Each screen settles its classes
+    whole, and runs where any of them is requested:
 
-    - the Hermitian classes none and rB,cB and the mixed classes cB, rB,
-      cA and cA,rB,cB: _ppt_clears, PPT read off the state's two cached
-      spectra (screen 3, Theorems 1 and 2);
-    - the realignment class cA,rB: _split_settles, ZZZG's bound, one SVD of
-      the residual (screen 4, Theorem 3), then its product bound pair by
-      pair; where that settles every pair, the class is settled whole;
-    - the Frobenius class cA,cB: whatever settles the realignment class
-      whole, where that class is requested too (Theorem 4).
+    - _ppt_clears, PPT read off the state's two cached spectra: the six
+      classes other than cA,rB and cA,cB (screen 3, Theorems 1 and 2);
+    - _split_settles, ZZZG's bound from one SVD of the residual: the
+      realignment class cA,rB and the Frobenius class cA,cB (screen 4,
+      Theorems 3 and 4).
 
-    A class left open builds reduction_maps' one stack, on first need.  The
-    Frobenius class settles a pair where ||X||_F is at most its bound plus
-    T/2 * max(1, bound), and the other open pairs take the
-    full path's arithmetic: the SVD of their own maps and _judge.  numpy's
-    stacked SVD takes each matrix alone, so an open pair's statistic has
-    the bits verdict_blocks gives it, and the first class that flags
-    returns True.  params are (a, b) pairs of complex the caller checked
-    finite.
+    Where they settle every requested class, no map is built.  The classes
+    left open go to verdict_blocks in order of first request, whose first
+    flag returns True.  Every other input takes verdict_blocks on all its
+    classes, so its flags and raises are the full path's by construction.
+    params are (a, b) pairs of complex the caller checked finite.
     """
-    codes, _, limits, roots = _bound_table(tuple(params), rho.dims, tuple(ysets))
-    if not (rho.checked and rho.dims.m >= 2 and rho.dims.n >= 2
+    codes, _, limits = _bound_table(tuple(params), rho.dims, tuple(ysets))
+    if (rho.checked and rho.dims.m >= 2 and rho.dims.n >= 2
             and limits.size > 0 and limits.max() <= _SCALAR_BOUND):
-        return any(any(block.entangled) for block in verdict_blocks(rho, params, ysets))
-    codes = codes.tolist()
-    stack = ppt = split = None  # the maps and screens 3 and 4, each on first use
-    for c, code in enumerate(codes):
-        if code in (5, 6):  # the root classes: Frobenius below realignment, else its norms
-            if split is None and 6 in codes:
-                split = _split_settles(rho, roots)  # one residual SVD
-                if split is not True and split.all():
-                    split = True
-            settles = split if code == 6 else split is True
-        else:  # the Hermitian and mixed classes
-            ppt = _ppt_clears(rho) if ppt is None else ppt
-            settles = ppt
-        if settles is True:
-            continue
-        stack = reduction_maps(rho, params) if stack is None else stack
-        limit = limits[:, c]
-        if code == 5:
-            settles = (np.linalg.norm(stack, axis=(1, 2))
-                       <= limit + TOL_VERDICT / 2 * np.maximum(limit, 1.0))
-        unsettled = np.flatnonzero(np.broadcast_to(np.logical_not(settles), limit.shape))
-        if unsettled.size == 0:
-            continue
-        statistic = trace_norm(gpt_transform(stack[unsettled], rho.dims, all_subsets()[code]))
-        _, entangled = _judged(statistic, limit[unsettled].tolist(), [params[i] for i in unsettled])
-        if any(entangled):
-            return True
-    return False
+        codes = codes.tolist()
+        root = [code in (5, 6) for code in codes]  # the Frobenius and realignment classes
+        settled = {False: not all(root) and _ppt_clears(rho),
+                   True: any(root) and _split_settles(rho)}
+        ysets = [all_subsets()[code] for code, r in zip(codes, root) if not settled[r]]
+        if not ysets:
+            return False
+    return any(any(block.entangled) for block in verdict_blocks(rho, params, ysets))
 
 
 def _verdict(block: VerdictBlock, i: int, p: ReductionParams, y: GptOpSet) -> CriterionVerdict:

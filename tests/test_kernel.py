@@ -39,14 +39,16 @@ from sepscope.criteria import (
     _ppt_clears,
     _split_settles,
     detected,
+    flag_margin,
     ppt_check,
+    realignment_check,
     reduction_maps,
     verdict_blocks,
 )
 from sepscope.errors import NotHermitian, ParamOutOfRange
 from sepscope.gptops import PARTIAL_TRANSPOSE_Y, gpt_transform, partial_transpose, realign
 from sepscope.matlin import kron, partial_trace, trace_norm
-from sepscope.states import random_density_state
+from sepscope.states import FAMILIES, Family, LabeledState, random_density_state
 
 COMPLEX_PARAMS = (
     ReductionParams(0.3 - 0.7j, 1.2 + 0.4j),
@@ -165,7 +167,7 @@ class TestBlocks:
         subsets = all_subsets()
         # Counter order reversed: each class is first requested through its
         # member with rA, then through the one without.
-        codes, owner, _, _ = _bound_table(COMPLEX_PARAMS, SubsystemDims(2, 3), subsets[::-1])
+        codes, owner, _ = _bound_table(COMPLEX_PARAMS, SubsystemDims(2, 3), subsets[::-1])
         for c, code in enumerate(codes.tolist()):
             served = np.flatnonzero(owner == c).tolist()
             assert subsets[code] is subsets[15 - served[1]]
@@ -325,7 +327,9 @@ class TestCompareEarlyExit:
 
     @pytest.mark.parametrize("argv,count,calls", [
         (["--family", "werner-3"], 1, 0),  # f = -1: NPT, so its PPT flag is grc's
-        (["--family", "horodecki"], 2, 2),  # PPT entangled: detected decides each
+        # PPT entangled, and flagged by realignment far past its flag line,
+        # so the realignment flag is grc's and detected decides none.
+        (["--family", "horodecki"], 2, 0),
     ], ids=["werner-npt", "horodecki-ppt"])
     def test_detected_runs_only_on_ppt_states(self, monkeypatch, capsys, argv, count, calls):
         import sepscope.cli as cli
@@ -368,11 +372,13 @@ class TestCompareEarlyExit:
 # detected's trace-norm maps per state on compare's grid with all 16
 # subsets, a single matrix counting one, as this kernel takes them: upper
 # bounds, so a change that weakens a screen fails here, not only in the
-# benchmark.  Each corpus is built from its index i < 20.
+# benchmark.  Each corpus is built from its index i < 20.  A Horodecki
+# state, which compare no longer sends to detected (its realignment flag
+# is grc's), takes ZZZG's residual and a stack of 36 in each root class.
 SVD_MAPS = {
     "separable-k12-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 12, i).state, [1] * 20),
     "separable-k1-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 1, i).state, [1] * 20),
-    "horodecki": (lambda i: horodecki_3x3((i + 1) / 21).state, [11] * 20),
+    "horodecki": (lambda i: horodecki_3x3((i + 1) / 21).state, [73] * 20),
 }
 
 
@@ -399,6 +405,51 @@ class TestStackTripwire:
         build, pinned = SVD_MAPS[corpus]
         got = [stacks_built(build(i), COMPARE_GRID, all_subsets()) for i in range(len(pinned))]
         assert max(got) <= STACKS[corpus], got
+
+
+# compare's traffic into detected for each built-in family, the default
+# 3x3 unless given: at most this many detected calls over the run, and at
+# most this many trace-norm maps in any one call.  The benchmark runs only
+# the separable and random ensembles, so a change that sends more states to
+# detected, or more maps to the SVD, fails here first.
+COMPARE_TRAFFIC = {
+    "werner-3": (["--family", "werner-3", "--count", "21"], 11, 1),  # f >= 0: ZZZG's residual
+    "horodecki": (["--family", "horodecki", "--count", "20"], 0, 0),  # realignment flags all
+    "separable-k1": (["--family", "separable", "--k", "1", "--count", "20"], 20, 1),
+    "separable-k12": (["--family", "separable", "--k", "12", "--count", "20"], 20, 1),
+    "random": (["--family", "random", "--count", "20"], 0, 0),  # all NPT: PPT flags all
+    "random-2x2": (["--family", "random", "--m", "2", "--n", "2", "--count", "20"], 4, 1),
+}
+
+
+class TestCompareTraffic:
+    @pytest.mark.parametrize("family", sorted(COMPARE_TRAFFIC))
+    def test_detected_calls_and_maps_at_most_pinned(self, monkeypatch, capsys, family):
+        import sepscope.cli as cli
+        import sepscope.criteria as criteria
+
+        argv, max_calls, max_maps = COMPARE_TRAFFIC[family]
+        maps, inside = [], [False]  # maps per detected call, and whether one runs
+        detect, svd = cli.detected, criteria.trace_norm
+
+        def counted(rho, params, ysets):
+            maps.append(0)
+            inside[0] = True
+            try:
+                return detect(rho, params, ysets)
+            finally:
+                inside[0] = False
+
+        def traced(mat):
+            if inside[0]:
+                maps[-1] += int(np.prod(np.shape(mat)[:-2]))
+            return svd(mat)
+
+        monkeypatch.setattr(cli, "detected", counted)
+        monkeypatch.setattr(criteria, "trace_norm", traced)
+        assert main(["compare", *argv]) == 0
+        capsys.readouterr()
+        assert len(maps) <= max_calls and max(maps, default=0) <= max_maps, maps
 
 
 class TestSpectrumTripwire:
@@ -592,11 +643,6 @@ def zzzg(state):
     return residual - np.sqrt(max((1 - q_a) * (1 - q_b), 0.0))
 
 
-# No open pair: _split_settles returns True exactly where ZZZG's shortcut
-# settles the whole realignment class.
-NO_PAIRS = np.empty((0, 2))
-
-
 class TestDetected:
     @settings(max_examples=150)
     @given(
@@ -685,7 +731,7 @@ class TestDetected:
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.linalg.norm(reduction_maps(state, params), axis=(1, 2))
         assert np.isfinite(norms[0]) and norms[1] == np.inf
-        assert _ppt_clears(state) and _split_settles(state, NO_PAIRS)
+        assert _ppt_clears(state) and _split_settles(state)
         for y in (GptOpSet(), GptOpSet(cB=True), REALIGNMENT):
             assert not full_path(state, params[1:], (y,))
             assert svd_shapes(state, params[1:], (y,))[-1:] == [(1,)]
@@ -724,20 +770,24 @@ class TestDetected:
         # path: the unchecked copy of a separable state takes the SVD of
         # every class's maps, from one stack, and builds it even where only
         # the Hermitian classes are asked, which screen 3 settles on the
-        # checked copy.  On the route, a Frobenius class asked alone is
-        # decided by its norms, with no residual SVD of its own; asked with
-        # the realignment class, it takes ZZZG's shortcut, and no map is
-        # built.
+        # checked copy.  On the route, a Frobenius class asked alone takes
+        # ZZZG's residual SVD and, on the separable state, no map; on a
+        # Horodecki state, which ZZZG leaves open, it builds the maps and
+        # takes their SVD, alone or with the realignment class.
         checked = random_separable(SubsystemDims(3, 3), 12, 0).state
         unchecked = DensityState(checked.dims, checked.mat, check=False)
         assert svd_shapes(unchecked, COMPARE_GRID, all_subsets()) == [(36,)] * 8
         assert stacks_built(unchecked, COMPARE_GRID, all_subsets()) == 1
         assert [stacks_built(state, COMPARE_GRID, HERMITIAN_CLASSES)
                 for state in (unchecked, checked)] == [1, 0]
-        assert svd_shapes(checked, COMPARE_GRID, (FROBENIUS,)) == []
-        assert stacks_built(checked, COMPARE_GRID, (FROBENIUS,)) == 1
-        assert svd_shapes(checked, COMPARE_GRID, (FROBENIUS, REALIGNMENT)) == [()]
-        assert stacks_built(checked, COMPARE_GRID, (FROBENIUS, REALIGNMENT)) == 0
+        for ysets in ((FROBENIUS,), (FROBENIUS, REALIGNMENT)):
+            assert svd_shapes(checked, COMPARE_GRID, ysets) == [()]
+            assert stacks_built(checked, COMPARE_GRID, ysets) == 0
+        bound_entangled = horodecki_3x3(0.5).state
+        assert svd_shapes(bound_entangled, COMPARE_GRID, (FROBENIUS,)) == [(), (36,)]
+        assert stacks_built(bound_entangled, COMPARE_GRID, (FROBENIUS,)) == 1
+        assert svd_shapes(bound_entangled, COMPARE_GRID, (FROBENIUS, REALIGNMENT)) == [
+            (), (36,), (36,)]
 
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
@@ -764,8 +814,9 @@ class TestDetected:
         # the reduction criterion does: a corner.  Screen 3 reads rho's
         # spectrum, cached by validation, and T_A rho's, which it takes as
         # one (9, 9) eigvalsh unless ppt_check has filled the cache; the
-        # state is NPT, so the class goes to the SVD.  No spectrum of a grid
-        # map is taken.
+        # state is NPT, so the class goes to the SVD.  With all subsets
+        # asked, screen 4 takes ZZZG's residual SVD between the two.  No
+        # spectrum of a grid map is taken.
         import sepscope.criteria as criteria
 
         state = random_state(3, 3, 3)
@@ -780,12 +831,13 @@ class TestDetected:
                             lambda mat: calls.append(("eigvalsh", mat.shape)) or eigvalsh(mat))
         monkeypatch.setattr(criteria, "trace_norm",
                             lambda mat: calls.append(("svd", np.shape(mat)[:-2])) or svd(mat))
+        svds = ["svd"] * (1 + (REALIGNMENT in ysets))
         assert detected(state, COMPARE_GRID, ysets)
         assert calls[0] == ("eigvalsh", (9, 9))
-        assert [name for name, _ in calls] == ["eigvalsh", "svd"]
+        assert [name for name, _ in calls] == ["eigvalsh", *svds]
         calls.clear()
         assert detected(after_ppt, COMPARE_GRID, ysets)
-        assert [name for name, _ in calls] == ["svd"]
+        assert [name for name, _ in calls] == svds
         assert full_path(state, COMPARE_GRID, ysets)
 
     @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
@@ -808,17 +860,18 @@ class TestDetected:
 
     @pytest.mark.parametrize("excess,svds", [(0.45, 0), (0.55, 1)])
     def test_screen_one_margin_edge(self, excess, svds):
-        # The same pair and class, unflagged with an excess of 0.45 or 0.55
-        # TOL_VERDICT over the bound 1/2: screen 1 settles it within its
-        # TOL_VERDICT/2 * max(1, bound) clearance and leaves it to the SVD
-        # past that.  A clearance relative to the bound alone, or of
-        # TOL_VERDICT, changes the count.
-        state = isotropic_state((1 + 2 * excess * TOL_VERDICT) / np.sqrt(3))
-        pair, frobenius = ((0.5 + 0j, 0.5 + 0j),), (GptOpSet(cA=True, cB=True),)
-        (block,) = verdict_blocks(state, pair, frobenius)
-        assert block.statistic[0] - 0.5 == pytest.approx(excess * TOL_VERDICT, rel=1e-6)
-        assert block.entangled == [False]
-        assert svd_shapes(state, pair, frobenius) == [(1,)] * svds
+        # The Frobenius class asked alone has no screen of its own: ZZZG's
+        # settles it whole (Theorem 4).  isotropic_state((1 + 2 excess
+        # TOL_VERDICT)/3) has ZZZG's excess bound at excess TOL_VERDICT, so
+        # the class settles at 0.45 with the residual's SVD alone, and at
+        # 0.55 its pair at (1/2, 1/2), of Frobenius norm about 0.29 against
+        # the bound 1/2, takes one SVD too and is not flagged.
+        state = isotropic_state((1 + 2 * excess * TOL_VERDICT) / 3)
+        pair, frobenius = ((0.5 + 0j, 0.5 + 0j),), (FROBENIUS,)
+        assert zzzg(state) == pytest.approx(excess * TOL_VERDICT, rel=1e-4)
+        assert _split_settles(state) is (svds == 0)
+        assert not full_path(state, pair, frobenius)
+        assert svd_shapes(state, pair, frobenius) == [()] + [(1,)] * svds
 
     def test_screen_two_edge_flags(self):
         # The unchecked diag(1 + 3 nu, -nu, -nu, -nu), 2x2, nu = 0.18
@@ -1085,24 +1138,38 @@ class TestCorners:
         (2, 1, 0.5087111075732265, (1028302355.92215, 1.0000000002778218)),
     ])
     def test_one_dimensional_factor_goes_to_the_svd(self, m, n, x, pair):
-        # diag(x, 1 - x) with a factor of dimension 1 is PSD and PPT, so it
-        # clears screen 3, though two of its corners have bound 0.  Far out,
-        # next to a corner with bound 0, the pair's bound no longer dominates
-        # |a| and |b|, and the full path's own rounding flags it; detected
-        # leaves such classes to the SVD, so it agrees.
+        # diag(x, 1 - x) with a factor of dimension 1 is a product state,
+        # though two of its corners have bound 0.  Far out, next to a corner
+        # with bound 0, the pair's bound no longer dominates |a| and |b|, and
+        # the statistic's rounding tops the flag line in the Hermitian and
+        # realignment classes; verdict_blocks reports the violation and
+        # flags nothing.  detected leaves every class of such a state to
+        # verdict_blocks, though screen 3 clears it, so it agrees.
         state = DensityState(SubsystemDims(m, n), np.diag([x, 1 - x]))
         assert _ppt_clears(state) is True
         params = (tuple(map(complex, pair)),)
-        for y in HERMITIAN_CLASSES:
-            assert full_path(state, params, (y,))
-            assert detected(state, params, (y,))
-        # The realignment class flags there too, and goes to the SVD alike.
-        assert full_path(state, params, (REALIGNMENT,))
-        assert detected(state, params, (REALIGNMENT,))
-        # A thousand times nearer, every mixed class is unflagged, and
-        # screen 3 would settle all four; each reaches the SVD instead.
+        for y in (*HERMITIAN_CLASSES, REALIGNMENT):
+            (block,) = verdict_blocks(state, params, (y,))
+            assert block.violation[0] > TOL_VERDICT * block.bound[0]
+            assert block.entangled == [False]
+            assert not detected(state, params, (y,))
+        assert not full_path(state, params, all_subsets())
+        # A thousand times nearer, screen 3 would settle all four mixed
+        # classes; each reaches the SVD instead.
         near = (tuple(complex(x) * (1e-3 if abs(x) > 2 else 1) for x in pair),)
         assert svd_shapes(state, near, MIXED_CLASSES) == [(1,)] * 4
+
+
+    @settings(max_examples=100)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**31 - 1), first=st.booleans(),
+           check=st.booleans(), params=st.lists(kernel_params(), min_size=1, max_size=6))
+    def test_one_dimensional_factor_never_flags(self, n, seed, first, check, params):
+        # Every state of C^1 kron C^n is a product, so no pair of any class
+        # is flagged, checked or not.
+        dims = SubsystemDims(1, n) if first else SubsystemDims(n, 1)
+        state = DensityState(dims, random_separable(dims, 3, seed).state.mat, check=check)
+        assert not any(any(block.entangled) for block in verdict_blocks(state, params, all_subsets()))
+        assert not detected(state, params, all_subsets())
 
 
 class TestStateSpectra:
@@ -1319,62 +1386,58 @@ class TestZZZG:
         # ||X||_F = ||R(X)||_F <= ||R(X)||_1 at every pair, and the two
         # classes share the root-root bound: the computed Frobenius
         # statistic is at most the computed realignment statistic plus 4 d
-        # eps of it, and no Frobenius pair flags where screen 4 settles the
-        # realignment pair, or the whole class (True, ZZZG's shortcut).
+        # eps of it, and no Frobenius pair flags where screen 4, ZZZG's
+        # bound, settles the realignment class.
         d, eps = state.dims.total, np.finfo(float).eps
         frobenius, realignment = verdict_blocks(state, params, (FROBENIUS, REALIGNMENT))
         assert frobenius.bound == realignment.bound
         for f, r in zip(frobenius.statistic, realignment.statistic):
             assert f <= r * (1 + 4 * d * eps)
-        roots = _bound_table(tuple(params), state.dims, (REALIGNMENT,))[3]
-        settles = _split_settles(state, roots)
-        settled = [True] * len(params) if settles is True else settles.tolist()
-        assert not any(flag and s for flag, s in zip(frobenius.entangled, settled))
+        if _split_settles(state):
+            assert not any(frobenius.entangled)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 3), (4, 4)])
     def test_separable_states_pass(self, m, n):
-        # Mixed reductions: a pure one has purity 1 to rounding, which may
-        # round past 1 and send the class pair by pair.
+        # Mixed reductions; test_pure_products_take_no_svd takes pure ones.
         for seed in range(20):
             for k in (2, 5, 12):
                 state = random_separable(SubsystemDims(m, n), k, seed).state
-                assert _split_settles(state, NO_PAIRS) is True
+                assert _split_settles(state) is True
 
     def test_separable_takes_no_split(self):
-        # compare's three separable states: ZZZG settles every open
-        # realignment pair at once, and the class takes the residual's SVD
-        # alone, none of a map.
+        # compare's three separable states: ZZZG settles the realignment
+        # class whole, and it takes the residual's SVD alone, none of a map.
         for seed in range(3):
             state = random_separable(SubsystemDims(3, 3), 12, seed).state
-            assert _split_settles(state, NO_PAIRS) is True
+            assert _split_settles(state) is True
             assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [()]
 
     def test_violated_class_test_falls_back_to_the_split(self):
         # horodecki c = 0.5 is bound entangled, and ZZZG detects it, so the
-        # class test fails and the product bound decides the open pairs one
-        # by one: it settles 26 of the 36, and the SVD takes the other 10
-        # and flags, whatever else is requested.
+        # class test fails and the root classes go to verdict_blocks, one
+        # stack of SVDs each, in order of first request: alone the
+        # realignment class flags; with all subsets the Frobenius class
+        # comes first and flags nothing.  Screen 3 settles the other six.
         state = horodecki_3x3(0.5).state
         assert zzzg(state) > 1e-3
-        assert _split_settles(state, NO_PAIRS) is not True
-        for ysets in ((REALIGNMENT,), all_subsets()):
-            assert svd_shapes(state, COMPARE_GRID, ysets) == [(), (10,)]
+        assert _split_settles(state) is False
+        assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [(), (36,)]
+        assert svd_shapes(state, COMPARE_GRID, all_subsets()) == [(), (36,), (36,)]
 
     @pytest.mark.parametrize("excess,stacks", [(0.45, 0), (0.55, 1)])
     def test_class_edge(self, excess, stacks):
         # (1-p) I/4 + p|Phi+><Phi+| with p = (1 + 2 excess)/3: ZZZG's excess
         # bound is excess to rounding, so the class test passes at 0.45
-        # TOL_VERDICT and leaves the pairs to the product bound at 0.55
-        # TOL_VERDICT.  Both reductions are I/2, so on the pairs with h_a =
-        # h_b the product bound reads ZZZG's excess, and those six take one
-        # stack of SVDs.
+        # TOL_VERDICT and leaves the class to verdict_blocks at 0.55
+        # TOL_VERDICT, one stack of SVDs, which flags nothing.  A clearance
+        # of TOL_VERDICT settles the class at 0.55.
         p = (1 + 2 * excess * TOL_VERDICT) / 3
         ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
         state = DensityState(SubsystemDims(2, 2), (1 - p) * np.eye(4) / 4 + p * np.outer(ket, ket))
         assert zzzg(state) == pytest.approx(excess * TOL_VERDICT, rel=1e-4)
-        assert (_split_settles(state, NO_PAIRS) is True) == (stacks == 0)
+        assert _split_settles(state) is (stacks == 0)
         maps = svd_shapes(state, COMPARE_GRID, (REALIGNMENT,))
-        assert [shape for shape in maps if shape] == [(6,)] * stacks
+        assert maps == [()] + [(36,)] * stacks
         assert not full_path(state, COMPARE_GRID, (REALIGNMENT,))
 
     def test_trace_term_keeps_the_flag(self):
@@ -1386,38 +1449,38 @@ class TestZZZG:
                              0.5 * random_separable(SubsystemDims(3, 3), 12, 0).state.mat,
                              check=False)
         assert zzzg(state) < -0.5
-        assert _split_settles(state, NO_PAIRS) is not True
+        assert _split_settles(state) is False
         params = [(complex(a), complex(b)) for a in (-1e3, 1.0, 1e5) for b in (-1e3, 0.5, 1e5)]
         assert full_path(state, params, (REALIGNMENT,))
         assert detected(state, params, (REALIGNMENT,))
 
-    def test_purity_above_one_takes_the_product_bound(self):
+    def test_purity_above_one_leaves_the_class_open(self):
         # An unchecked product of two non-PSD unit-trace factors with purity
         # 2.5: Delta is 0, so ZZZG's residual is too, but sqrt((1 - q_A)(1 -
         # q_B)) no longer bounds the rank-one term, whose trace norm 2.5
-        # flags (0, 0) against bound 1.  alpha and beta are below 0, so the
-        # class goes pair by pair, and the product bound, 2.5, leaves the
-        # pair open.  The state is unchecked, so detected takes the full
-        # path, and the pair's one SVD.
+        # flags (0, 0) against bound 1.  alpha = beta = -1.5 go into the
+        # trace term as 1.5/sqrt(2), which keeps the class open; clamped at
+        # 0 without it, the screen would settle the class.  The state is
+        # unchecked, so detected takes the full path, and the pair's one
+        # SVD.
         factor = np.array([[0.5, 1.0], [1.0, 0.5]])
         state = DensityState(SubsystemDims(2, 2), np.kron(factor, factor), check=False)
-        assert _split_settles(state, NO_PAIRS) is not True
+        assert _split_settles(state) is False
         pair = ((0j, 0j),)
-        roots = _bound_table(pair, state.dims, (REALIGNMENT,))[3]
-        assert _split_settles(state, roots).tolist() == [False]
         assert full_path(state, pair, (REALIGNMENT,))
         assert svd_shapes(state, pair, (REALIGNMENT,)) == [(1,)]
 
-    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
     def test_pure_products_take_no_svd(self, m, n):
         # random_separable(k=1): both reductions are pure, so a purity may
-        # round past 1 and close ZZZG's shortcut; the product bound, tight on
-        # a product state, settles every open pair of compare's grid within
-        # its TOL_VERDICT/2 clearance.
+        # round past 1, and after screen 4's outward rounding it always
+        # does; that overshoot goes into the trace term, so ZZZG still
+        # settles the realignment class whole, and it takes the residual's
+        # SVD alone.
         for seed in range(20):
             state = random_separable(SubsystemDims(m, n), 1, seed).state
-            maps = svd_shapes(state, COMPARE_GRID, (REALIGNMENT,))
-            assert [shape for shape in maps if shape] == []
+            assert _split_settles(state) is True
+            assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [()]
 
 
 class TestBoundTable:
@@ -1425,12 +1488,11 @@ class TestBoundTable:
                                        (GptOpSet.from_code("rA,cB"), GptOpSet())],
                              ids=["all", "reversed", "two"])
     def test_equals_classes_lists(self, ysets):
-        # Each class's bounds are the h_factor products, hex for hex, and its
-        # realignment roots the two factors; every request is served by its
-        # own subset or its complement.
+        # Each class's bounds are the h_factor products, hex for hex; every
+        # request is served by its own subset or its complement.
         params = (*COMPARE_GRID, *COMPLEX_PARAMS, (1e200 + 0j, 3j), (1e300j, 1e10 + 0j))
         dims = SubsystemDims(3, 2)
-        table = codes, owner, limits, roots = _bound_table(params, dims, ysets)
+        table = codes, owner, limits = _bound_table(params, dims, ysets)
         assert limits.shape == (len(params), len(codes))
         for c, member in enumerate(all_subsets()[code] for code in codes):
             assert not member.rA
@@ -1439,17 +1501,11 @@ class TestBoundTable:
             assert [x.hex() for x in limits[:, c].tolist()] == [x.hex() for x in want]
         for y, c in zip(ysets, owner.tolist()):
             assert all_subsets()[codes[c]] in (y, all_subsets()[15 - all_subsets().index(y)])
-        if 6 in codes:
-            want = [[h_factor(a, 3, False, True), h_factor(b, 2, True, False)] for a, b in params]
-            assert [[x.hex() for x in row] for row in roots.tolist()] == [
-                [x.hex() for x in row] for row in want]
-        else:
-            assert roots.shape == (0, 2)
         assert not any(x.flags.writeable for x in table)
 
     def test_entry_count_is_the_table_size(self):
         # The cache keeps the table by its entry count, the table's own size
-        # where every class and the realignment roots are requested.
+        # where every class is requested.
         table = _bound_table(COMPARE_GRID, SubsystemDims(3, 3), all_subsets())
         assert _bound_table.entries(COMPARE_GRID, SubsystemDims(3, 3), all_subsets()) == sum(
             a.size for a in table)
@@ -1546,38 +1602,6 @@ class TestSplit:
         if m >= 2:
             assert distance <= (h + abs(trace - 1)) ** 2 - alpha + 1e-14 * size
 
-    @pytest.mark.parametrize("excess,open_pairs", [(0.45, 0), (0.55, 1)])
-    def test_product_bound_edge(self, excess, open_pairs):
-        # The unchecked X kron |0><0|, 2x2, X = diag(1 + s + t, -s): rho_A =
-        # X, rho_B = (1 + t)|0><0| and Delta = -t X kron |0><0|, so delta =
-        # t, alpha = 1 - ||X||_F^2 = -eps with eps about 2 (s + t), and beta
-        # about -2t: both below 0, which closes ZZZG's shortcut.  At (0, 0),
-        # bound 1, the statistic is ||X||_F, about 1 + eps/2, unflagged, and
-        # the product bound reads about eps/2 + 4t over the bound.  With t =
-        # 0.05 TOL_VERDICT it settles the pair at 0.45 TOL_VERDICT and
-        # leaves it open at 0.55.  A clearance of TOL_VERDICT, a bound
-        # without delta or without alpha and beta, or the shortcut without
-        # its sign gate settles it at 0.55.  The state is unchecked, so
-        # detected takes the full path, and the pair's one SVD.
-        t = 0.05 * TOL_VERDICT
-        s = (excess - 0.25) * TOL_VERDICT
-        x = np.diag([1 + s + t, -s])
-        state = DensityState(SubsystemDims(2, 2), np.kron(x, np.diag([1.0, 0.0])), check=False)
-        rho_a, rho_b = state.reductions
-        alpha, beta = (1 - np.vdot(r, r).real for r in (rho_a, rho_b))
-        delta = abs(np.trace(rho_a) - 1)
-        residual = trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))
-        assert alpha < 0 and beta < 0 and delta == pytest.approx(t, rel=1e-6)
-        upper = np.sqrt(((1 + delta) ** 2 - alpha) * ((1 + delta) ** 2 - beta)) + residual
-        assert upper - 1 == pytest.approx(excess * TOL_VERDICT, rel=1e-6)
-        pair = ((0j, 0j),)
-        (block,) = verdict_blocks(state, pair, (REALIGNMENT,))
-        assert block.bound == [1.0] and block.entangled == [False]
-        assert 0 < block.statistic[0] - 1 < excess * TOL_VERDICT
-        roots = _bound_table(pair, state.dims, (REALIGNMENT,))[3]
-        assert _split_settles(state, roots).tolist() == [open_pairs == 0]
-        assert svd_shapes(state, pair, (REALIGNMENT,)) == [(1,)]
-
     def test_residual_is_zzzg_statistic(self, monkeypatch):
         # The one matrix whose trace norm detected takes in screen 4 is
         # R(rho - rho_A kron rho_B), and its trace norm, on this bound
@@ -1667,3 +1691,42 @@ class TestPptImpliesGrc:
         assert ppt.violation == pytest.approx(ppt_violation, rel=1e-2)
         assert verdict.violation == pytest.approx(grc_violation, rel=1e-2)
         assert verdict.violation >= 2 * ppt.violation - 1e-12
+
+
+class TestRealignmentImpliesGrc:
+    """compare takes its grc flag from the realignment oracle's where that
+    flags TOL_VERDICT past its line: the oracle's statistic is grc's at
+    (0, 0) in {cA,rB}, bound 1, up to the signs of zero entries and the
+    SVD's rounding."""
+
+    @settings(max_examples=150)
+    @given(state=st.one_of(kernel_states(),
+                           st.floats(0.01, 0.99).map(lambda c: horodecki_3x3(c).state)))
+    def test_realignment_margin_implies_grc_flag(self, state):
+        realignment = realignment_check(state)
+        assume(flag_margin(realignment) > TOL_VERDICT)
+        (block,) = verdict_blocks(state, ((0j, 0j),), (REALIGNMENT,))
+        assert block.bound == [1.0] and block.entangled == [True]
+        assert block.statistic[0] == pytest.approx(realignment.statistic, rel=1e-13)
+
+    def test_margin_inside_tolerance_calls_detected(self, monkeypatch, capsys):
+        # (1 - p) I/4 + p|Phi+><Phi+| with p = (1 + 3 TOL_VERDICT)/3 has
+        # realignment statistic 1 + 1.5 TOL_VERDICT, flagged 0.5 TOL_VERDICT
+        # past the line, and PPT violation 0.75 TOL_VERDICT, not flagged.  So
+        # compare takes neither shortcut and prints detected's grc flag,
+        # the full path's.
+        import sepscope.cli as cli
+
+        state = isotropic_state((1 + 3 * TOL_VERDICT) / 3)
+        assert 0 < flag_margin(realignment_check(state)) <= TOL_VERDICT
+        assert not ppt_check(state).entangled
+        member = LabeledState("isotropic", {"p": 1 / 3}, state)
+        monkeypatch.setitem(FAMILIES, "werner-3",
+                            Family(lambda o, f: member, None, None, lambda o, count: [0.0] * count))
+        calls = []
+        original = cli.detected
+        monkeypatch.setattr(cli, "detected",
+                            lambda rho, params, ysets: calls.append(rho) or original(rho, params, ysets))
+        assert compare_grc_column(capsys, ["--family", "werner-3"], 1) == [True]
+        assert [rho is state for rho in calls] == [True]
+        assert full_path(state, COMPARE_GRID, all_subsets())

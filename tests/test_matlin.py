@@ -329,7 +329,7 @@ class TestConstantCache:
         "identity": (identity, [(d, t) for t in (float, complex) for d in range(1, 20)],
                      (257, complex)),
         "swap": (_swap, [(d,) for d in range(1, 17)], (17,)),
-        # The kernel's bounds: at most 8 classes of bounds and 2 root factors per parameter.
+        # The kernel's bounds: at most 8 classes of bounds per parameter.
         "bound table": (_bound_table,
                         [(tuple((complex(a), complex(b)) for a in range(6)), SubsystemDims(3, 3),
                           all_subsets()) for b in range(10)],
