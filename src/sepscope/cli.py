@@ -19,6 +19,7 @@ from .criteria import (
     TOL_VERDICT,
     CriterionVerdict,
     ReductionParams,
+    _reduction_clears,
     detected,
     evaluate,
     evaluate_all_Y,
@@ -30,6 +31,10 @@ from .states import FAMILIES, LabeledState, family_names, load_state, save_state
 from .sweep import GridSpec, _sweep_records, emit, format_float
 
 CRITERIA = ("grc", *ORACLES)
+
+# compare's grc grid, AB_TEST_GRID squared, built once: detected's caches are
+# keyed by it, so every state reuses the same coefficients and bounds.
+_COMPARE_GRID = tuple((complex(a), complex(b)) for a in AB_TEST_GRID for b in AB_TEST_GRID)
 
 
 def _add_state_source(parser: argparse.ArgumentParser, positional_family: bool) -> None:
@@ -143,28 +148,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # so a bad option fails before any output.
     members = (family.build(args, value) for value in family.spacing(args, args.count))
     first = next(members)
-    grid = [(complex(a), complex(b)) for a in AB_TEST_GRID for b in AB_TEST_GRID]
     subsets = all_subsets()
     names = (*ORACLES, "grc")
     flags: list[tuple[bool, bool, bool, bool]] = []
     print(COMPARE_ROW.format("state", "params", *names))
     for idx, labeled in enumerate(itertools.chain((first,), members)):
         state = labeled.state
-        oracles = {name: check(state) for name, check in ORACLES.items()}
-        row = (
-            *(verdict.entangled for verdict in oracles.values()),
-            # A PPT flag is grc's pair (0, 0), {rA,cA}, whose bound is exactly
-            # 1: with v = -lambda_min(T_A rho) > TOL_VERDICT, ||T_B rho||_1 =
-            # sum |lambda_i| >= tr rho + 2v, and a validated state has tr rho
-            # >= 1 - 1e-12, so that pair's excess is at least 2v - 1e-12 -
-            # O(d eps) > TOL_VERDICT.  The realignment statistic is grc's at
-            # (0, 0), {cA,rB}, bound 1, up to the signs of zero entries and
-            # the SVD's O(d eps) rounding, so a flag TOL_VERDICT past its
-            # line is grc's too.  0.0 is in AB_TEST_GRID and both subsets in
-            # all_subsets(), so detected would flag either.
-            oracles["ppt"].entangled or flag_margin(oracles["realignment"]) > TOL_VERDICT
-            or detected(state, grid, subsets),
-        )
+        ppt = ORACLES["ppt"](state)
+        # The PPT spectrum bounds the reduction statistic (Theorem 6), so a
+        # state it clears takes no reduction eigvalsh.
+        reduction = not _reduction_clears(state) and ORACLES["reduction"](state).entangled
+        realignment = ORACLES["realignment"](state)
+        # A PPT flag is grc's pair (0, 0) in {rA,cA}, and a realignment flag
+        # TOL_VERDICT past its line grc's at (0, 0) in {cA,rB}: see the
+        # README's compare paragraph.
+        row = (ppt.entangled, reduction, realignment.entangled,
+               ppt.entangled or flag_margin(realignment) > TOL_VERDICT
+               or detected(state, _COMPARE_GRID, subsets))
         flags.append(row)
         param_text = " ".join(f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"
                               for key, value in labeled.params.items())

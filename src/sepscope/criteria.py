@@ -19,6 +19,7 @@ from .gptops import (
     realign,
 )
 from .matlin import (
+    TOL_HERM,
     DensityState,
     check_hermitian,
     constant_cache,
@@ -263,6 +264,22 @@ def _ppt_clears(rho: DensityState) -> bool:
             <= TOL_VERDICT / 2)
 
 
+def _reduction_clears(rho: DensityState) -> bool:
+    """compare's reduction screen, Theorem 6: whether reduction_check cannot
+    flag a checked state, read off pt_spectrum, which the PPT oracle has
+    cached.  With lambda its least entry and r = max(m, n), the oracle's
+    excess is at most (r - 1) max(0, -lambda) + r (s + e): validation keeps
+    the skew norm s = ||rho - rho^†||_F within d TOL_HERM, and e = d^2
+    eps covers the rounding of the two eigvalsh calls and of the reduction
+    maps.  It clears where that is at most TOL_VERDICT/2."""
+    if not rho.checked:
+        return False
+    m, n = rho.dims.m, rho.dims.n
+    d, r = m * n, max(m, n)
+    budget = r * (d * TOL_HERM + d * d * float(np.finfo(float).eps))
+    return (r - 1) * max(0.0, -float(rho.pt_spectrum[0])) + budget <= TOL_VERDICT / 2
+
+
 @constant_cache(8, lambda params, dims, ysets: 8 * len(params) + len(ysets) + 8)
 def _bound_table(params: tuple, dims, ysets: tuple) -> tuple[np.ndarray, ...]:
     """The complement classes {y, complement of y} of ysets and their bounds
@@ -329,9 +346,11 @@ def detected(
       Theorems 3 and 4).
 
     Where they settle every requested class, no map is built.  The classes
-    left open go to verdict_blocks in order of first request, whose first
-    flag returns True.  Every other input takes verdict_blocks on all its
-    classes, so its flags and raises are the full path's by construction.
+    left open go to verdict_blocks in order of first request, save that the
+    realignment class goes before the Frobenius class, which flags only
+    where it does (Theorem 4); the first flag returns True.  Every other
+    input takes verdict_blocks on all its classes, so its flags and raises
+    are the full path's by construction.
     params are (a, b) pairs of complex the caller checked finite.
     """
     codes, _, limits = _bound_table(tuple(params), rho.dims, tuple(ysets))
@@ -341,9 +360,13 @@ def detected(
         root = [code in (5, 6) for code in codes]  # the Frobenius and realignment classes
         settled = {False: not all(root) and _ppt_clears(rho),
                    True: any(root) and _split_settles(rho)}
-        ysets = [all_subsets()[code] for code, r in zip(codes, root) if not settled[r]]
-        if not ysets:
+        open_codes = [code for code, r in zip(codes, root) if not settled[r]]
+        if 5 in open_codes and 6 in open_codes:  # Frobenius flags only where realignment does
+            open_codes.remove(5)
+            open_codes.insert(open_codes.index(6) + 1, 5)
+        if not open_codes:
             return False
+        ysets = [all_subsets()[code] for code in open_codes]
     return any(any(block.entangled) for block in verdict_blocks(rho, params, ysets))
 
 

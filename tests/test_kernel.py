@@ -37,11 +37,13 @@ from sepscope.criteria import (
     _bound_table,
     _map_coefficients,
     _ppt_clears,
+    _reduction_clears,
     _split_settles,
     detected,
     flag_margin,
     ppt_check,
     realignment_check,
+    reduction_check,
     reduction_maps,
     verdict_blocks,
 )
@@ -374,11 +376,12 @@ class TestCompareEarlyExit:
 # bounds, so a change that weakens a screen fails here, not only in the
 # benchmark.  Each corpus is built from its index i < 20.  A Horodecki
 # state, which compare no longer sends to detected (its realignment flag
-# is grc's), takes ZZZG's residual and a stack of 36 in each root class.
+# is grc's), takes ZZZG's residual and the realignment class's stack of 36,
+# which flags before the Frobenius class is reached.
 SVD_MAPS = {
     "separable-k12-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 12, i).state, [1] * 20),
     "separable-k1-3x3": (lambda i: random_separable(SubsystemDims(3, 3), 1, i).state, [1] * 20),
-    "horodecki": (lambda i: horodecki_3x3((i + 1) / 21).state, [73] * 20),
+    "horodecki": (lambda i: horodecki_3x3((i + 1) / 21).state, [37] * 20),
 }
 
 
@@ -453,11 +456,13 @@ class TestCompareTraffic:
 
 
 class TestSpectrumTripwire:
-    def test_four_spectra_per_compare_state(self, monkeypatch, capsys):
+    def test_two_spectra_per_compare_state(self, monkeypatch, capsys):
         # compare --family separable --k 12, seeds 0-19: each state takes
-        # eigvalsh of 4 matrices, validation's 1, the PPT oracle's 1 and the
-        # reduction oracle's batched 2, and detected, which runs on every
-        # one of these PPT states, reads the cached spectra and takes none.
+        # eigvalsh of 2 matrices, validation's 1 and the PPT oracle's 1.  The
+        # PPT spectrum clears the reduction column (Theorem 6), so the
+        # reduction oracle's batched 2 are not taken, and detected, which
+        # runs on every one of these PPT states, reads the cached spectra
+        # and takes none.
         import sepscope.cli as cli
 
         calls, in_detected, states = [], [False], []
@@ -477,7 +482,7 @@ class TestSpectrumTripwire:
         argv = ["--family", "separable", "--k", "12", "--seed", "0"]
         assert compare_grc_column(capsys, argv, 20) == [False] * 20
         assert len(states) == 20
-        assert sum(count for count, _ in calls) == 4 * 20
+        assert sum(count for count, _ in calls) == 2 * 20
         assert not any(inside for _, inside in calls)
 
 
@@ -773,7 +778,8 @@ class TestDetected:
         # checked copy.  On the route, a Frobenius class asked alone takes
         # ZZZG's residual SVD and, on the separable state, no map; on a
         # Horodecki state, which ZZZG leaves open, it builds the maps and
-        # takes their SVD, alone or with the realignment class.
+        # takes their SVD alone.  Asked with the realignment class, which
+        # goes first and flags, it takes none.
         checked = random_separable(SubsystemDims(3, 3), 12, 0).state
         unchecked = DensityState(checked.dims, checked.mat, check=False)
         assert svd_shapes(unchecked, COMPARE_GRID, all_subsets()) == [(36,)] * 8
@@ -786,8 +792,7 @@ class TestDetected:
         bound_entangled = horodecki_3x3(0.5).state
         assert svd_shapes(bound_entangled, COMPARE_GRID, (FROBENIUS,)) == [(), (36,)]
         assert stacks_built(bound_entangled, COMPARE_GRID, (FROBENIUS,)) == 1
-        assert svd_shapes(bound_entangled, COMPARE_GRID, (FROBENIUS, REALIGNMENT)) == [
-            (), (36,), (36,)]
+        assert svd_shapes(bound_entangled, COMPARE_GRID, (FROBENIUS, REALIGNMENT)) == [(), (36,)]
 
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
@@ -1415,14 +1420,14 @@ class TestZZZG:
     def test_violated_class_test_falls_back_to_the_split(self):
         # horodecki c = 0.5 is bound entangled, and ZZZG detects it, so the
         # class test fails and the root classes go to verdict_blocks, one
-        # stack of SVDs each, in order of first request: alone the
-        # realignment class flags; with all subsets the Frobenius class
-        # comes first and flags nothing.  Screen 3 settles the other six.
+        # stack of SVDs each, the realignment class first, which flags,
+        # alone or with all subsets, where the Frobenius class would come
+        # first in order of request.  Screen 3 settles the other six.
         state = horodecki_3x3(0.5).state
         assert zzzg(state) > 1e-3
         assert _split_settles(state) is False
         assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [(), (36,)]
-        assert svd_shapes(state, COMPARE_GRID, all_subsets()) == [(), (36,), (36,)]
+        assert svd_shapes(state, COMPARE_GRID, all_subsets()) == [(), (36,)]
 
     @pytest.mark.parametrize("excess,stacks", [(0.45, 0), (0.55, 1)])
     def test_class_edge(self, excess, stacks):
@@ -1730,3 +1735,121 @@ class TestRealignmentImpliesGrc:
         assert compare_grc_column(capsys, ["--family", "werner-3"], 1) == [True]
         assert [rho is state for rho in calls] == [True]
         assert full_path(state, COMPARE_GRID, all_subsets())
+
+
+def isotropic_3x3(fidelity):
+    """p|Phi+><Phi+| + (1-p) I/9 on 3x3 with <Phi+|rho|Phi+> = fidelity:
+    least eigenvalue of T_A rho (1/3 - fidelity)/2, and of I kron rho_B -
+    rho 1/3 - fidelity, so PPT and reduction for fidelity <= 1/3."""
+    ket = np.eye(3).reshape(9) / np.sqrt(3)
+    p = (9 * fidelity - 1) / 8
+    return DensityState(SubsystemDims(3, 3), p * np.outer(ket, ket) + (1 - p) * np.eye(9) / 9)
+
+
+def compare_row(monkeypatch, capsys, member):
+    """compare's four flags (ppt, reduction, realignment, grc) on member,
+    injected as the werner-3 family, and the states the reduction oracle
+    was called on."""
+    import sepscope.criteria as criteria
+
+    monkeypatch.setitem(FAMILIES, "werner-3",
+                        Family(lambda o, f: member, None, None, lambda o, count: [0.0] * count))
+    calls = []
+    original = criteria.reduction_check
+    monkeypatch.setattr(criteria, "reduction_check", lambda rho: calls.append(rho) or original(rho))
+    assert main(["compare", "--family", "werner-3", "--count", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    return [cell == "Y" for cell in row.split()[-4:]], calls
+
+
+# compare's calls into the reduction oracle per built-in family, the
+# default 3x3 unless given: a state whose PPT spectrum clears the reduction
+# column (Theorem 6) takes none.  Every separable and Horodecki state is
+# PPT; every random 3x3 state is NPT, and 16 of the 20 2x2 ones; the
+# werner-3 members with f < 0, 10 of 21, are NPT.
+REDUCTION_TRAFFIC = {
+    "werner-3": (["--family", "werner-3", "--count", "21"], 10),
+    "horodecki": (["--family", "horodecki", "--count", "20"], 0),
+    "separable-k1": (["--family", "separable", "--k", "1", "--count", "20"], 0),
+    "separable-k12": (["--family", "separable", "--k", "12", "--count", "20"], 0),
+    "random": (["--family", "random", "--count", "20"], 20),
+    "random-2x2": (["--family", "random", "--m", "2", "--n", "2", "--count", "20"], 16),
+}
+
+
+class TestReductionScreen:
+    """compare reads a checked state's reduction column off the PPT
+    oracle's cached spectrum where _reduction_clears holds (README Theorem
+    6): with lambda = lambda_min(T_A rho), both reduction maps are at least
+    (max(m, n) - 1) min(0, lambda) I."""
+
+    @settings(max_examples=200)
+    @given(state=st.one_of(
+        kernel_states(),
+        st.builds(noisy_state, st.integers(2, 4), st.integers(2, 4),
+                  st.integers(0, 2**31 - 1), st.floats(0.97, 1.03)),
+        st.builds(lambda n, seed, flip: DensityState(
+            SubsystemDims(n, 1) if flip else SubsystemDims(1, n), random_density(n, seed)),
+            st.integers(2, 6), st.integers(0, 2**31 - 1), st.booleans())))
+    def test_reduction_within_ppt_bound(self, state):
+        # Theorem 6 on every draw, up to rounding, and no reduction flag
+        # wherever the screen clears.  The noisy states lie within 3% of
+        # the PPT boundary, either side, so both sides of the screen are
+        # drawn.
+        lam = float(state.pt_spectrum[0])
+        r = max(state.dims.m, state.dims.n)
+        reduction = reduction_check(state)
+        assert reduction.statistic >= (r - 1) * min(0.0, lam) - 1e-12
+        if _reduction_clears(state):
+            assert not reduction.entangled
+
+    @pytest.mark.parametrize("gap,clears", [(1e-10, True), (1e-12, False)])
+    def test_budget_edge(self, gap, clears):
+        # isotropic_3x3(1/3 + x) has lambda = -x/2, so (r - 1) max(0,
+        # -lambda) = x.  The budget r (d TOL_HERM + d^2 eps) is 2.7e-11 at
+        # 3x3: x = T/2 - 1e-10 clears, x = T/2 - 1e-12 does not, though
+        # without the budget, or without the factor r - 1, it would.
+        x = TOL_VERDICT / 2 - gap
+        state = isotropic_3x3(1 / 3 + x)
+        assert -state.pt_spectrum[0] == pytest.approx(x / 2, rel=1e-6)
+        assert _reduction_clears(state) is clears
+        assert not reduction_check(state).entangled
+
+    @pytest.mark.parametrize("excess,row,oracle_calls", [
+        # PPT reads -0.75 T, not flagged, while reduction reads -1.5 T and
+        # flags: the bound is tight, so "PPT silent" does not clear the
+        # column, and the oracle decides.
+        (1.5, [False, True, True, True], 1),
+        # PPT reads -0.1 T, so the column is at most 0.2 T plus the budget:
+        # cleared, and the oracle's own verdict is "-" too.
+        (0.2, [False, False, False, False], 0),
+    ], ids=["reduction-flags", "screen-clears"])
+    def test_isotropic_edge(self, monkeypatch, capsys, excess, row, oracle_calls):
+        state = isotropic_3x3(1 / 3 + excess * TOL_VERDICT)
+        member = LabeledState("isotropic", {"p": 1 / 3}, state)
+        flags, calls = compare_row(monkeypatch, capsys, member)
+        assert flags == row
+        assert [rho is state for rho in calls] == [True] * oracle_calls
+        assert _reduction_clears(state) is (oracle_calls == 0)
+        assert reduction_check(state).entangled is row[1]
+        assert ppt_check(state).entangled is False
+
+    def test_unchecked_state_takes_the_oracle(self):
+        # The oracle tests an unchecked state for Hermiticity, so the screen
+        # never speaks for one.
+        state = random_separable(SubsystemDims(3, 3), 12, 0).state
+        assert _reduction_clears(state)
+        assert not _reduction_clears(DensityState(state.dims, state.mat, check=False))
+
+    @pytest.mark.parametrize("family", sorted(REDUCTION_TRAFFIC))
+    def test_oracle_calls_per_family(self, monkeypatch, capsys, family):
+        import sepscope.criteria as criteria
+
+        argv, pinned = REDUCTION_TRAFFIC[family]
+        calls = []
+        original = criteria.reduction_check
+        monkeypatch.setattr(criteria, "reduction_check", lambda rho: calls.append(rho) or original(rho))
+        assert main(["compare", *argv]) == 0
+        capsys.readouterr()
+        assert len(calls) == pinned
+        assert all(rho.pt_spectrum[0] < 0 for rho in calls)

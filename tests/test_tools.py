@@ -1,10 +1,13 @@
 """Tests for the repository's tools."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-CODE_LINES = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+CODE_LINES = TOOLS / "code_lines.py"
+COMPARE_DIGEST = TOOLS / "compare_digest.py"
 
 MODULE = '''"""Module docstring
 over two lines."""
@@ -39,3 +42,17 @@ def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):
     rows = [line.split(None, 1) for line in result.stdout.splitlines()]
     assert rows == [["9", str(tmp_path / "a.py")], ["1", str(tmp_path / "b.py")],
                     ["10", "total"]]
+
+
+def test_compare_digest_lines_and_repeatability():
+    # Two states per corpus: one line per corpus, a sha256, two spaces and
+    # compare's arguments, the same on a second run.
+    runs = [subprocess.run([sys.executable, str(COMPARE_DIGEST), "--count", "2"],
+                           capture_output=True, text=True, check=True).stdout for _ in range(2)]
+    lines = runs[0].splitlines()
+    assert runs[1] == runs[0]
+    assert len(lines) == 14 and len({line[:64] for line in lines}) == 14
+    assert all(re.fullmatch(r"[0-9a-f]{64}  compare --family \S+( --\S+ \S+)* --count 2", line)
+               for line in lines), lines
+    assert lines[0].endswith("compare --family werner-3 --count 2")
+    assert lines[-1].endswith("compare --family separable --m 3 --n 3 --k 12 --count 2")
