@@ -1762,19 +1762,13 @@ def compare_row(monkeypatch, capsys, member):
     return [cell == "Y" for cell in row.split()[-4:]], calls
 
 
-# compare's calls into the reduction oracle per built-in family, the
-# default 3x3 unless given: a state whose PPT spectrum clears the reduction
-# column (Theorem 6) takes none.  Every separable and Horodecki state is
-# PPT; every random 3x3 state is NPT, and 16 of the 20 2x2 ones; the
-# werner-3 members with f < 0, 10 of 21, are NPT.
-REDUCTION_TRAFFIC = {
-    "werner-3": (["--family", "werner-3", "--count", "21"], 10),
-    "horodecki": (["--family", "horodecki", "--count", "20"], 0),
-    "separable-k1": (["--family", "separable", "--k", "1", "--count", "20"], 0),
-    "separable-k12": (["--family", "separable", "--k", "12", "--count", "20"], 0),
-    "random": (["--family", "random", "--count", "20"], 20),
-    "random-2x2": (["--family", "random", "--m", "2", "--n", "2", "--count", "20"], 16),
-}
+# compare's calls into the reduction oracle on each COMPARE_TRAFFIC run: a
+# state whose PPT spectrum clears the reduction column (Theorem 6) takes
+# none.  Every separable and Horodecki state is PPT; every random 3x3 state
+# is NPT, and 16 of the 20 2x2 ones; the werner-3 members with f < 0, 10 of
+# 21, are NPT.
+REDUCTION_CALLS = {"werner-3": 10, "horodecki": 0, "separable-k1": 0, "separable-k12": 0,
+                   "random": 20, "random-2x2": 16}
 
 
 class TestReductionScreen:
@@ -1841,15 +1835,14 @@ class TestReductionScreen:
         assert _reduction_clears(state)
         assert not _reduction_clears(DensityState(state.dims, state.mat, check=False))
 
-    @pytest.mark.parametrize("family", sorted(REDUCTION_TRAFFIC))
+    @pytest.mark.parametrize("family", sorted(REDUCTION_CALLS))
     def test_oracle_calls_per_family(self, monkeypatch, capsys, family):
         import sepscope.criteria as criteria
 
-        argv, pinned = REDUCTION_TRAFFIC[family]
         calls = []
         original = criteria.reduction_check
         monkeypatch.setattr(criteria, "reduction_check", lambda rho: calls.append(rho) or original(rho))
-        assert main(["compare", *argv]) == 0
+        assert main(["compare", *COMPARE_TRAFFIC[family][0]]) == 0
         capsys.readouterr()
-        assert len(calls) == pinned
+        assert len(calls) == REDUCTION_CALLS[family]
         assert all(rho.pt_spectrum[0] < 0 for rho in calls)
