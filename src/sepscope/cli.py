@@ -20,6 +20,7 @@ from .criteria import (
     CriterionVerdict,
     ReductionParams,
     _reduction_clears,
+    _split_settles,
     detected,
     evaluate,
     evaluate_all_Y,
@@ -158,13 +159,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # The PPT spectrum bounds the reduction statistic (Theorem 6), so a
         # state it clears takes no reduction eigvalsh.
         reduction = not _reduction_clears(state) and ORACLES["reduction"](state).entangled
-        realignment = ORACLES["realignment"](state)
+        # A member whose T_A rho is positive definite past TOL_VERDICT takes
+        # ZZZG's residual first: where screen 4 settles, the realignment
+        # oracle cannot flag (Theorem 7), so its SVD is skipped, and detected
+        # reads the residual from the state's cache.  Every other member
+        # takes the oracle first: NPT members, whose grc flag is PPT's, and
+        # PPT-boundary ones, such as Horodecki states, which it flags.
+        if state.pt_spectrum[0] > TOL_VERDICT and _split_settles(state):
+            realignment = witness = False
+        else:
+            verdict = ORACLES["realignment"](state)
+            realignment, witness = verdict.entangled, flag_margin(verdict) > TOL_VERDICT
         # A PPT flag is grc's pair (0, 0) in {rA,cA}, and a realignment flag
         # TOL_VERDICT past its line grc's at (0, 0) in {cA,rB}: see the
         # README's compare paragraph.
-        row = (ppt.entangled, reduction, realignment.entangled,
-               ppt.entangled or flag_margin(realignment) > TOL_VERDICT
-               or detected(state, _COMPARE_GRID, subsets))
+        row = (ppt.entangled, reduction, realignment,
+               ppt.entangled or witness or detected(state, _COMPARE_GRID, subsets))
         flags.append(row)
         param_text = " ".join(f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"
                               for key, value in labeled.params.items())

@@ -231,15 +231,17 @@ def verdict_blocks(
 def _split_settles(rho: DensityState) -> bool:
     """detected's screen 4, Theorem 3: whether ZZZG's bound settles every
     pair of the realignment class, and with it the Frobenius class (Theorem
-    4), at any (a, b).  With e = d^2 eps, the residual ||R(Delta)||_1, Delta
-    = rho - rho_A kron rho_B, is raised by e times itself plus e, alpha = 1
+    4), at any (a, b), and with the realignment class the realignment
+    oracle's statistic (Theorem 7).  With e = d^2 eps, the state's cached
+    residual ||R(Delta)||_1, Delta = rho - rho_A kron rho_B, is raised by e
+    times itself plus e, alpha = 1
     - ||rho_A||_F^2 and beta = 1 - ||rho_B||_F^2 are lowered by e, and
     delta = |tr rho_A - 1| is raised by e.  A purity past 1, as a pure
     reduction's may round, moves into the trace term: delta gains max(0,
     -alpha, -beta)/sqrt(2), and alpha and beta are clamped at 0."""
     e = rho.dims.total ** 2 * float(np.finfo(float).eps)
     rho_a, rho_b = rho.reductions
-    residual = float(trace_norm(realign(rho.mat - kron(rho_a, rho_b), rho.dims))) * (1.0 + e) + e
+    residual = rho.residual * (1.0 + e) + e
     alpha, beta = (1.0 - float(np.vdot(x, x).real) - e for x in (rho_a, rho_b))
     trace = (max(abs(complex(np.trace(x)) - 1.0) for x in (rho_a, rho_b)) + e
              + max(0.0, -alpha, -beta) / math.sqrt(2.0))

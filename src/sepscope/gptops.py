@@ -43,7 +43,10 @@ class GptOpSet:
 
     @classmethod
     def from_code(cls, code: str) -> "GptOpSet":
-        """Parse a comma-separated flag code; "" and "none" mean the empty set."""
+        """Parse a comma-separated flag code; "" and "none" mean the empty set.
+        An unknown flag raises ValueError, and so does a repeated one: a
+        transposition applied twice is the identity, so the code's meaning
+        would be in doubt."""
         text = code.strip()
         if text.lower() in ("", "none"):
             return cls()
@@ -54,6 +57,8 @@ class GptOpSet:
                 raise ValueError(
                     f"unknown transposition flag {token!r}; expected one of {FLAG_NAMES}"
                 )
+            if token in seen:
+                raise ValueError(f"repeated transposition flag {token!r} in {code!r}")
             seen.add(token)
         return cls(**{name: name in seen for name in FLAG_NAMES})
 

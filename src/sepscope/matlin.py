@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NotHermitian
-from .gptops import partial_transpose, vec  # noqa: F401
+from .gptops import partial_transpose, realign, vec  # noqa: F401
 
 # Everything here is at most ~100x100 dense, so double precision leaves a
 # wide margin around these tolerances.
@@ -124,11 +124,13 @@ class DensityState:
     read-only copy, safe to share across workers: mat may be any matrix
     as_cmatrix takes, and the state makes one complex copy of it, whatever
     its type, so it never shares memory with the input.  The state caches,
-    read-only and each taken at most once, its reductions and two spectra:
-    ``spectrum``, rho's, which validation takes anyway, and
-    ``pt_spectrum``, that of T_A rho, which gptops.partial_transpose forms
-    (gptops sits below this module, so the state calls it with no import of
-    its own).
+    read-only and each taken at most once, its reductions, two spectra and
+    one trace norm: ``spectrum``, rho's, which validation takes anyway,
+    ``pt_spectrum``, that of T_A rho, which gptops.partial_transpose forms,
+    and ``residual``, ZZZG's ||R(rho - rho_A kron rho_B)||_1, the realigned
+    distance from the product of the reductions, which gptops.realign forms
+    (gptops sits below this module, so the state calls both with no import
+    of its own).
     """
 
     dims: SubsystemDims
@@ -182,6 +184,14 @@ class DensityState:
         spectrum = np.linalg.eigvalsh(partial_transpose(self.mat, self.dims, "A"))
         spectrum.setflags(write=False)
         return spectrum
+
+    @functools.cached_property
+    def residual(self) -> float:
+        """ZZZG's residual ||R(Delta)||_1, Delta = rho - rho_A kron rho_B:
+        trace_norm of gptops.realign's Delta, taken on first use, so
+        detected's screen 4 and compare's realignment screen share one SVD."""
+        rho_a, rho_b = self.reductions
+        return trace_norm(realign(self.mat - kron(rho_a, rho_b), self.dims))
 
 
 def kron(a, b) -> np.ndarray:

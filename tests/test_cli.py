@@ -201,6 +201,18 @@ class TestCheck:
         assert main(["check", "--builtin", "werner", "--yset", "qZ"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--builtin", "werner"],
+        ["sweep", "--family", "werner-3", "--out", "never-written.csv"],
+    ], ids=["check", "sweep"])
+    def test_repeated_yset_flag_exits_two(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--yset", "rA,rA"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: repeated transposition flag 'rA' in 'rA,rA'"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check", "--file", str(tmp_path / "nope.json")]) == 2
 

@@ -56,6 +56,14 @@ class TestOpSet:
         with pytest.raises(ValueError):
             GptOpSet.from_code("cA,xB")
 
+    @pytest.mark.parametrize("code,flag", [("rA,rA", "rA"), ("cA, rB ,cA", "cA"),
+                                           ("rA,cA,rB,cB,cB", "cB")])
+    def test_repeated_flag_rejected(self, code, flag):
+        # Applying a transposition twice is the identity, so "rA,rA" is not
+        # read as rA: the code names its repeated flag and is refused.
+        with pytest.raises(ValueError, match=f"^repeated transposition flag '{flag}'"):
+            GptOpSet.from_code(code)
+
     def test_all_subsets(self):
         subsets = all_subsets()
         assert len(subsets) == 16

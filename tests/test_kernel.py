@@ -3,6 +3,7 @@ evaluation, complement sharing, the compare workflow, and soundness on
 separable states over many orders of magnitude of (a, b)."""
 
 import cmath
+import contextlib
 import re
 import warnings
 
@@ -271,17 +272,31 @@ REALIGNMENT = GptOpSet(cA=True, rB=True)
 FROBENIUS = GptOpSet(cA=True, cB=True)
 
 
-def trace_norm_shapes(decide):
-    """decide()'s outcome and the stack shapes it takes trace norms of."""
+@contextlib.contextmanager
+def seen_trace_norms(record):
+    """Call record(mat) before every trace norm sepscope takes: criteria's,
+    of the maps and the realignment oracle's matrix, and matlin's, of the
+    residual a state caches."""
     import sepscope.criteria as criteria
+    import sepscope.matlin as matlin
 
-    shapes = []
-    original = criteria.trace_norm
-    criteria.trace_norm = lambda mat: shapes.append(np.shape(mat)[:-2]) or original(mat)
+    def traced(mat):
+        record(mat)
+        return trace_norm(mat)
+
+    criteria.trace_norm = matlin.trace_norm = traced
     try:
-        return outcome(decide), shapes
+        yield
     finally:
-        criteria.trace_norm = original
+        criteria.trace_norm = matlin.trace_norm = trace_norm
+
+
+def trace_norm_shapes(decide):
+    """decide()'s outcome and the stack shapes it takes trace norms of, a
+    single matrix as ()."""
+    shapes = []
+    with seen_trace_norms(lambda mat: shapes.append(np.shape(mat)[:-2])):
+        return outcome(decide), shapes
 
 
 def svd_shapes(state, params, ysets):
@@ -355,20 +370,18 @@ class TestCompareEarlyExit:
         assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
         assert sides == ["B", "A"]
 
-    def test_separable_takes_fewer_svds(self, monkeypatch, capsys):
-        import sepscope.criteria as criteria
-
+    def test_separable_takes_fewer_svds(self, capsys):
+        # The state of seed 0 (3x3, k = 12).  Its T_A rho is positive
+        # definite, so ZZZG's residual, a single matrix, goes first; screen
+        # 4 settles, which clears the realignment column (Theorem 7), so
+        # the oracle's SVD is not taken.  The full path would take stacks
+        # of 36 maps in each of the 8 classes, 288 maps in all.  Screen 3,
+        # PPT, and screen 4, ZZZG, which settles the Frobenius class too,
+        # leave none, and no map is built.
         maps = []
-        original = criteria.trace_norm
-        monkeypatch.setattr(criteria, "trace_norm",
-                            lambda mat: maps.append(np.shape(mat)[:-2]) or original(mat))
-        # The state of seed 0 (3x3, k = 12).  The realignment oracle and
-        # ZZZG's residual take single matrices; the full path would take
-        # stacks of 36 maps in each of the 8 classes, 288 maps in all.
-        # Screen 3, PPT, and screen 4, ZZZG, which settles the Frobenius
-        # class too, leave none, and no map is built.
-        assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
-        assert maps == [(), ()]
+        with seen_trace_norms(lambda mat: maps.append(np.shape(mat)[:-2])):
+            assert compare_grc_column(capsys, ["--family", "separable"], 1) == [False]
+        assert maps == [()]
 
 
 # detected's trace-norm maps per state on compare's grid with all 16
@@ -414,26 +427,43 @@ class TestStackTripwire:
 # 3x3 unless given: at most this many detected calls over the run, and at
 # most this many trace-norm maps in any one call.  The benchmark runs only
 # the separable and random ensembles, so a change that sends more states to
-# detected, or more maps to the SVD, fails here first.
+# detected, or more maps to the SVD, fails here first.  A member whose T_A
+# rho is positive definite past TOL_VERDICT takes ZZZG's residual before
+# detected, which reads it from the state's cache: werner-3's f > 0, every
+# separable k = 12 member and the four PPT random 2x2 ones.  Pure products
+# and werner-3's f = 0 sit on the PPT boundary and take it inside.
 COMPARE_TRAFFIC = {
-    "werner-3": (["--family", "werner-3", "--count", "21"], 11, 1),  # f >= 0: ZZZG's residual
+    "werner-3": (["--family", "werner-3", "--count", "21"], 11, 1),  # f = 0: ZZZG's residual
     "horodecki": (["--family", "horodecki", "--count", "20"], 0, 0),  # realignment flags all
     "separable-k1": (["--family", "separable", "--k", "1", "--count", "20"], 20, 1),
-    "separable-k12": (["--family", "separable", "--k", "12", "--count", "20"], 20, 1),
+    "separable-k12": (["--family", "separable", "--k", "12", "--count", "20"], 20, 0),
     "random": (["--family", "random", "--count", "20"], 0, 0),  # all NPT: PPT flags all
-    "random-2x2": (["--family", "random", "--m", "2", "--n", "2", "--count", "20"], 4, 1),
+    "random-2x2": (["--family", "random", "--m", "2", "--n", "2", "--count", "20"], 4, 0),
 }
+
+# The trace norms (matrices, a stack of k counting k) that each
+# COMPARE_TRAFFIC run takes in all, the oracles' included, exactly.  A
+# member takes the realignment oracle's SVD, ZZZG's residual, or both:
+# - werner-3, 22: the 10 NPT members f < 0 the oracle's alone, f = 0 both,
+#   and the 10 members f > 0 the residual alone, which clears the column;
+# - horodecki, 20, and random, 20: the oracle's alone, which flags, or the
+#   PPT flag decides grc;
+# - separable-k1, 40: both, as a pure product is on the PPT boundary;
+# - separable-k12, 20: the residual alone;
+# - random-2x2, 20: the oracle's on the 16 NPT members, the residual alone
+#   on the 4 PPT ones.
+TRACE_NORMS = {"werner-3": 22, "horodecki": 20, "separable-k1": 40, "separable-k12": 20,
+               "random": 20, "random-2x2": 20}
 
 
 class TestCompareTraffic:
     @pytest.mark.parametrize("family", sorted(COMPARE_TRAFFIC))
     def test_detected_calls_and_maps_at_most_pinned(self, monkeypatch, capsys, family):
         import sepscope.cli as cli
-        import sepscope.criteria as criteria
 
         argv, max_calls, max_maps = COMPARE_TRAFFIC[family]
         maps, inside = [], [False]  # maps per detected call, and whether one runs
-        detect, svd = cli.detected, criteria.trace_norm
+        detect = cli.detected
 
         def counted(rho, params, ysets):
             maps.append(0)
@@ -446,13 +476,20 @@ class TestCompareTraffic:
         def traced(mat):
             if inside[0]:
                 maps[-1] += int(np.prod(np.shape(mat)[:-2]))
-            return svd(mat)
 
         monkeypatch.setattr(cli, "detected", counted)
-        monkeypatch.setattr(criteria, "trace_norm", traced)
-        assert main(["compare", *argv]) == 0
+        with seen_trace_norms(traced):
+            assert main(["compare", *argv]) == 0
         capsys.readouterr()
         assert len(maps) <= max_calls and max(maps, default=0) <= max_maps, maps
+
+    @pytest.mark.parametrize("family", sorted(TRACE_NORMS))
+    def test_trace_norms_per_run_pinned(self, capsys, family):
+        taken = []
+        with seen_trace_norms(lambda mat: taken.append(int(np.prod(np.shape(mat)[:-2])))):
+            assert main(["compare", *COMPARE_TRAFFIC[family][0]]) == 0
+        capsys.readouterr()
+        assert sum(taken) == TRACE_NORMS[family]
 
 
 class TestSpectrumTripwire:
@@ -779,20 +816,21 @@ class TestDetected:
         # ZZZG's residual SVD and, on the separable state, no map; on a
         # Horodecki state, which ZZZG leaves open, it builds the maps and
         # takes their SVD alone.  Asked with the realignment class, which
-        # goes first and flags, it takes none.
+        # goes first and flags, it takes none.  The state caches its
+        # residual, so only its first call takes that SVD.
         checked = random_separable(SubsystemDims(3, 3), 12, 0).state
         unchecked = DensityState(checked.dims, checked.mat, check=False)
         assert svd_shapes(unchecked, COMPARE_GRID, all_subsets()) == [(36,)] * 8
         assert stacks_built(unchecked, COMPARE_GRID, all_subsets()) == 1
         assert [stacks_built(state, COMPARE_GRID, HERMITIAN_CLASSES)
                 for state in (unchecked, checked)] == [1, 0]
-        for ysets in ((FROBENIUS,), (FROBENIUS, REALIGNMENT)):
-            assert svd_shapes(checked, COMPARE_GRID, ysets) == [()]
+        for ysets, residual in (((FROBENIUS,), [()]), ((FROBENIUS, REALIGNMENT), [])):
+            assert svd_shapes(checked, COMPARE_GRID, ysets) == residual
             assert stacks_built(checked, COMPARE_GRID, ysets) == 0
         bound_entangled = horodecki_3x3(0.5).state
         assert svd_shapes(bound_entangled, COMPARE_GRID, (FROBENIUS,)) == [(), (36,)]
         assert stacks_built(bound_entangled, COMPARE_GRID, (FROBENIUS,)) == 1
-        assert svd_shapes(bound_entangled, COMPARE_GRID, (FROBENIUS, REALIGNMENT)) == [(), (36,)]
+        assert svd_shapes(bound_entangled, COMPARE_GRID, (FROBENIUS, REALIGNMENT)) == [(36,)]
 
     def test_near_psd_state_reaches_the_svd(self, monkeypatch):
         # ||rho||_1 = 1 + 2 * 8 * 0.9e-9, so the full path flags (0, 0) in
@@ -822,8 +860,6 @@ class TestDetected:
         # state is NPT, so the class goes to the SVD.  With all subsets
         # asked, screen 4 takes ZZZG's residual SVD between the two.  No
         # spectrum of a grid map is taken.
-        import sepscope.criteria as criteria
-
         state = random_state(3, 3, 3)
         (block,) = verdict_blocks(state, COMPARE_GRID, (GptOpSet(),))
         assert [p for p, flag in zip(COMPARE_GRID, block.entangled) if flag] == [
@@ -831,18 +867,17 @@ class TestDetected:
         after_ppt = random_state(3, 3, 3)
         assert ppt_check(after_ppt).entangled
         calls = []
-        eigvalsh, svd = np.linalg.eigvalsh, criteria.trace_norm
+        eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda mat: calls.append(("eigvalsh", mat.shape)) or eigvalsh(mat))
-        monkeypatch.setattr(criteria, "trace_norm",
-                            lambda mat: calls.append(("svd", np.shape(mat)[:-2])) or svd(mat))
         svds = ["svd"] * (1 + (REALIGNMENT in ysets))
-        assert detected(state, COMPARE_GRID, ysets)
-        assert calls[0] == ("eigvalsh", (9, 9))
-        assert [name for name, _ in calls] == ["eigvalsh", *svds]
-        calls.clear()
-        assert detected(after_ppt, COMPARE_GRID, ysets)
-        assert [name for name, _ in calls] == svds
+        with seen_trace_norms(lambda mat: calls.append(("svd", np.shape(mat)[:-2]))):
+            assert detected(state, COMPARE_GRID, ysets)
+            assert calls[0] == ("eigvalsh", (9, 9))
+            assert [name for name, _ in calls] == ["eigvalsh", *svds]
+            calls.clear()
+            assert detected(after_ppt, COMPARE_GRID, ysets)
+            assert [name for name, _ in calls] == svds
         assert full_path(state, COMPARE_GRID, ysets)
 
     @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-5])
@@ -870,13 +905,15 @@ class TestDetected:
         # TOL_VERDICT)/3) has ZZZG's excess bound at excess TOL_VERDICT, so
         # the class settles at 0.45 with the residual's SVD alone, and at
         # 0.55 its pair at (1/2, 1/2), of Frobenius norm about 0.29 against
-        # the bound 1/2, takes one SVD too and is not flagged.
+        # the bound 1/2, takes one SVD too and is not flagged.  The
+        # residual's SVD is _split_settles', cached on the state, so
+        # detected takes none of its own.
         state = isotropic_state((1 + 2 * excess * TOL_VERDICT) / 3)
         pair, frobenius = ((0.5 + 0j, 0.5 + 0j),), (FROBENIUS,)
         assert zzzg(state) == pytest.approx(excess * TOL_VERDICT, rel=1e-4)
         assert _split_settles(state) is (svds == 0)
         assert not full_path(state, pair, frobenius)
-        assert svd_shapes(state, pair, frobenius) == [()] + [(1,)] * svds
+        assert svd_shapes(state, pair, frobenius) == [(1,)] * svds
 
     def test_screen_two_edge_flags(self):
         # The unchecked diag(1 + 3 nu, -nu, -nu, -nu), 2x2, nu = 0.18
@@ -1411,23 +1448,26 @@ class TestZZZG:
 
     def test_separable_takes_no_split(self):
         # compare's three separable states: ZZZG settles the realignment
-        # class whole, and it takes the residual's SVD alone, none of a map.
+        # class whole, from the residual's SVD alone, none of a map, and
+        # that SVD is _split_settles', cached on the state, so detected
+        # takes none.
         for seed in range(3):
             state = random_separable(SubsystemDims(3, 3), 12, seed).state
             assert _split_settles(state) is True
-            assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [()]
+            assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == []
 
     def test_violated_class_test_falls_back_to_the_split(self):
         # horodecki c = 0.5 is bound entangled, and ZZZG detects it, so the
         # class test fails and the root classes go to verdict_blocks, one
         # stack of SVDs each, the realignment class first, which flags,
         # alone or with all subsets, where the Frobenius class would come
-        # first in order of request.  Screen 3 settles the other six.
+        # first in order of request.  Screen 3 settles the other six.  The
+        # residual's SVD is _split_settles', cached on the state.
         state = horodecki_3x3(0.5).state
         assert zzzg(state) > 1e-3
         assert _split_settles(state) is False
-        assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [(), (36,)]
-        assert svd_shapes(state, COMPARE_GRID, all_subsets()) == [(), (36,)]
+        assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [(36,)]
+        assert svd_shapes(state, COMPARE_GRID, all_subsets()) == [(36,)]
 
     @pytest.mark.parametrize("excess,stacks", [(0.45, 0), (0.55, 1)])
     def test_class_edge(self, excess, stacks):
@@ -1435,14 +1475,15 @@ class TestZZZG:
         # bound is excess to rounding, so the class test passes at 0.45
         # TOL_VERDICT and leaves the class to verdict_blocks at 0.55
         # TOL_VERDICT, one stack of SVDs, which flags nothing.  A clearance
-        # of TOL_VERDICT settles the class at 0.55.
+        # of TOL_VERDICT settles the class at 0.55.  The residual's SVD is
+        # _split_settles', cached on the state, so detected takes none.
         p = (1 + 2 * excess * TOL_VERDICT) / 3
         ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
         state = DensityState(SubsystemDims(2, 2), (1 - p) * np.eye(4) / 4 + p * np.outer(ket, ket))
         assert zzzg(state) == pytest.approx(excess * TOL_VERDICT, rel=1e-4)
         assert _split_settles(state) is (stacks == 0)
         maps = svd_shapes(state, COMPARE_GRID, (REALIGNMENT,))
-        assert maps == [()] + [(36,)] * stacks
+        assert maps == [(36,)] * stacks
         assert not full_path(state, COMPARE_GRID, (REALIGNMENT,))
 
     def test_trace_term_keeps_the_flag(self):
@@ -1480,12 +1521,12 @@ class TestZZZG:
         # random_separable(k=1): both reductions are pure, so a purity may
         # round past 1, and after screen 4's outward rounding it always
         # does; that overshoot goes into the trace term, so ZZZG still
-        # settles the realignment class whole, and it takes the residual's
-        # SVD alone.
+        # settles the realignment class whole, from the residual's SVD
+        # alone, which _split_settles took and the state caches.
         for seed in range(20):
             state = random_separable(SubsystemDims(m, n), 1, seed).state
             assert _split_settles(state) is True
-            assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == [()]
+            assert svd_shapes(state, COMPARE_GRID, (REALIGNMENT,)) == []
 
 
 class TestBoundTable:
@@ -1607,31 +1648,23 @@ class TestSplit:
         if m >= 2:
             assert distance <= (h + abs(trace - 1)) ** 2 - alpha + 1e-14 * size
 
-    def test_residual_is_zzzg_statistic(self, monkeypatch):
+    def test_residual_is_zzzg_statistic(self):
         # The one matrix whose trace norm detected takes in screen 4 is
-        # R(rho - rho_A kron rho_B), and its trace norm, on this bound
-        # entangled state, exceeds ZZZG's separable bound sqrt((1 - tr
-        # rho_A^2)(1 - tr rho_B^2)).
-        import sepscope.criteria as criteria
-
+        # R(rho - rho_A kron rho_B), the state's cached residual, and its
+        # trace norm, on this bound entangled state, exceeds ZZZG's
+        # separable bound sqrt((1 - tr rho_A^2)(1 - tr rho_B^2)).
         state = horodecki_3x3(0.5).state
         rho_a, rho_b = partial_trace(state, "B"), partial_trace(state, "A")
         residuals = []
-        original = criteria.trace_norm
-
-        def traced(mat):
-            norm = original(mat)
-            if np.ndim(mat) == 2:  # the residual; the SVDs of the maps take stacks
-                residuals.append(norm)
-            return norm
-
-        monkeypatch.setattr(criteria, "trace_norm", traced)
         realignment = (GptOpSet(cA=True, rB=True),)
-        assert detected(state, COMPARE_GRID, realignment) == full_path(
-            state, COMPARE_GRID, realignment)
-        assert residuals == [trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))]
+        # The residual is a single matrix; the SVDs of the maps take stacks.
+        with seen_trace_norms(lambda mat: np.ndim(mat) == 2 and residuals.append(mat)):
+            assert detected(state, COMPARE_GRID, realignment) == full_path(
+                state, COMPARE_GRID, realignment)
+        want = trace_norm(realign(state.mat - kron(rho_a, rho_b), state.dims))
+        assert [trace_norm(mat) for mat in residuals] == [want] == [state.residual]
         purity_a, purity_b = (np.vdot(x, x).real for x in (rho_a, rho_b))
-        assert residuals[0] > np.sqrt((1 - purity_a) * (1 - purity_b)) + 1e-3
+        assert state.residual > np.sqrt((1 - purity_a) * (1 - purity_b)) + 1e-3
 
 
 WERNER_PARAMS = (
@@ -1746,17 +1779,17 @@ def isotropic_3x3(fidelity):
     return DensityState(SubsystemDims(3, 3), p * np.outer(ket, ket) + (1 - p) * np.eye(9) / 9)
 
 
-def compare_row(monkeypatch, capsys, member):
+def compare_row(monkeypatch, capsys, member, oracle="reduction"):
     """compare's four flags (ppt, reduction, realignment, grc) on member,
-    injected as the werner-3 family, and the states the reduction oracle
-    was called on."""
+    injected as the werner-3 family, and the states the named oracle was
+    called on."""
     import sepscope.criteria as criteria
 
     monkeypatch.setitem(FAMILIES, "werner-3",
                         Family(lambda o, f: member, None, None, lambda o, count: [0.0] * count))
     calls = []
-    original = criteria.reduction_check
-    monkeypatch.setattr(criteria, "reduction_check", lambda rho: calls.append(rho) or original(rho))
+    original = getattr(criteria, f"{oracle}_check")
+    monkeypatch.setattr(criteria, f"{oracle}_check", lambda rho: calls.append(rho) or original(rho))
     assert main(["compare", "--family", "werner-3", "--count", "1"]) == 0
     row = capsys.readouterr().out.splitlines()[1]
     return [cell == "Y" for cell in row.split()[-4:]], calls
@@ -1846,3 +1879,105 @@ class TestReductionScreen:
         capsys.readouterr()
         assert len(calls) == REDUCTION_CALLS[family]
         assert all(rho.pt_spectrum[0] < 0 for rho in calls)
+
+
+def isotropic_edge(excess):
+    """test_class_edge's (1-p) I/4 + p|Phi+><Phi+|, p = (1 + 2 excess
+    TOL_VERDICT)/3: ZZZG's excess and the realignment oracle's are both
+    excess TOL_VERDICT, and lambda_min(T_A rho) is -excess TOL_VERDICT/2,
+    so the state sits on the PPT boundary."""
+    return isotropic_state((1 + 2 * excess * TOL_VERDICT) / 3)
+
+
+def noisy_horodecki(p):
+    """p horodecki_3x3(1/2) + (1 - p) I/9: lambda_min(T_A rho) = (1 - p)/9,
+    PPT in the interior for p < 1.  ZZZG detects it from p = 0.99535 on, the
+    realignment oracle from about 0.9966."""
+    mat = p * horodecki_3x3(0.5).state.mat + (1 - p) * np.eye(9) / 9
+    return DensityState(SubsystemDims(3, 3), mat)
+
+
+# noisy_horodecki's weight at which ZZZG's excess is 0.45 and 0.55
+# TOL_VERDICT, found by bisection.
+NOISY_HORODECKI_EDGE = {0.45: 0.9953453013177469, 0.55: 0.9953453028035004}
+
+
+class TestRealignmentScreen:
+    """compare reads an interior-PPT member's realignment column off screen
+    4 where that settles (README Theorem 7): at (0, 0) the realigned map is
+    R(rho) = vec(rho_A) vec(rho_B)^T + R(Delta), so ||R(rho)||_1 <= sqrt(q_A
+    q_B) + ||R(Delta)||_1, at most 1 + TOL_VERDICT/2 where ZZZG settles."""
+
+    @settings(max_examples=200)
+    @given(state=st.one_of(
+        kernel_states(),
+        st.floats(0.0, 0.6).map(isotropic_edge),
+        st.floats(0.99, 1.0).map(noisy_horodecki),
+        st.builds(noisy_state, st.integers(2, 4), st.integers(2, 4),
+                  st.integers(0, 2**31 - 1), st.floats(0.97, 1.03))))
+    def test_realignment_within_screen(self, state):
+        # The rank-one split on every draw, up to the SVDs' rounding, and
+        # wherever screen 4 settles, the oracle's computed excess is at most
+        # TOL_VERDICT/2 plus that rounding, d^2 eps: half the flag line
+        # below it, so neither its flag nor compare's grc witness (a margin
+        # past TOL_VERDICT) can be lost.
+        d = state.dims.total
+        rounding = d * d * float(np.finfo(float).eps)
+        rho_a, rho_b = state.reductions
+        purities = np.vdot(rho_a, rho_a).real * np.vdot(rho_b, rho_b).real
+        realignment = realignment_check(state)
+        assert realignment.statistic <= np.sqrt(purities) + state.residual + rounding
+        if _split_settles(state):
+            assert flag_margin(realignment) <= -TOL_VERDICT / 2 + rounding
+
+    @pytest.mark.parametrize("excess", [0.45, 0.55])
+    def test_boundary_edge(self, monkeypatch, capsys, excess):
+        # test_class_edge's family: the screen settles at 0.45 TOL_VERDICT
+        # only.  These members are on the PPT boundary, so compare runs the
+        # oracle first either way, and its column is the oracle's: not
+        # flagged, as the oracle's excess, excess TOL_VERDICT, is under
+        # the line.
+        state = isotropic_edge(excess)
+        assert zzzg(state) == pytest.approx(excess * TOL_VERDICT, rel=1e-4)
+        assert state.pt_spectrum[0] < TOL_VERDICT
+        flags, calls = compare_row(monkeypatch, capsys, LabeledState("isotropic", {}, state),
+                                   oracle="realignment")
+        assert [rho is state for rho in calls] == [True]
+        assert flags[2] is realignment_check(state).entangled is False
+        assert _split_settles(state) is (excess == 0.45)
+        assert flags[3] is full_path(state, COMPARE_GRID, all_subsets())
+
+    @pytest.mark.parametrize("excess,oracle_calls", [(0.45, 0), (0.55, 1)])
+    def test_interior_edge(self, monkeypatch, capsys, excess, oracle_calls):
+        # An interior-PPT member at ZZZG's edge: the residual goes first,
+        # and the screen settles at 0.45 TOL_VERDICT, where the oracle is
+        # not run, and not at 0.55, where it is.  Either way the column is
+        # the oracle's.  At 0.45 the member takes the residual's trace norm
+        # alone; at 0.55 also the oracle's, and detected, which reads the
+        # cached residual, the realignment and Frobenius classes' stacks.
+        state = noisy_horodecki(NOISY_HORODECKI_EDGE[excess])
+        assert zzzg(state) == pytest.approx(excess * TOL_VERDICT, rel=1e-3)
+        assert state.pt_spectrum[0] > TOL_VERDICT
+        taken = []
+        with seen_trace_norms(lambda mat: taken.append(np.shape(mat))):
+            flags, calls = compare_row(monkeypatch, capsys, LabeledState("noisy", {}, state),
+                                       oracle="realignment")
+        assert len(calls) == oracle_calls
+        assert taken == [(9, 9)] + [(9, 9), (36, 9, 9), (36, 81, 1)] * oracle_calls
+        assert _split_settles(state) is (oracle_calls == 0)
+        assert flags[2] is realignment_check(state).entangled is False
+        assert flags[3] is full_path(state, COMPARE_GRID, all_subsets())
+
+    def test_realignment_flagged_interior_member(self, monkeypatch, capsys):
+        # Past the oracle's own threshold the screen leaves the member
+        # open, so it takes the residual and the oracle's SVD, one more
+        # than a PPT-boundary member, and the oracle's flag decides grc.
+        state = noisy_horodecki(0.999)
+        assert state.pt_spectrum[0] > TOL_VERDICT
+        assert flag_margin(realignment_check(state)) > TOL_VERDICT
+        taken = []
+        with seen_trace_norms(lambda mat: taken.append(np.shape(mat))):
+            flags, calls = compare_row(monkeypatch, capsys, LabeledState("noisy", {}, state),
+                                       oracle="realignment")
+        assert flags == [False, False, True, True]
+        assert len(calls) == 1 and taken == [(9, 9)] * 2
