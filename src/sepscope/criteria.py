@@ -231,12 +231,11 @@ def verdict_blocks(
 def _split_settles(rho: DensityState) -> bool:
     """detected's screen 4, Theorem 3: whether ZZZG's bound settles every
     pair of the realignment class, and with it the Frobenius class (Theorem
-    4), at any (a, b), and with the realignment class the realignment
-    oracle's statistic (Theorem 7).  With e = d^2 eps, the state's cached
-    residual ||R(Delta)||_1, Delta = rho - rho_A kron rho_B, is raised by e
-    times itself plus e, alpha = 1
-    - ||rho_A||_F^2 and beta = 1 - ||rho_B||_F^2 are lowered by e, and
-    delta = |tr rho_A - 1| is raised by e.  A purity past 1, as a pure
+    4), at any (a, b), and the realignment oracle's statistic (Theorem 7).
+    With e = d^2 eps, the state's cached residual ||R(Delta)||_1, Delta =
+    rho - rho_A kron rho_B, is raised by e times itself plus e, alpha = 1 -
+    ||rho_A||_F^2 and beta = 1 - ||rho_B||_F^2 are lowered by e, and delta
+    = |tr rho_A - 1| is raised by e.  A purity past 1, as a pure
     reduction's may round, moves into the trace term: delta gains max(0,
     -alpha, -beta)/sqrt(2), and alpha and beta are clamped at 0."""
     e = rho.dims.total ** 2 * float(np.finfo(float).eps)
